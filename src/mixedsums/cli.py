@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import _rng
-from .exponents import INF, predict
+from .exponents import INF, exponent_to_json, predict
 from .forms import (
     diagonal_form,
     form_from_obj,
@@ -34,7 +34,6 @@ from .forms import (
 )
 from .growth import (
     DEFAULT_FIT_TOLERANCE,
-    ExperimentConfig,
     compare,
     config_from_obj,
     loglog_fit,
@@ -48,17 +47,15 @@ from .norms import (
     brute_force_norm,
     estimate_to_obj,
 )
-from .tensors import HOLDER_TOL, holder_verify, mixed_norm, tensor_from_obj
+from .tensors import check_splitting, holder_verify, mixed_norm, tensor_from_obj
 
 __all__ = ["main"]
 
 
 def parse_exponent(token: str) -> float:
     tok = token.strip()
-    if tok.lower() == "inf":
-        return INF
     try:
-        value = float(Fraction(tok))
+        value = float(Fraction(tok)) if "/" in tok else float(tok)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad exponent token {token!r}") from None
     if math.isnan(value) or value <= 0.0:
@@ -83,9 +80,7 @@ def parse_int_vector(text: str) -> tuple[int, ...]:
 def _fmt(x) -> str:
     if x is None:
         return "-"
-    if isinstance(x, float):
-        return "inf" if x == INF else repr(x)
-    return str(x)
+    return str(exponent_to_json(x))
 
 
 def _color(text: str, code: str) -> str:
@@ -199,23 +194,7 @@ def cmd_experiment(args) -> int:
             raise UsageError(
                 "without --config, " + ", ".join(missing) + " are required"
             )
-        kwargs = dict(
-            family=args.family,
-            m=args.m,
-            p=args.p,
-            r=args.r,
-            n_values=args.n_values or (),
-            norm_method=args.norm_method,
-            restarts=args.restarts,
-            seed=args.seed,
-            tol=args.tol,
-            draws=args.draws,
-        )
-        if args.k is not None:
-            kwargs["k"] = args.k
-        if args.form_file is not None:
-            kwargs["form_file"] = args.form_file
-        config = ExperimentConfig(**kwargs)
+        config = config_from_obj(vars(args))
     series = run_growth(config, threads=args.threads)
     fit = loglog_fit(series, tolerance=args.tolerance, mode=args.mode)
     with open(args.out, "w") as f:
@@ -257,13 +236,10 @@ def cmd_verify_holder(args) -> int:
             raise UsageError(f"every ;-group in --q must have {m} entries")
         N = len(groups)
         q = [[groups[k][j] for k in range(N)] for j in range(m)]
-        for j in range(m):
-            lhs = 0.0 if args.r[j] == INF else 1.0 / args.r[j]
-            rhs = math.fsum(0.0 if x == INF else 1.0 / x for x in q[j])
-            if abs(lhs - rhs) > HOLDER_TOL:
-                raise UsageError(
-                    f"splitting identity fails at axis {j}: 1/r = {lhs}, sum 1/q = {rhs}"
-                )
+        try:
+            check_splitting(args.r, q)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
         fixed = (args.r, q, N)
 
     passed = 0
@@ -308,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=os.cpu_count() or 1,
-            help="worker threads (results do not depend on this)",
+            help="accepted for compatibility; has no effect",
         )
 
     p = sub.add_parser("exponent", help="predicted exponents for (m, p, r)")

@@ -25,6 +25,7 @@ _TOL = 1e-12
 
 __all__ = [
     "INF",
+    "exponent_to_json",
     "harmonic_sum",
     "conjugate",
     "ClassicalExponents",
@@ -69,14 +70,15 @@ def as_exponent_vector(v, m: int | None = None, name: str = "p") -> tuple[float,
     return entries
 
 
-def _recip(x: float) -> float:
-    return 0.0 if x == INF else 1.0 / x
+def exponent_to_json(x):
+    """JSON form of an exponent: "inf" for inf, x otherwise; float() decodes both."""
+    return "inf" if x == INF else x
 
 
 def harmonic_sum(p) -> float:
     """|1/p| = sum of reciprocals, with 1/inf = 0."""
     p = as_exponent_vector(p, name="p")
-    return math.fsum(_recip(pj) for pj in p)
+    return math.fsum(1.0 / pj for pj in p)
 
 
 def conjugate(p) -> float:
@@ -134,7 +136,7 @@ def ghl_admissible(s, p) -> bool:
     if any(sj < lo - _TOL or sj > 2.0 + _TOL for sj in s):
         return False
     bound = math.fsum(((m + 1.0) / 2.0, -h))
-    return math.fsum(_recip(sj) for sj in s) <= bound + _TOL
+    return math.fsum(1.0 / sj for sj in s) <= bound + _TOL
 
 
 def m_less_set(rho: float, r) -> frozenset[int]:
@@ -186,7 +188,7 @@ def unified_exponent(m: int, p, r) -> UnifiedExponents:
         if not m2:
             s_case1 = 0.0
         else:
-            terms = [_recip(r[j - 1]) for j in sorted(m2)]
+            terms = [1.0 / r[j - 1] for j in sorted(m2)]
             terms += [h, -(len(m2) + 1.0) / 2.0]
             s_case1 = max(math.fsum(terms), 0.0)
 
@@ -198,11 +200,11 @@ def unified_exponent(m: int, p, r) -> UnifiedExponents:
         if k == 0:
             s_case2 = 0.0
         elif k == m:
-            terms = [_recip(rj) for rj in r] + [h, -(m + 1.0) / 2.0]
+            terms = [1.0 / rj for rj in r] + [h, -(m + 1.0) / 2.0]
             s_case2 = max(math.fsum(terms), 0.0)
         else:
             factor = (m + 1.0 - 2.0 * h) / (2.0 * m)
-            terms = [_recip(r[j - 1]) for j in sorted(mhl)] + [-factor * k]
+            terms = [1.0 / r[j - 1] for j in sorted(mhl)] + [-factor * k]
             s_case2 = max(math.fsum(terms), 0.0)
 
     return UnifiedExponents(s_case1=s_case1, s_case2=s_case2)
@@ -255,7 +257,7 @@ def alt_exponent(m: int, p, r) -> float:
         raise ValueError(f"requires |1/p| <= 1/2, got |1/p| = {h}")
     if any(not 1.0 <= rj <= 2.0 for rj in r):
         raise ValueError(f"requires r in [1,2]^m, got r = {r}")
-    terms = [_recip(rj) for rj in r] + [h, -(m + 1.0) / 2.0]
+    terms = [1.0 / rj for rj in r] + [h, -(m + 1.0) / 2.0]
     return max(math.fsum(terms), 0.0)
 
 
@@ -269,7 +271,7 @@ def delta_chain(p) -> tuple[float, ...]:
     m = len(p)
     out = []
     for k in range(m):
-        tail = math.fsum(_recip(pj) for pj in p[k:])
+        tail = math.fsum(1.0 / pj for pj in p[k:])
         if tail >= 1.0:
             raise ValueError(
                 f"tail sum 1/p_{k + 1} + ... + 1/p_{m} = {tail} >= 1: delta undefined"
@@ -295,7 +297,7 @@ def anisotropic_exponents(p, r) -> tuple[float, ...]:
     out = []
     for k in range(m):
         # 1/delta over the tail p_k..p_m equals 1 - (1/p_k + ... + 1/p_m)
-        terms = [_recip(r[k]), -1.0] + [_recip(pj) for pj in p[k:]]
+        terms = [1.0 / r[k], -1.0] + [1.0 / pj for pj in p[k:]]
         out.append(max(math.fsum(terms), 0.0))
     return tuple(out)
 
@@ -322,7 +324,7 @@ def lemma_lift(r, p) -> tuple[float, ...]:
     if h > 0.5:
         raise ValueError(f"requires |1/p| <= 1/2, got |1/p| = {h}")
     target = math.fsum(((m + 1.0) / 2.0, -h))
-    if math.fsum(_recip(rj) for rj in r) <= target:
+    if math.fsum(1.0 / rj for rj in r) <= target:
         raise ValueError(
             "requires sum of 1/r_j strictly above (m+1)/2 - |1/p|; r is already admissible"
         )
@@ -340,29 +342,26 @@ def lemma_lift(r, p) -> tuple[float, ...]:
     N = [j for j, rj in enumerate(r) if rj < 2.0]
     if not N:
         raise AssertionError("unreachable: r = (2,...,2) cannot exceed the target")
-    pivot = N[-1]
-    for j0 in N:
+    # float rounding of |1/p| = 1/2 can miss the last candidate by one ulp;
+    # it is admissible in exact arithmetic, so the scan falls back to it with
+    # the terms of its own (last) iteration
+    for pivot in N:
         terms = [
-            0.5 if (k in N and k < j0) else _recip(rk)
-            for k, rk in enumerate(r)
-            if k != j0
-        ]
-        if math.fsum(terms + [0.5]) <= target:
-            pivot = j0
-            break
-    else:
-        # float rounding of |1/p| = 1/2 can miss the last candidate by one
-        # ulp; it is admissible in exact arithmetic, so take it
-        terms = [
-            0.5 if (k in N and k < pivot) else _recip(rk)
+            0.5 if (k in N and k < pivot) else 1.0 / rk
             for k, rk in enumerate(r)
             if k != pivot
         ]
+        if math.fsum(terms + [0.5]) <= target:
+            break
     recip_pivot = math.fsum([(m + 1.0) / 2.0, -h] + [-t for t in terms])
     s = [2.0 if (k in N and k < pivot) else rk for k, rk in enumerate(r)]
     s[pivot] = 1.0 / recip_pivot
 
-    assert r[pivot] <= s[pivot] <= 2.0 + 1e-9 and s[pivot] >= lo - 1e-9
+    if not (r[pivot] <= s[pivot] <= 2.0 + 1e-9 and s[pivot] >= lo - 1e-9):
+        raise ArithmeticError(
+            f"lemma_lift pivot s[{pivot}] = {s[pivot]!r} is outside "
+            f"[max(r[{pivot}], {lo!r}), 2]"
+        )
     return tuple(s)
 
 
@@ -372,7 +371,7 @@ def holder_split(r, s) -> tuple[float, ...]:
     s = as_exponent_vector(s, len(r), "s")
     out = []
     for i, (ri, si) in enumerate(zip(r, s)):
-        resid = _recip(ri) - _recip(si)
+        resid = 1.0 / ri - 1.0 / si
         if resid < 0.0:
             raise ValueError(f"1/r[{i}] < 1/s[{i}]: no splitting exponent exists")
         out.append(INF if resid == 0.0 else 1.0 / resid)
@@ -386,7 +385,7 @@ def linear_exponent(r, p) -> float:
     if p < 1.0:
         raise ValueError(f"requires p >= 1, got p = {p}")
     # 1/p' = 1 - 1/p
-    return max(math.fsum((_recip(r), -1.0, _recip(p))), 0.0)
+    return max(math.fsum((1.0 / r, -1.0, 1.0 / p)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -438,16 +437,10 @@ class ExponentReport:
 
     def to_dict(self) -> dict:
         """JSON-ready dict with a stable field order; inf rendered as 'inf'."""
-
-        def enc(x):
-            if x is None:
-                return None
-            return "inf" if x == INF else x
-
         return {
             "m": self.m,
             "harmonic_sum": self.harmonic_sum,
-            "rho_hl": enc(self.rho_hl),
+            "rho_hl": exponent_to_json(self.rho_hl),
             "m_less_2": sorted(self.m_less_2),
             "m_less_hl": None if self.m_less_hl is None else sorted(self.m_less_hl),
             "s_case1": self.s_case1,
@@ -457,7 +450,7 @@ class ExponentReport:
             "s_case1_lower": self.s_case1_lower,
             "delta_chain": None
             if self.delta_chain is None
-            else [enc(d) for d in self.delta_chain],
+            else [exponent_to_json(d) for d in self.delta_chain],
             "per_index_delta_exponents": None
             if self.per_index_delta_exponents is None
             else list(self.per_index_delta_exponents),
@@ -505,19 +498,18 @@ def predict(m: int, p, r) -> ExponentReport:
             flags=RegimeFlags(False, False, False, False),
         )
 
-    case1 = all(2.0 <= pj <= 2.0 * m for pj in p)
-    case2 = h <= 0.5
+    uni = unified_exponent(m, p, r)
+    case1 = uni.s_case1 is not None
+    case2 = uni.s_case2 is not None
     delta = 1.0 < p[-1] <= 2.0 and all(pj > 2.0 for pj in p[:-1]) and h < 1.0
 
     rho = rho_hl(m, p)
     mhl = m_less_set(rho, r) if rho is not None else None
 
-    uni = unified_exponent(m, p, r)
-
     s_case1_lower = None
     if case1 and 0 < len(m2) < m:
-        terms = [_recip(r[j - 1]) for j in sorted(m2)]
-        terms += [_recip(p[j - 1]) for j in sorted(m2)]
+        terms = [1.0 / r[j - 1] for j in sorted(m2)]
+        terms += [1.0 / p[j - 1] for j in sorted(m2)]
         terms += [-(len(m2) + 1.0) / 2.0]
         s_case1_lower = max(math.fsum(terms), 0.0)
 

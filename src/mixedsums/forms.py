@@ -26,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .exponents import INF, as_exponent_vector
+from .exponents import as_exponent_vector, exponent_to_json
 from .tensors import tensor_from_obj, tensor_to_obj
 
 __all__ = [
     "MultilinearForm",
     "KszCertificate",
     "alpha",
+    "ksz_bound_exponent",
     "ksz_random_form",
     "diagonal_form",
     "row_form",
@@ -102,7 +103,12 @@ def alpha(p) -> float:
         raise ValueError(f"requires p >= 1, got {p}")
     if p < 2.0:
         return 0.0
-    return 0.5 if p == INF else 0.5 - 1.0 / p
+    return 0.5 - 1.0 / p
+
+
+def ksz_bound_exponent(p) -> float:
+    """Norm-growth exponent 1/2 + alpha(p_1) + ... + alpha(p_m) of a sign form."""
+    return math.fsum([0.5, *(alpha(pj) for pj in p)])
 
 
 def ksz_random_form(
@@ -124,12 +130,11 @@ def ksz_random_form(
         coeffs = _rng.sign_array(shape, seed)
     form = MultilinearForm(coefficients=coeffs, p=p, kind="ksz", seed=int(seed))
     alphas = tuple(alpha(pj) for pj in p)
-    a_sum = math.fsum(alphas)
     cert = KszCertificate(
         seed=int(seed),
         alphas=alphas,
-        alpha_sum=a_sum,
-        bound_exponent=math.fsum([0.5, *alphas]),
+        alpha_sum=math.fsum(alphas),
+        bound_exponent=ksz_bound_exponent(p),
     )
     return form, cert
 
@@ -247,7 +252,7 @@ def form_to_obj(form: MultilinearForm) -> dict:
     Infinite exponents serialize as the string "inf".
     """
     obj = tensor_to_obj(form.coefficients)
-    obj["p"] = ["inf" if pj == INF else pj for pj in form.p]
+    obj["p"] = [exponent_to_json(pj) for pj in form.p]
     obj["kind"] = form.kind
     if form.seed is not None:
         obj["seed"] = form.seed
@@ -258,10 +263,9 @@ def form_from_obj(obj) -> MultilinearForm:
     """Inverse of form_to_obj."""
     coeffs = tensor_from_obj(obj)
     try:
-        raw_p = obj["p"]
-    except (KeyError, TypeError):
-        raise ValueError("form object needs a 'p' field") from None
-    p = tuple(INF if x == "inf" else float(x) for x in raw_p)
+        p = tuple(float(x) for x in obj["p"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError("form object needs a 'p' field listing exponents") from None
     kind = obj.get("kind", "custom")
     seed = obj.get("seed")
     return MultilinearForm(

@@ -10,25 +10,23 @@ slope <= s + tol).
 Random families evaluate `draws` independent sign draws per n and keep the
 draw with the largest operator norm (smallest draw index on ties); the norm
 denominator of the reported ratio belongs to that draw. All randomness
-derives from (seed, n, draw_index), so rows can be computed in parallel and
-output is reproducible bit-for-bit regardless of thread count.
+derives from (seed, n, draw_index) and rows are computed one after another
+in one thread, so output is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 from . import _rng
-from .exponents import INF, ExponentReport, as_exponent_vector, predict
+from .exponents import INF, ExponentReport, as_exponent_vector, exponent_to_json, predict
 from .forms import (
     MultilinearForm,
-    alpha,
     diagonal_form,
     form_from_obj,
+    ksz_bound_exponent,
     ksz_random_form,
     product_extension,
     row_form,
@@ -160,19 +158,6 @@ class FitResult:
     bound_relative: bool
 
 
-def _paper_bound_value(config: ExperimentConfig, n: int) -> float:
-    if config.family == "diagonal":
-        h = math.fsum(0.0 if pj == INF else 1.0 / pj for pj in config.p)
-        return float(n) ** max(1.0 - h, 0.0)
-    if config.family == "row":
-        p2 = config.p[1]
-        return float(n) ** (1.0 - (0.0 if p2 == INF else 1.0 / p2))
-    # ksz and product_extension: norm of the base k-linear sign form
-    k = config.m if config.family == "ksz" else config.k
-    expo = math.fsum([0.5] + [alpha(pj) for pj in config.p[:k]])
-    return float(n) ** expo
-
-
 def _estimate(form: MultilinearForm, config: ExperimentConfig, ascent_seed: int):
     """(value, kind) for one form under the configured method."""
     if config.norm_method == "brute":
@@ -207,7 +192,7 @@ def _row_for_n(config: ExperimentConfig, n: int) -> GrowthRow:
         )
         lhs = mixed_norm(form.coefficients, config.r).value
         if config.norm_method == "paper_bound":
-            value, kind = _paper_bound_value(config, n), "paper_bound"
+            value, kind = analytic_norm(form).value, "paper_bound"
         else:
             value, kind = _estimate(form, config, _rng.derive_seed(config.seed, n, 0, 1))
         return GrowthRow(n, lhs, value, kind, lhs / value, 0)
@@ -216,7 +201,9 @@ def _row_for_n(config: ExperimentConfig, n: int) -> GrowthRow:
     if config.norm_method == "paper_bound":
         form = _make_draw(config, n, 0)
         lhs = mixed_norm(form.coefficients, config.r).value
-        value = _paper_bound_value(config, n)
+        # norm bound of the base k-linear sign form
+        k = config.m if config.family == "ksz" else config.k
+        value = float(n) ** ksz_bound_exponent(config.p[:k])
         return GrowthRow(n, lhs, value, "paper_bound", lhs / value, 0)
 
     best = None
@@ -246,18 +233,13 @@ def _rows_from_file(config: ExperimentConfig) -> tuple[GrowthRow, ...]:
 
 
 def run_growth(config: ExperimentConfig, threads: int = 1) -> GrowthSeries:
-    """Run one experiment; rows are emitted in n order.
+    """Run one experiment; rows are computed in n order in the calling thread.
 
-    Rows are independent, so they may be computed in parallel; results are
-    collected in input order and contain no thread-dependent arithmetic.
+    `threads` is accepted for compatibility and has no effect.
     """
     if config.family == "custom-file":
         return GrowthSeries(config=config, rows=_rows_from_file(config))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = tuple(ex.map(partial(_row_for_n, config), config.n_values))
-    else:
-        rows = tuple(_row_for_n(config, n) for n in config.n_values)
+    rows = tuple(_row_for_n(config, n) for n in config.n_values)
     return GrowthSeries(config=config, rows=rows)
 
 
@@ -351,14 +333,11 @@ def series_to_csv(series: GrowthSeries) -> str:
 
 
 def config_to_obj(config: ExperimentConfig) -> dict:
-    def enc(x):
-        return "inf" if x == INF else x
-
     obj = {
         "family": config.family,
         "m": config.m,
-        "p": [enc(pj) for pj in config.p],
-        "r": [enc(rj) for rj in config.r],
+        "p": [exponent_to_json(pj) for pj in config.p],
+        "r": [exponent_to_json(rj) for rj in config.r],
         "n_values": list(config.n_values),
         "norm_method": config.norm_method,
         "restarts": config.restarts,
@@ -374,15 +353,12 @@ def config_to_obj(config: ExperimentConfig) -> dict:
 
 
 def config_from_obj(obj) -> ExperimentConfig:
-    def dec(x):
-        return INF if x == "inf" else float(x)
-
     try:
         kwargs = {
             "family": obj["family"],
             "m": int(obj["m"]),
-            "p": tuple(dec(x) for x in obj["p"]),
-            "r": tuple(dec(x) for x in obj["r"]),
+            "p": tuple(float(x) for x in obj["p"]),
+            "r": tuple(float(x) for x in obj["r"]),
         }
     except (KeyError, TypeError) as e:
         raise ValueError(f"config object is missing a required field: {e}") from None

@@ -17,8 +17,6 @@ to 1e-9 relative.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,7 +134,10 @@ def _single_ascent(form, start, tol, max_iters):
             c = partial_contract(form, xs, j)
             xs[j], val = dual_maximizer(c, form.p[j])
             # each exact slot update can only raise the objective
-            assert val >= last * (1.0 - 1e-9) - 1e-300
+            if val < last * (1.0 - 1e-9) - 1e-300:
+                raise ArithmeticError(
+                    f"ascent objective fell from {last!r} to {val!r} at slot {j}"
+                )
             last = val
         if prev is not None and val - prev <= tol * max(prev, 1e-300):
             converged = True
@@ -160,7 +161,8 @@ def alternating_ascent(
     all-ones normalized and the first basis vector. Reports the best value;
     ties go to the smallest restart index. converged=False means at least
     one of the runs (including the best) hit the iteration cap; the reported
-    flag belongs to the best run.
+    flag belongs to the best run. Every run executes in the calling thread;
+    `threads` is accepted for compatibility and has no effect.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -182,15 +184,7 @@ def alternating_ascent(
         ]
 
     total = restarts + 2
-
-    def runner(t: int):
-        return _single_ascent(form, start_for(t), tol, max_iters)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(runner, range(total)))
-    else:
-        results = [runner(t) for t in range(total)]
+    results = [_single_ascent(form, start_for(t), tol, max_iters) for t in range(total)]
 
     best = 0
     for t in range(1, total):
@@ -320,7 +314,7 @@ def analytic_norm(form: MultilinearForm) -> NormEstimate | None:
         value = float(n) ** expo
         if h <= 1.0:
             witness = [
-                np.full(n, float(n) ** (-(0.0 if pj == INF else 1.0 / pj)))
+                np.full(n, float(n) ** (-1.0 / pj))
                 for pj in form.p
             ]
         else:

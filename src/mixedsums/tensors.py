@@ -7,8 +7,7 @@ with exponent vector r is the nested quantity
 
 evaluated innermost sum first; r_j = inf replaces the j-th sum by a
 supremum. Sums accumulate with compensated (Kahan) summation in fixed index
-order, so results are bit-identical run to run and independent of any
-thread-level parallelism above this module.
+order in one thread, so results are bit-identical run to run.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ __all__ = [
     "mixed_norm",
     "coordinate_product",
     "HolderCheck",
+    "check_splitting",
     "holder_verify",
     "tensor_to_obj",
     "tensor_from_obj",
@@ -102,6 +102,18 @@ class HolderCheck:
     slack: float
 
 
+def check_splitting(r, q) -> None:
+    """Raise ValueError unless 1/r_j = sum_k 1/q[j][k] within 1e-9 for every j."""
+    for j, (rj, row) in enumerate(zip(r, q)):
+        lhs = 1.0 / rj
+        rhs = math.fsum(1.0 / x for x in row)
+        if abs(lhs - rhs) > HOLDER_TOL:
+            raise ValueError(
+                f"splitting identity fails at axis {j}: 1/r = {lhs}, "
+                f"sum of 1/q = {rhs}"
+            )
+
+
 def holder_verify(tensors, r, q) -> HolderCheck:
     """Verify mixed_norm(prod tensors, r) <= prod_k mixed_norm(tensors[k], q_k).
 
@@ -119,14 +131,7 @@ def holder_verify(tensors, r, q) -> HolderCheck:
     q = [as_exponent_vector(row, N, f"q[{j}]") for j, row in enumerate(q)]
     if len(q) != m:
         raise ValueError(f"q has {len(q)} rows, expected m={m}")
-    for j in range(m):
-        lhs_recip = 0.0 if r[j] == INF else 1.0 / r[j]
-        rhs_recip = math.fsum(0.0 if x == INF else 1.0 / x for x in q[j])
-        if abs(lhs_recip - rhs_recip) > HOLDER_TOL:
-            raise ValueError(
-                f"splitting identity fails at axis {j}: 1/r = {lhs_recip}, "
-                f"sum of 1/q = {rhs_recip}"
-            )
+    check_splitting(r, q)
     lhs = mixed_norm(coordinate_product(tensors), r).value
     rhs_factors = [
         mixed_norm(tensors[k], tuple(q[j][k] for j in range(m))).value
@@ -159,17 +164,24 @@ def tensor_from_obj(obj) -> np.ndarray:
     try:
         shape = tuple(int(n) for n in obj["shape"])
         data = obj["data"]
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"tensor object needs 'shape' and 'data' fields: {e}") from None
     if any(n < 1 for n in shape):
         raise ValueError(f"shape entries must be positive, got {shape}")
     size = int(np.prod(shape)) if shape else 1
+    if not isinstance(data, list):
+        raise ValueError("tensor 'data' must be a list")
     if len(data) != size:
         raise ValueError(f"data length {len(data)} does not match shape {shape}")
-    if obj.get("dtype") == "complex":
-        flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    else:
-        flat = np.array([float(x) for x in data], dtype=np.float64)
+    try:
+        if obj.get("dtype") == "complex":
+            flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+        else:
+            flat = np.array([float(x) for x in data], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(
+            "tensor data must be numbers, or [re, im] pairs when dtype is complex"
+        ) from None
     if not np.all(np.isfinite(flat)):
         raise ValueError("tensor entries must be finite")
     return flat.reshape(shape)

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mixedsums.cli import main, parse_exponent, parse_vector
@@ -299,3 +300,40 @@ def test_color_gating(monkeypatch):
     assert "\x1b[32m" in cli._color("ok", "32")
     monkeypatch.setenv("NO_COLOR", "1")
     assert cli._color("ok", "32") == "ok"
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"shape": [2], "data": [1.0, None], "p": [2.0]},
+        {"shape": [2], "dtype": "complex", "data": [1.0, 2.0], "p": [2.0]},
+        {"shape": [2], "data": [1.0, 2.0], "p": [None]},
+        {"shape": [2], "data": "12", "p": [2.0]},
+    ],
+    ids=["null-entry", "complex-not-pairs", "null-exponent", "string-data"],
+)
+def test_malformed_input_files_are_errors(tmp_path, capsys, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    commands = [("norm", "--input", str(path), "--method", "ascent")]
+    if obj["p"] != [None]:
+        # mixed-norm reads only the tensor fields
+        commands.append(("mixed-norm", "--input", str(path), "--r", "1"))
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+def test_verify_holder_splitting_message_matches_library(capsys):
+    from mixedsums import holder_verify
+
+    a = np.ones((3, 3))
+    with pytest.raises(ValueError) as exc:
+        holder_verify([a, a], (1.0, 1.0), [(2.0, 2.0), (3.0, 2.0)])
+    assert "splitting identity" in str(exc.value)
+    code, _, err = run(
+        capsys, "verify-holder", "--r", "1,1", "--q", "2,3;2,2", "--trials", "1",
+    )
+    assert code == 2
+    assert err == f"usage error: {exc.value}\n"

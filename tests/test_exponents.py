@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedsums import (
     INF,
@@ -364,3 +366,25 @@ def test_report_to_dict_stable_and_json_ready():
     assert json.loads(text) == d
     assert d["rho_hl"] == 2.0
     assert d["per_index_delta_exponents"] == [0.5, 0.5]
+
+
+_EXPONENT = st.one_of(
+    st.just(INF),
+    st.floats(min_value=0.25, max_value=64.0, allow_nan=False),
+    st.sampled_from([1.0, 2.0, 4.0, 6.0, 8.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=4).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.lists(_EXPONENT, min_size=m, max_size=m),
+        st.lists(_EXPONENT, min_size=m, max_size=m),
+    )
+))
+def test_predict_regime_flags_match_definitions(mpr):
+    m, p, r = mpr
+    flags = predict(m, p, r).flags
+    assert flags.case1_applies == all(2.0 <= pj <= 2.0 * m for pj in p)
+    assert flags.case2_applies == (math.fsum(1.0 / pj for pj in p) <= 0.5)

@@ -369,3 +369,15 @@ def test_bundled_suite_shape():
     assert {"ksz", "diagonal", "row", "product_extension"} <= families
     match_entries = [cfg for cfg, mode in suite if mode == "match"]
     assert any(cfg.family == "ksz" for cfg in match_entries)
+
+@pytest.mark.parametrize("p2", [3.0, 5.0, 4.0 / 3.0])
+def test_row_paper_bound_is_the_analytic_norm(p2):
+    from mixedsums import analytic_norm, row_form
+
+    cfg = ExperimentConfig(
+        family="row", m=2, p=(INF, p2), r=(1.0, 1.0),
+        n_values=(2, 3, 5, 8, 16, 27, 64), norm_method="paper_bound",
+    )
+    for row in run_growth(cfg).rows:
+        expected = analytic_norm(row_form(row.n, row.n, cfg.p)).value
+        assert row.norm.hex() == expected.hex()

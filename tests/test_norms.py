@@ -295,3 +295,50 @@ def test_estimate_to_obj_json_ready():
     cest = alternating_ascent(cform, restarts=2, seed=0)
     cobj = json.loads(json.dumps(estimate_to_obj(cest)))
     assert all(len(pair) == 2 for pair in cobj["witness"][0])
+
+# makes every slot update lower the objective; run in-process and under -O
+_FALLING_DUAL = """
+import itertools
+import mixedsums.norms as norms
+from mixedsums import ksz_random_form
+
+real = norms.dual_maximizer
+calls = itertools.count(1)
+
+def falling(c, p):
+    x, _ = real(c, p)
+    return x, 1.0 / next(calls)
+
+norms.dual_maximizer = falling
+form, _ = ksz_random_form(2, 3, (2.0, 2.0), seed=0)
+try:
+    norms.alternating_ascent(form, restarts=1)
+except ArithmeticError as e:
+    print("ArithmeticError:", e)
+"""
+
+
+def test_ascent_rejects_falling_objective(monkeypatch, capsys):
+    import mixedsums.norms as norms
+
+    # registers the original for restoring after the script rebinds it
+    monkeypatch.setattr(norms, "dual_maximizer", norms.dual_maximizer)
+    exec(_FALLING_DUAL, {})
+    assert capsys.readouterr().out.startswith("ArithmeticError: ascent objective fell")
+
+
+def test_ascent_monotone_check_survives_optimize_flag():
+    import os
+    import subprocess
+    import sys
+
+    import mixedsums
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mixedsums.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FALLING_DUAL],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ArithmeticError: ascent objective fell")
