@@ -64,15 +64,14 @@ from .norms import (
     brute_force_norm,
     dual_maximizer,
     estimate_to_obj,
-    kahan_total,
     lp_norm,
 )
 from .tensors import (
     HolderCheck,
     MixedNormResult,
+    compensated_sum,
     coordinate_product,
     holder_verify,
-    kahan_sum,
     mixed_norm,
     tensor_from_obj,
     tensor_to_obj,

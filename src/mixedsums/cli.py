@@ -47,7 +47,13 @@ from .norms import (
     brute_force_norm,
     estimate_to_obj,
 )
-from .tensors import check_splitting, holder_verify, mixed_norm, tensor_from_obj
+from .tensors import (
+    check_splitting,
+    holder_verify,
+    mixed_norm,
+    random_splitting,
+    tensor_from_obj,
+)
 
 __all__ = ["main"]
 
@@ -214,17 +220,6 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _random_split(g, rj: float, N: int) -> list[float]:
-    """Random exponents q_1..q_N with sum of 1/q_k = 1/rj."""
-    if rj == INF:
-        return [INF] * N
-    w = g.random(N)
-    w = w / w.sum()
-    w[w < 0.05] = 0.0  # avoid astronomically large exponents
-    w = w / w.sum()
-    return [INF if wk == 0.0 else rj / wk for wk in w]
-
-
 def cmd_verify_holder(args) -> int:
     fixed = None
     if (args.r is None) != (args.q is None):
@@ -254,7 +249,7 @@ def cmd_verify_holder(args) -> int:
                 INF if g.random() < 0.2 else float(0.5 + 3.5 * g.random())
                 for _ in range(m)
             ]
-            q = [_random_split(g, rj, N) for rj in r]
+            q = [random_splitting(g, rj, N) for rj in r]
         else:
             r, q, N = fixed
             shape = (args.n,) * len(r)

@@ -16,7 +16,7 @@ rounded float value of the relevant harmonic sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 INF = math.inf
 
@@ -456,12 +456,7 @@ class ExponentReport:
             else list(self.per_index_delta_exponents),
             "best_exponent": self.best_exponent(),
             "optimality_open": self.optimality_open,
-            "flags": {
-                "case1_applies": self.flags.case1_applies,
-                "case2_applies": self.flags.case2_applies,
-                "delta_applies": self.flags.delta_applies,
-                "subcritical": self.flags.subcritical,
-            },
+            "flags": asdict(self.flags),
         }
 
 

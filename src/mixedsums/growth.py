@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import _rng
 from .exponents import INF, ExponentReport, as_exponent_vector, exponent_to_json, predict
@@ -183,6 +183,12 @@ def _make_draw(config: ExperimentConfig, n: int, d: int) -> MultilinearForm:
     return product_extension(base, config.m, config.p[k:], tail_dims=(n,) * (config.m - k))
 
 
+def _row(n: int, lhs: float, value: float, kind: str, draws_used: int) -> GrowthRow:
+    if value == 0.0:
+        raise ValueError(f"the norm is 0 at n={n}, so the ratio is undefined")
+    return GrowthRow(n, lhs, value, kind, lhs / value, draws_used)
+
+
 def _row_for_n(config: ExperimentConfig, n: int) -> GrowthRow:
     if config.family in ("diagonal", "row"):
         form = (
@@ -195,7 +201,7 @@ def _row_for_n(config: ExperimentConfig, n: int) -> GrowthRow:
             value, kind = analytic_norm(form).value, "paper_bound"
         else:
             value, kind = _estimate(form, config, _rng.derive_seed(config.seed, n, 0, 1))
-        return GrowthRow(n, lhs, value, kind, lhs / value, 0)
+        return _row(n, lhs, value, kind, 0)
 
     # random families: keep the draw with the largest norm
     if config.norm_method == "paper_bound":
@@ -204,7 +210,7 @@ def _row_for_n(config: ExperimentConfig, n: int) -> GrowthRow:
         # norm bound of the base k-linear sign form
         k = config.m if config.family == "ksz" else config.k
         value = float(n) ** ksz_bound_exponent(config.p[:k])
-        return GrowthRow(n, lhs, value, "paper_bound", lhs / value, 0)
+        return _row(n, lhs, value, "paper_bound", 0)
 
     best = None
     for d in range(config.draws):
@@ -214,7 +220,7 @@ def _row_for_n(config: ExperimentConfig, n: int) -> GrowthRow:
             best = (value, kind, form)
     value, kind, form = best
     lhs = mixed_norm(form.coefficients, config.r).value
-    return GrowthRow(n, lhs, value, kind, lhs / value, config.draws)
+    return _row(n, lhs, value, kind, config.draws)
 
 
 def _rows_from_file(config: ExperimentConfig) -> tuple[GrowthRow, ...]:
@@ -228,7 +234,7 @@ def _rows_from_file(config: ExperimentConfig) -> tuple[GrowthRow, ...]:
         lhs = mixed_norm(form.coefficients, config.r).value
         n = form.shape[0]
         value, kind = _estimate(form, config, _rng.derive_seed(config.seed, n, 0, 1))
-        rows.append(GrowthRow(n, lhs, value, kind, lhs / value, 0))
+        rows.append(_row(n, lhs, value, kind, 0))
     return tuple(rows)
 
 
@@ -259,16 +265,15 @@ def loglog_fit(
     """OLS fit of log(ratio) against log(n), judged against the prediction.
 
     Exactly constant series get r_squared = 1 (zero residual around a zero-
-    variance mean). Nonpositive ratios are rejected; fewer than 3 usable
-    points yields an inconclusive fit with NaN slope.
+    variance mean). Non-finite and nonpositive ratios are rejected; fewer
+    than 3 points yields an inconclusive fit with NaN slope.
     """
     if mode not in ("match", "upper_bound"):
         raise ValueError(f"unknown mode {mode!r}")
-    pts = [
-        (row.n, row.ratio)
-        for row in series.rows
-        if math.isfinite(row.ratio) and math.isfinite(row.lhs)
-    ]
+    bad = [row.n for row in series.rows if not math.isfinite(row.ratio)]
+    if bad:
+        raise ValueError(f"non-finite ratio at n = {bad}: cannot fit")
+    pts = [(row.n, row.ratio) for row in series.rows]
     if any(ratio <= 0.0 for _, ratio in pts):
         raise ValueError("nonpositive ratio: cannot fit in log space")
     cfg = series.config
@@ -333,22 +338,10 @@ def series_to_csv(series: GrowthSeries) -> str:
 
 
 def config_to_obj(config: ExperimentConfig) -> dict:
-    obj = {
-        "family": config.family,
-        "m": config.m,
-        "p": [exponent_to_json(pj) for pj in config.p],
-        "r": [exponent_to_json(rj) for rj in config.r],
-        "n_values": list(config.n_values),
-        "norm_method": config.norm_method,
-        "restarts": config.restarts,
-        "seed": config.seed,
-        "tol": config.tol,
-        "draws": config.draws,
-    }
-    if config.k is not None:
-        obj["k"] = config.k
-    if config.form_file is not None:
-        obj["form_file"] = config.form_file
+    obj = {key: v for key, v in asdict(config).items() if v is not None}
+    obj["p"] = [exponent_to_json(pj) for pj in config.p]
+    obj["r"] = [exponent_to_json(rj) for rj in config.r]
+    obj["n_values"] = list(config.n_values)
     return obj
 
 
@@ -381,17 +374,7 @@ def report_obj(series: GrowthSeries, fit: FitResult) -> dict:
     """JSON-ready experiment report: config, rows, fit, full prediction."""
     return {
         "config": config_to_obj(series.config),
-        "rows": [
-            {
-                "n": row.n,
-                "lhs": row.lhs,
-                "norm": row.norm,
-                "norm_kind": row.norm_kind,
-                "ratio": row.ratio,
-                "draws_used": row.draws_used,
-            }
-            for row in series.rows
-        ],
+        "rows": [asdict(row) for row in series.rows],
         "fit": {
             "slope": None if math.isnan(fit.slope) else fit.slope,
             "intercept": None if math.isnan(fit.intercept) else fit.intercept,

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .exponents import INF, as_exponent, harmonic_sum
+from .exponents import INF, as_exponent, conjugate, harmonic_sum
 from .forms import MultilinearForm, evaluate, partial_contract
+from .tensors import fiber_norms, tensor_to_obj
 
 __all__ = [
     "NormEstimate",
@@ -52,14 +53,8 @@ class NormEstimate:
 
 
 def lp_norm(v: np.ndarray, p: float) -> float:
-    """ell_p norm, scaled by the max entry to avoid overflow for large p."""
-    a = np.abs(np.asarray(v, dtype=np.complex128 if np.iscomplexobj(v) else np.float64))
-    amax = float(a.max()) if a.size else 0.0
-    if amax == 0.0:
-        return 0.0
-    if p == INF:
-        return amax
-    return amax * float(np.sum((a / amax) ** p)) ** (1.0 / p)
+    """ell_p norm of a 1-D array; the one-fiber case of tensors.fiber_norms."""
+    return float(fiber_norms(v, p))
 
 
 def dual_maximizer(c, p) -> tuple[np.ndarray, float]:
@@ -86,32 +81,17 @@ def dual_maximizer(c, p) -> tuple[np.ndarray, float]:
     if not np.any(a > 0.0):
         return np.zeros_like(c), 0.0
 
+    pp = conjugate(p)
+    value = lp_norm(a, pp)
     if p == INF:
-        x = unit.copy()
-        return x, float(kahan_total(a))
+        return unit, value
     if p == 1.0:
         i = int(np.argmax(a))
         x = np.zeros_like(c)
         x[i] = unit[i]
-        return x, float(a[i])
-
-    pp = p / (p - 1.0)
-    value = lp_norm(a, pp)
-    w = (a / a.max()) ** (pp - 1.0)
-    x = unit * w
+        return x, value
+    x = unit * (a / a.max()) ** (pp - 1.0)
     return x / lp_norm(x, p), value
-
-
-def kahan_total(v: np.ndarray) -> float:
-    """Compensated total of a 1-D array, sequential in index order."""
-    total = 0.0
-    comp = 0.0
-    for x in np.asarray(v, dtype=np.float64):
-        y = float(x) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
 
 
 def _unit_start(v: np.ndarray, p: float) -> np.ndarray:
@@ -120,7 +100,7 @@ def _unit_start(v: np.ndarray, p: float) -> np.ndarray:
 
 
 def _single_ascent(form, start, tol, max_iters):
-    """One ascent run; returns (value, witness, converged, trace)."""
+    """One ascent run; returns (value, witness, converged)."""
     m = form.arity
     xs = [np.asarray(v, dtype=np.float64) for v in start]
     if np.iscomplexobj(form.coefficients):
@@ -331,16 +311,10 @@ def analytic_norm(form: MultilinearForm) -> NormEstimate | None:
 
 def estimate_to_obj(est: NormEstimate) -> dict:
     """JSON-ready dict for a NormEstimate."""
-
-    def vec(v: np.ndarray):
-        if np.iscomplexobj(v):
-            return [[float(z.real), float(z.imag)] for z in v]
-        return [float(x) for x in v]
-
     return {
         "value": est.value,
         "kind": est.kind,
-        "witness": [vec(v) for v in est.witness],
+        "witness": [tensor_to_obj(v)["data"] for v in est.witness],
         "restarts_used": est.restarts_used,
         "converged": est.converged,
     }

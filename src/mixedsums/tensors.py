@@ -6,8 +6,10 @@ with exponent vector r is the nested quantity
     ( sum_{i_1} ( ... ( sum_{i_m} |a_i|^{r_m} )^{r_{m-1}/r_m} ... )^{r_1/r_2} )^{1/r_1}
 
 evaluated innermost sum first; r_j = inf replaces the j-th sum by a
-supremum. Sums accumulate with compensated (Kahan) summation in fixed index
-order in one thread, so results are bit-identical run to run.
+supremum. Each level is one call of `fiber_norms`: every fiber is scaled
+near its largest modulus, so that its powers stay in floating-point range,
+and the powers are added by a compensated sum (Ogita-Rump-Oishi Sum2) in
+fixed index order in one thread, so results are bit-identical run to run.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ import numpy as np
 from .exponents import INF, as_exponent_vector
 
 __all__ = [
-    "kahan_sum",
+    "compensated_sum",
+    "fiber_norms",
     "MixedNormResult",
     "mixed_norm",
     "coordinate_product",
     "HolderCheck",
     "check_splitting",
+    "random_splitting",
     "holder_verify",
     "tensor_to_obj",
     "tensor_from_obj",
@@ -35,19 +39,58 @@ __all__ = [
 HOLDER_TOL = 1e-9
 
 
-def kahan_sum(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Compensated sum along one axis, sequential in index order."""
+# fibers are processed in blocks of about this many entries, so the
+# temporaries stay small whatever the size of the tensor
+_BLOCK = 2**15
+_POW2_SCALING_MAX_R = 512.0
+
+
+def compensated_sum(x) -> np.ndarray:
+    """Sum along the last axis, as if accumulated in twice the working precision.
+
+    Ogita-Rump-Oishi Sum2: a sequential cumulative sum gives the running
+    totals, TwoSum recovers the rounding error of each step exactly, and
+    the errors are added back at the end.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    s = np.cumsum(x, axis=-1)
+    prev, cur = s[..., :-1], s[..., 1:]
+    b = cur - prev
+    err = (prev - (cur - b)) + (x[..., 1:] - b)
+    return s[..., -1] + err.sum(axis=-1)
+
+
+def _block_norms(x: np.ndarray, r: float) -> np.ndarray:
+    x = np.abs(x).astype(np.float64, copy=False)
+    top = x.max(axis=-1)
+    if r == INF:
+        return top
+    if r > _POW2_SCALING_MAX_R:
+        scale = np.where(top > 0.0, top, 1.0)
+    else:
+        scale = np.ldexp(0.5, np.frexp(top)[1])
+    x /= scale[..., None]
+    x **= r
+    return compensated_sum(x) ** (1.0 / r) * scale
+
+
+def fiber_norms(a, r: float) -> np.ndarray:
+    """ell_r (quasi-)norm of every fiber of `a` along its last axis (r = inf: max).
+
+    Each fiber is divided by the power of two that brings its largest
+    modulus into [1, 2). That is exact, so sums of integers stay exact; for
+    r > 512, where x**r could then overflow, the divisor is the largest
+    modulus itself. Large tensors go a block of fibers at a time. r is not
+    validated.
+    """
     a = np.asarray(a)
-    a = np.moveaxis(a, axis, 0)
-    dtype = np.result_type(a.dtype, np.float64)
-    total = np.zeros(a.shape[1:], dtype=dtype)
-    comp = np.zeros(a.shape[1:], dtype=dtype)
-    for row in a:
-        y = row - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    n = a.shape[-1]
+    rows = a.reshape(-1, n)
+    out = np.empty(len(rows))
+    step = max(1, _BLOCK // n)
+    for lo in range(0, len(rows), step):
+        out[lo : lo + step] = _block_norms(rows[lo : lo + step], r)
+    return out.reshape(a.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -64,17 +107,13 @@ def mixed_norm(a, r) -> MixedNormResult:
     r must have one entry per tensor axis; entries lie in (0, inf]. The
     innermost exponent r_m applies to the last axis.
     """
-    a = np.asarray(a)
-    if a.ndim == 0:
-        a = a.reshape(1)
+    a = np.atleast_1d(a)
+    if a.size == 0:
+        raise ValueError(f"tensor of shape {a.shape} has no entries")
     r = as_exponent_vector(r, a.ndim, "r")
-    cur = np.abs(a).astype(np.float64)
     for rj in reversed(r):
-        if rj == INF:
-            cur = cur.max(axis=-1)
-        else:
-            cur = kahan_sum(cur**rj, axis=-1) ** (1.0 / rj)
-    return MixedNormResult(value=float(cur), exponents_used=r)
+        a = fiber_norms(a, rj)
+    return MixedNormResult(value=float(a), exponents_used=r)
 
 
 def coordinate_product(tensors) -> np.ndarray:
@@ -112,6 +151,20 @@ def check_splitting(r, q) -> None:
                 f"splitting identity fails at axis {j}: 1/r = {lhs}, "
                 f"sum of 1/q = {rhs}"
             )
+
+
+def random_splitting(g, r_j: float, N: int) -> list[float]:
+    """Random exponents q_1..q_N from generator g with sum_k 1/q_k = 1/r_j.
+
+    Normalised weights below 0.05 get q_k = inf, so no exponent is huge.
+    """
+    if r_j == INF:
+        return [INF] * N
+    w = g.random(N)
+    w = w / w.sum()
+    w[w < 0.05] = 0.0
+    w = w / w.sum()
+    return [INF if wk == 0.0 else r_j / wk for wk in w]
 
 
 def holder_verify(tensors, r, q) -> HolderCheck:

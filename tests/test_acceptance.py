@@ -33,6 +33,7 @@ from mixedsums import (
     unified_exponent,
 )
 from mixedsums._rng import derive_seed, stream
+from mixedsums.tensors import random_splitting
 
 
 @contextlib.contextmanager
@@ -43,16 +44,6 @@ def criterion(num: int, slug: str):
         print(f"criterion {num} ({slug}): FAIL")
         raise
     print(f"criterion {num} ({slug}): PASS")
-
-
-def _random_split(g, rj, N):
-    if rj == INF:
-        return [INF] * N
-    w = g.random(N)
-    w = w / w.sum()
-    w[w < 0.05] = 0.0
-    w = w / w.sum()
-    return [INF if wk == 0.0 else rj / wk for wk in w]
 
 
 def test_criterion_1_holder_fuzz():
@@ -67,7 +58,7 @@ def test_criterion_1_holder_fuzz():
                 INF if g.random() < 0.2 else float(0.5 + 3.5 * g.random())
                 for _ in range(m)
             ]
-            q = [_random_split(g, rj, N) for rj in r]
+            q = [random_splitting(g, rj, N) for rj in r]
             tensors = [g.standard_normal(shape) for _ in range(N)]
             check = holder_verify(tensors, r, q)
             assert check.holds, (t, check.lhs, check.rhs)

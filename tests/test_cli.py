@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mixedsums.cli import main, parse_exponent, parse_vector
-from mixedsums import INF
+from mixedsums import INF, MultilinearForm, form_to_obj, ksz_random_form
 
 
 def run(capsys, *argv):
@@ -220,6 +220,20 @@ def test_experiment_missing_config_file(tmp_path, capsys):
     )
     assert code == 1
     assert "error" in err
+
+
+def test_experiment_zero_form_is_an_error(tmp_path, capsys):
+    form, _ = ksz_random_form(2, 2, (INF, INF), seed=3)
+    zero = MultilinearForm(np.zeros((3, 3)), (INF, INF))
+    path = tmp_path / "forms.json"
+    path.write_text(json.dumps([form_to_obj(form), form_to_obj(zero)]))
+    code, _, err = run(
+        capsys, "experiment", "--family", "custom-file", "--m", "2",
+        "--p", "inf,inf", "--r", "1,1", "--form-file", str(path),
+        "--norm-method", "brute", "--out", str(tmp_path / "z.csv"),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "n=3" in err
 
 
 def test_experiment_bound_relative_prefix(tmp_path, capsys):

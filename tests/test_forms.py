@@ -90,7 +90,9 @@ def test_ksz_complex_phases():
 def test_ksz_mixed_norm_frozen():
     form, _ = ksz_random_form(2, 6, (INF, INF), seed=7)
     got = mixed_norm(form.coefficients, (4 / 3, 4 / 3)).value
-    assert got == 14.696938456699067
+    # the exact 36**(1/r) for the float r = 4/3 rounds to 14.69693845669907;
+    # this is 1 ulp below it
+    assert got == 14.696938456699069
 
 
 def test_diagonal_form_layout():

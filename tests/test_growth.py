@@ -196,6 +196,18 @@ def test_loglog_fit_rejects_nonpositive_ratio():
         loglog_fit(GrowthSeries(config=cfg, rows=rows))
 
 
+def test_loglog_fit_rejects_non_finite_ratio():
+    cfg = _cfg()
+    rows = (
+        GrowthRow(2, 2.0, 1.0, "analytic", 2.0, 0),
+        GrowthRow(4, math.inf, 1.0, "analytic", math.inf, 0),
+        GrowthRow(8, 8.0, 1.0, "analytic", 8.0, 0),
+        GrowthRow(16, math.nan, 1.0, "analytic", math.nan, 0),
+    )
+    with pytest.raises(ValueError, match=r"n = \[4, 16\]"):
+        loglog_fit(GrowthSeries(config=cfg, rows=rows))
+
+
 def test_loglog_fit_low_r_squared_is_inconclusive():
     cfg = _cfg()
     g = np.random.Generator(np.random.PCG64(40))

@@ -13,11 +13,11 @@ from mixedsums import (
     alternating_ascent,
     analytic_norm,
     brute_force_norm,
+    compensated_sum,
     diagonal_form,
     dual_maximizer,
     estimate_to_obj,
     evaluate,
-    kahan_total,
     ksz_random_form,
     lp_norm,
     row_form,
@@ -82,10 +82,21 @@ def test_dual_maximizer_is_optimal_and_feasible():
         assert float(np.sum(c * y)) <= val * (1.0 + 1e-12) + 1e-12
 
 
-def test_kahan_total_matches_fsum():
+def test_compensated_sum_matches_fsum():
     g = np.random.Generator(np.random.PCG64(31))
     v = g.standard_normal(1000)
-    assert kahan_total(v) == pytest.approx(math.fsum(v.tolist()), rel=1e-14, abs=1e-14)
+    assert compensated_sum(v) == pytest.approx(math.fsum(v.tolist()), rel=1e-14, abs=1e-14)
+
+
+def test_large_exponents_stay_finite():
+    v = np.array([1.9, -1.9, 1.9, 1.9])
+    for p in (600.0, 2001.0, 1e6):
+        assert lp_norm(v, p) == pytest.approx(1.9 * 4.0 ** (1.0 / p), rel=1e-15)
+    # p near 1 has a huge conjugate exponent
+    p = 1.0005
+    x, val = dual_maximizer(v, p)
+    assert val == pytest.approx(1.9 * 4.0 ** (1.0 - 1.0 / p), rel=1e-15)
+    assert lp_norm(x, p) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_ascent_diagonal_examples():

@@ -2,19 +2,23 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedsums import (
     INF,
+    compensated_sum,
     coordinate_product,
     holder_verify,
-    kahan_sum,
     mixed_norm,
     tensor_from_obj,
     tensor_to_obj,
 )
+from mixedsums.tensors import fiber_norms
 
 
 def test_mixed_norm_examples():
@@ -32,6 +36,12 @@ def test_mixed_norm_validation():
         mixed_norm(a, (1,))  # arity mismatch
     with pytest.raises(ValueError):
         mixed_norm(a, (1, 0))
+
+
+def test_mixed_norm_rejects_empty_tensor():
+    for shape in ((0,), (2, 0), (0, 3)):
+        with pytest.raises(ValueError, match="no entries"):
+            mixed_norm(np.zeros(shape), (1.0,) * len(shape))
 
 
 def test_mixed_norm_records_exponents():
@@ -70,6 +80,59 @@ def test_mixed_norm_homogeneous_and_monotone():
         assert mixed_norm(a, r_low).value >= base * (1.0 - 1e-12)
 
 
+def test_mixed_norm_extreme_magnitudes():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = mixed_norm(np.full(4, 1e4), (100,)).value
+        tiny = mixed_norm(np.full(4, 1e-200), (2,)).value
+    want = 1.0139594797900291e4
+    assert abs(big - want) <= math.ulp(want)
+    assert tiny == 2e-200
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    exps=st.lists(
+        st.one_of(
+            st.just(INF),
+            st.floats(0.3, 200.0, exclude_min=True),
+            st.floats(500.0, 5000.0),
+        ),
+        min_size=3,
+        max_size=3,
+    ),
+    k=st.integers(-900, 900),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixed_norm_power_of_two_homogeneous(shape, exps, k, seed):
+    g = np.random.Generator(np.random.PCG64(seed))
+    size = tuple(shape)
+    a = np.ldexp(g.uniform(0.5, 1.0, size), g.integers(-60, 61, size))
+    a *= g.choice([-1.0, 1.0], size)
+    r = tuple(exps[: len(shape)])
+    b = np.ldexp(a, k)
+    got = mixed_norm(b, r).value
+    assert math.isfinite(got)
+    assert got == math.ldexp(mixed_norm(a, r).value, k)
+
+
+def test_mixed_norm_fortran_order_same_bits():
+    g = np.random.Generator(np.random.PCG64(15))
+    a = g.standard_normal((5, 6, 7))
+    f = np.asfortranarray(a)
+    for r in ((1.0, 2.0, 1.5), (4 / 3, INF, 3.0), (0.5, 0.7, INF)):
+        assert mixed_norm(f, r).value == mixed_norm(a, r).value
+
+
+def test_fiber_norms_blocks_match_single_fibers():
+    g = np.random.Generator(np.random.PCG64(16))
+    a = g.standard_normal((50, 1000))  # more entries than one block
+    for r in (1.0, 2.5, INF):
+        whole = fiber_norms(a, r)
+        assert np.array_equal(whole, [fiber_norms(row, r) for row in a])
+
+
 def test_mixed_norm_deterministic():
     g = np.random.Generator(np.random.PCG64(13))
     a = g.standard_normal((4, 4, 4))
@@ -79,17 +142,17 @@ def test_mixed_norm_deterministic():
     assert v1 == v2
 
 
-def test_kahan_sum_matches_fsum():
+def test_compensated_sum_matches_fsum():
     g = np.random.Generator(np.random.PCG64(14))
     # mix magnitudes to exercise the compensation
     vals = np.concatenate([g.standard_normal(500) * 1e12, g.standard_normal(500)])
-    got = float(kahan_sum(vals, axis=0))
+    got = float(compensated_sum(vals))
     want = math.fsum(vals.tolist())
     assert got == pytest.approx(want, abs=1e-3)
-    # and it reduces along the requested axis
+    # and it reduces along the last axis
     m = np.arange(12.0).reshape(3, 4)
-    assert np.array_equal(kahan_sum(m, axis=0), m.sum(axis=0))
-    assert np.array_equal(kahan_sum(m, axis=1), m.sum(axis=1))
+    assert np.array_equal(compensated_sum(m.T), m.sum(axis=0))
+    assert np.array_equal(compensated_sum(m), m.sum(axis=1))
 
 
 def test_coordinate_product():
