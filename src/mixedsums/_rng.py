@@ -31,10 +31,18 @@ def derive_seed(seed: int, *key: int) -> int:
 
 
 def sign_array(shape: tuple[int, ...], seed: int, *key: int) -> np.ndarray:
-    """Uniform +-1 array; signs come from the top bit of 64-bit draws."""
+    """Uniform +-1 array; signs come from the top bit of 64-bit draws.
+
+    Equal to 1.0 - 2.0 * (draws >> 63), computed in place so that at most
+    two arrays of the given shape exist at once.
+    """
     g = stream(seed, *key)
-    bits = g.integers(0, 2**64, size=shape, dtype=np.uint64) >> np.uint64(63)
-    return 1.0 - 2.0 * bits.astype(np.float64)
+    bits = g.integers(0, 2**64, size=shape, dtype=np.uint64)
+    bits >>= np.uint64(63)
+    signs = bits.astype(np.float64)
+    signs *= -2.0
+    signs += 1.0
+    return signs
 
 
 def phase_array(shape: tuple[int, ...], seed: int, *key: int) -> np.ndarray:

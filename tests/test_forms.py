@@ -54,6 +54,16 @@ def test_sign_and_phase_arrays():
     assert np.allclose(np.abs(z), 1.0, atol=1e-12)
 
 
+def test_sign_array_is_the_top_bit_of_the_draws():
+    cases = [((64,), 3, ()), ((5, 7), 11, (2, 0)), ((3, 4, 2), 0, (9,))]
+    for shape, seed, key in cases:
+        draws = stream(seed, *key).integers(0, 2**64, size=shape, dtype=np.uint64)
+        want = 1.0 - 2.0 * (draws >> 63)
+        got = sign_array(shape, seed, *key)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_ksz_frozen_draws():
     form, _ = ksz_random_form(2, 2, (INF, INF), seed=7)
     assert np.array_equal(form.coefficients, [[-1.0, -1.0], [-1.0, 1.0]])

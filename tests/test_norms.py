@@ -3,10 +3,14 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mixedsums.norms as norms_module
 from mixedsums import (
     INF,
     MultilinearForm,
@@ -257,6 +261,110 @@ def test_scale_equivariance():
     a = alternating_ascent(form, restarts=4, seed=0).value
     b = alternating_ascent(scaled, restarts=4, seed=0).value
     assert b == pytest.approx(2.5 * a, rel=1e-9)
+
+
+def _slot_patterns(n):
+    """Sign vectors of one slot, first entry +1, in pattern order: pattern k
+    has entry i+1 negative exactly where bit i of k is set."""
+    return [
+        np.array((1.0,) + tuple(reversed(t)))
+        for t in itertools.product((1.0, -1.0), repeat=n - 1)
+    ]
+
+
+def _first_best_pattern(coeffs):
+    """Best value and the first pattern attaining it, slot 1 most significant."""
+    best, arg = -1.0, None
+    for vs in itertools.product(*[_slot_patterns(n) for n in coeffs.shape[:-1]]):
+        c = coeffs
+        for v in vs:
+            c = np.tensordot(v, c, axes=(0, 0))
+        val = float(np.abs(c).sum())
+        if val > best:
+            best, arg = val, vs
+    return best, arg
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_brute_force_ties_go_to_the_smallest_pattern(data):
+    dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    size = math.prod(dims)
+    entries = data.draw(
+        st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=size, max_size=size)
+    )
+    coeffs = np.array(entries).reshape(dims)
+    form = MultilinearForm(coefficients=coeffs, p=(INF,) * len(dims))
+    est = brute_force_norm(form)
+    value, signs = _first_best_pattern(coeffs)
+    assert est.value == value
+    for w, s in zip(est.witness, signs):
+        assert np.array_equal(w, s)
+    # the free slots are +-1 with entry 0 pinned; the last is +-1 unless c = 0
+    if est.value > 0.0:
+        assert set(np.unique(est.witness[-1])) <= {-1.0, 1.0}
+    assert evaluate(form, est.witness) == est.value
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 5), min_size=2, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ascent_never_exceeds_brute_force_property(dims, seed):
+    coeffs = np.random.Generator(np.random.PCG64(seed)).standard_normal(dims)
+    form = MultilinearForm(coefficients=coeffs, p=(INF,) * len(dims))
+    exact = brute_force_norm(form).value
+    lower = alternating_ascent(form, restarts=4, seed=seed).value
+    assert lower <= exact * (1.0 + 1e-9)
+
+
+def test_brute_force_budget_is_inclusive():
+    form, _ = ksz_random_form(2, 8, (INF, INF), seed=1)  # 2**7 patterns
+    assert brute_force_norm(form, budget=128).value == brute_force_norm(form).value
+    with pytest.raises(
+        ValueError, match=r"^enumeration needs 128 sign patterns, budget is 127$"
+    ):
+        brute_force_norm(form, budget=127)
+
+
+def test_brute_force_lopsided_shape_stays_within_blocks():
+    g = np.random.Generator(np.random.PCG64(16))
+    coeffs = g.integers(-1, 2, size=(16, 3, 3)).astype(np.float64)
+    form = MultilinearForm(coefficients=coeffs, p=(INF, INF, INF))
+    s1, s2 = np.array(_slot_patterns(16)), np.array(_slot_patterns(3))
+    vals = np.abs(np.einsum("ai,bj,ijk->abk", s1, s2, coeffs)).sum(axis=2).ravel()
+    tracemalloc.start()
+    try:
+        est = brute_force_norm(form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = int(np.argmax(vals))
+    assert est.value == vals[k]
+    assert np.array_equal(est.witness[0], s1[k // 4])
+    assert np.array_equal(est.witness[1], s2[k % 4])
+    # all 2**15 slot-1 partial contractions (3 x 3 each) would take 2.25 MiB
+    assert peak < 4 * norms_module._SCAN_BLOCK * 8
+
+
+def test_brute_force_ties_across_blocks_go_to_the_first_pattern():
+    # every pattern ties, and each enumeration spans several scan blocks
+    for dims in [(18, 2), (16, 3, 3), (3, 16, 3)]:
+        coeffs = np.zeros(dims)
+        coeffs[(0,) * (len(dims) - 1)] = 1.0
+        form = MultilinearForm(coefficients=coeffs, p=(INF,) * len(dims))
+        est = brute_force_norm(form)
+        assert est.value == dims[-1]
+        assert all(np.array_equal(w, np.ones(n)) for w, n in zip(est.witness, dims))
+
+
+def test_brute_force_many_unit_slots():
+    coeffs = np.array([3.0, -2.0]).reshape((1,) * 26 + (2,))
+    est = brute_force_norm(MultilinearForm(coefficients=coeffs, p=(INF,) * 27))
+    assert est.value == 5.0
+    assert all(np.array_equal(w, [1.0]) for w in est.witness[:-1])
+    assert np.array_equal(est.witness[-1], [1.0, -1.0])
 
 
 def test_analytic_row():

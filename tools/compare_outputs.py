@@ -7,8 +7,10 @@ Each SRC is a directory that contains the ``mixedsums`` package (a tree's
 ``src``); NEW_SRC defaults to this checkout's ``src``. For every tree the
 script runs, in a fresh interpreter, the ten ``bundled_suite()``
 experiments and the ``bound_growth`` benchmark experiments at seeds 0 and
-5, and hashes ``series_to_csv`` plus ``report_obj`` of each. It prints one
-line per experiment and exits 1 if any payload differs.
+5, and hashes ``series_to_csv`` plus ``report_obj`` of each. It also runs
+``brute_force_norm`` on the ``brute_exact`` benchmark forms at the same
+seeds and hashes ``repr(value)`` plus the witness bytes. It prints one
+line per payload and exits 1 if any payload differs.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BOUND_SEEDS = (0, 5)
+SEEDS = (0, 5)
 
 
 def digests() -> dict[str, str]:
-    """sha256 of CSV + JSON report for every experiment, in this interpreter."""
+    """sha256 of every payload, in this interpreter."""
     sys.path.insert(0, str(ROOT / "bench"))
     from mixedsums import growth
     import workloads
@@ -41,9 +43,13 @@ def digests() -> dict[str, str]:
         fit = growth.loglog_fit(series, mode=mode)
         out[f"suite{idx}:{cfg.family}:{cfg.norm_method}"] = payload(series, fit)
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in BOUND_SEEDS:
+        for seed in SEEDS:
             for item in workloads.setup_bound_growth(seed, "full", Path(tmp)):
                 out[f"seed{seed}:{item.name}"] = payload(*item.run())
+            for item in workloads.setup_brute_exact(seed, "full", Path(tmp)):
+                est, _ = item.run()
+                witness = b"".join(w.tobytes() for w in est.witness)
+                out[f"seed{seed}:{item.name}"] = repr(est.value) + witness.hex()
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}
 
 
@@ -71,7 +77,7 @@ def main(argv: list[str]) -> int:
         same = old.get(name) == new.get(name)
         differ += not same
         print(f"{'same  ' if same else 'DIFFER'} {name} {new.get(name, '-')[:16]}")
-    print(f"{len(old)} experiments, {differ} differ")
+    print(f"{len(old)} payloads, {differ} differ")
     return 1 if differ else 0
 
 
