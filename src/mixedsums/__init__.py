@@ -52,7 +52,9 @@ from .growth import (
     compare,
     config_from_obj,
     config_to_obj,
+    estimate_norm,
     loglog_fit,
+    make_form,
     report_obj,
     run_growth,
     series_to_csv,

@@ -24,29 +24,18 @@ from fractions import Fraction
 
 from . import _rng
 from .exponents import INF, exponent_to_json, predict
-from .forms import (
-    diagonal_form,
-    form_from_obj,
-    form_to_obj,
-    ksz_random_form,
-    product_extension,
-    row_form,
-)
+from .forms import form_from_obj, form_to_obj, ksz_bound_exponent
 from .growth import (
     DEFAULT_FIT_TOLERANCE,
-    compare,
     config_from_obj,
+    estimate_norm,
     loglog_fit,
+    make_form,
     report_obj,
     run_growth,
     series_to_csv,
 )
-from .norms import (
-    alternating_ascent,
-    analytic_norm,
-    brute_force_norm,
-    estimate_to_obj,
-)
+from .norms import DEFAULT_BUDGET, DEFAULT_MAX_ITERS, DEFAULT_TOL, estimate_to_obj
 from .tensors import (
     check_splitting,
     holder_verify,
@@ -132,21 +121,9 @@ def cmd_mixed_norm(args) -> int:
 
 def cmd_norm(args) -> int:
     form = form_from_obj(_load_json(args.input))
-    if args.method == "brute":
-        est = brute_force_norm(form, budget=args.budget)
-    elif args.method == "analytic":
-        est = analytic_norm(form)
-        if est is None:
-            raise ValueError(f"no analytic norm for form kind {form.kind!r}")
-    else:
-        est = alternating_ascent(
-            form,
-            restarts=args.restarts,
-            seed=args.seed,
-            tol=args.tol,
-            max_iters=args.max_iters,
-            threads=args.threads,
-        )
+    est = estimate_norm(
+        form, args.method, args.restarts, args.seed, args.tol, args.max_iters, args.budget
+    )
     print(json.dumps(estimate_to_obj(est), indent=2))
     return 0
 
@@ -154,27 +131,20 @@ def cmd_norm(args) -> int:
 def cmd_generate(args) -> int:
     if len(args.p) != args.m:
         raise UsageError(f"--p must have {args.m} entries")
+    if args.family == "row" and args.m != 2:
+        raise UsageError("row family requires --m 2")
+    if args.family == "product_extension" and not 1 <= (args.k or 0) <= args.m:
+        raise UsageError("product_extension requires --k in [1, m]")
+    form = make_form(
+        args.family, args.m, args.n, args.p, args.seed, args.k,
+        n2=args.n2, complex_phases=args.complex,
+    )
     if args.family == "ksz":
-        form, cert = ksz_random_form(
-            args.m, args.n, args.p, args.seed, complex_phases=args.complex
-        )
-        note = f"bound exponent {cert.bound_exponent!r}"
-    elif args.family == "diagonal":
-        form = diagonal_form(args.m, args.n, args.p)
-        note = "closed-form norm available"
-    elif args.family == "row":
-        if args.m != 2:
-            raise UsageError("row family requires --m 2")
-        form = row_form(args.n, args.n2 or args.n, args.p)
-        note = "closed-form norm available"
+        note = f"bound exponent {ksz_bound_exponent(args.p)!r}"
+    elif args.family == "product_extension":
+        note = f"base bound exponent {ksz_bound_exponent(args.p[: args.k])!r}"
     else:
-        if args.k is None or not 1 <= args.k <= args.m:
-            raise UsageError("product_extension requires --k in [1, m]")
-        base, cert = ksz_random_form(args.k, args.n, args.p[: args.k], args.seed)
-        form = product_extension(
-            base, args.m, args.p[args.k :], tail_dims=(args.n,) * (args.m - args.k)
-        )
-        note = f"base bound exponent {cert.bound_exponent!r}"
+        note = "closed-form norm available"
     with open(args.out, "w") as f:
         json.dump(form_to_obj(form), f)
         f.write("\n")
@@ -299,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("ascent", "brute", "analytic"), default="ascent")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--budget", type=int, default=2**24)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     add_threads(p)
     p.set_defaults(func=cmd_norm)
 
@@ -328,11 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=parse_vector)
     p.add_argument("--r", type=parse_vector)
     p.add_argument("--n-values", type=parse_int_vector, dest="n_values")
-    p.add_argument("--norm-method", default="ascent", dest="norm_method")
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--draws", type=int, default=1)
+    p.add_argument("--norm-method", dest="norm_method")
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--draws", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--form-file", dest="form_file")
     p.add_argument("--mode", choices=("match", "upper_bound"), default="match")

@@ -113,7 +113,7 @@ def classical_exponents(m: int, p) -> ClassicalExponents:
     p = as_exponent_vector(p, m, "p")
     h = harmonic_sum(p)
     bh = 2.0 * m / (m + 1.0)
-    hlpp = 2.0 * m / (m + 1.0 - 2.0 * h) if h <= 0.5 else None
+    hlpp = rho_hl(m, p) if h <= 0.5 else None
     dsp = 1.0 / (1.0 - h) if 0.5 <= h < 1.0 else None
     return ClassicalExponents(bh=bh, hlpp=hlpp, dsp=dsp)
 
@@ -194,7 +194,7 @@ def unified_exponent(m: int, p, r) -> UnifiedExponents:
 
     s_case2 = None
     if h <= 0.5:
-        rho = 2.0 * m / (m + 1.0 - 2.0 * h)
+        rho = rho_hl(m, p)
         mhl = m_less_set(rho, r)
         k = len(mhl)
         if k == 0:

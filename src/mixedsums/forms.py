@@ -60,6 +60,8 @@ class MultilinearForm:
         coeffs = np.asarray(self.coefficients)
         if coeffs.ndim < 1:
             coeffs = coeffs.reshape(1)
+        if coeffs.size == 0:
+            raise ValueError(f"coefficients of shape {coeffs.shape} have no entries")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
         coeffs = coeffs.copy()
@@ -198,28 +200,20 @@ def product_extension(
     )
 
 
-def _as_vectors(form: MultilinearForm, vectors) -> list[np.ndarray]:
-    vs = [np.asarray(v) for v in vectors]
-    if len(vs) != form.arity:
-        raise ValueError(f"expected {form.arity} vectors, got {len(vs)}")
-    for j, v in enumerate(vs):
-        if v.shape != (form.shape[j],):
-            raise ValueError(
-                f"vector {j} has shape {v.shape}, expected ({form.shape[j]},)"
-            )
-    return vs
-
-
 def evaluate(form: MultilinearForm, vectors):
-    """Full contraction sum_i coeff[i] * prod_j vectors[j][i_j]."""
-    vs = _as_vectors(form, vectors)
-    cur = form.coefficients
-    for v in reversed(vs):
-        # contract the current last axis; einsum without optimize is a
-        # fixed-order loop, so the result is reproducible bit-for-bit
-        cur = np.einsum("...i,i->...", cur, v, optimize=False)
-    out = complex(cur) if np.iscomplexobj(cur) else float(cur)
-    return out
+    """Full contraction sum_i coeff[i] * prod_j vectors[j][i_j].
+
+    The functional partial_contract leaves on slot 0, applied to vectors[0].
+    """
+    vs = list(vectors)
+    c = partial_contract(form, vs, 0)
+    v = np.asarray(vs[0])
+    if v.shape != c.shape:
+        raise ValueError(f"vector 0 has shape {v.shape}, expected {c.shape}")
+    # einsum without optimize is a fixed-order loop, so the result is
+    # reproducible bit-for-bit
+    cur = np.einsum("...i,i->...", c, v, optimize=False)
+    return complex(cur) if np.iscomplexobj(cur) else float(cur)
 
 
 def partial_contract(form: MultilinearForm, vectors, skip: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 from . import _rng
@@ -31,6 +32,7 @@ from .forms import (
     product_extension,
     row_form,
 )
+from .norms import DEFAULT_BUDGET, DEFAULT_MAX_ITERS, DEFAULT_TOL, NormEstimate
 from .norms import alternating_ascent, analytic_norm, brute_force_norm
 from .tensors import mixed_norm
 
@@ -41,6 +43,8 @@ __all__ = [
     "GrowthRow",
     "GrowthSeries",
     "FitResult",
+    "make_form",
+    "estimate_norm",
     "run_growth",
     "loglog_fit",
     "compare",
@@ -158,29 +162,61 @@ class FitResult:
     bound_relative: bool
 
 
-def _estimate(form: MultilinearForm, config: ExperimentConfig, ascent_seed: int):
-    """(value, kind) for one form under the configured method."""
-    if config.norm_method == "brute":
-        est = brute_force_norm(form)
-    elif config.norm_method == "analytic":
+def make_form(
+    family: str, m: int, n: int, p, seed: int, k: int | None = None,
+    n2: int | None = None, complex_phases: bool = False,
+) -> MultilinearForm:
+    """The form a family name stands for at size n.
+
+    ksz draws an m-linear sign form from `seed` (unimodular phases with
+    complex_phases); product_extension extends a k-linear ksz draw to m
+    slots of size n; row is bilinear with n2 (default n) columns.
+    """
+    if family == "ksz":
+        return ksz_random_form(m, n, p, seed, complex_phases=complex_phases)[0]
+    if family == "diagonal":
+        return diagonal_form(m, n, p)
+    if family == "row":
+        return row_form(n, n2 or n, p)
+    if family == "product_extension":
+        if k is None or not 1 <= k <= m:
+            raise ValueError("product_extension requires k in [1, m]")
+        base, _ = ksz_random_form(k, n, p[:k], seed)
+        return product_extension(base, m, p[k:], tail_dims=(n,) * (m - k))
+    raise ValueError(f"no generated family {family!r}")
+
+
+def estimate_norm(
+    form: MultilinearForm, method: str, restarts: int = 32, seed: int = 0,
+    tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
+    budget: int = DEFAULT_BUDGET,
+) -> NormEstimate:
+    """Norm estimate of `form` by method brute, analytic or ascent.
+
+    budget applies to brute; restarts, seed, tol and max_iters to ascent.
+    """
+    if method == "brute":
+        return brute_force_norm(form, budget=budget)
+    if method == "analytic":
         est = analytic_norm(form)
         if est is None:
-            raise ValueError(f"no analytic norm for kind {form.kind!r}")
-    else:
-        est = alternating_ascent(
-            form, restarts=config.restarts, seed=ascent_seed, tol=config.tol
-        )
-    return est.value, est.kind
+            raise ValueError(f"no analytic norm for form kind {form.kind!r}")
+        return est
+    if method == "ascent":
+        return alternating_ascent(form, restarts, seed, tol, max_iters)
+    raise ValueError(f"unknown norm method {method!r}")
 
 
 def _make_draw(config: ExperimentConfig, n: int, d: int) -> MultilinearForm:
     form_seed = _rng.derive_seed(config.seed, n, d, 0)
-    if config.family == "ksz":
-        form, _ = ksz_random_form(config.m, n, config.p, form_seed)
-        return form
-    k = config.k
-    base, _ = ksz_random_form(k, n, config.p[:k], form_seed)
-    return product_extension(base, config.m, config.p[k:], tail_dims=(n,) * (config.m - k))
+    return make_form(config.family, config.m, n, config.p, form_seed, config.k)
+
+
+def _estimate(config: ExperimentConfig, form: MultilinearForm, n: int, d: int):
+    """(value, kind) of draw d at size n under the configured method."""
+    seed = _rng.derive_seed(config.seed, n, d, 1)
+    est = estimate_norm(form, config.norm_method, config.restarts, seed, config.tol)
+    return est.value, est.kind
 
 
 def _row(n: int, lhs: float, value: float, kind: str, draws_used: int) -> GrowthRow:
@@ -190,37 +226,26 @@ def _row(n: int, lhs: float, value: float, kind: str, draws_used: int) -> Growth
 
 
 def _row_for_n(config: ExperimentConfig, n: int) -> GrowthRow:
-    if config.family in ("diagonal", "row"):
-        form = (
-            diagonal_form(config.m, n, config.p)
-            if config.family == "diagonal"
-            else row_form(n, n, config.p)
-        )
-        lhs = mixed_norm(form.coefficients, config.r).value
-        if config.norm_method == "paper_bound":
+    """Keep the draw with the largest norm; closed families and paper_bound
+    take one draw and report draws_used = 0."""
+    closed = config.family in ("diagonal", "row")
+    single = closed or config.norm_method == "paper_bound"
+    best = None
+    for d in range(1 if single else config.draws):
+        form = _make_draw(config, n, d)
+        if config.norm_method != "paper_bound":
+            value, kind = _estimate(config, form, n, d)
+        elif closed:
             value, kind = analytic_norm(form).value, "paper_bound"
         else:
-            value, kind = _estimate(form, config, _rng.derive_seed(config.seed, n, 0, 1))
-        return _row(n, lhs, value, kind, 0)
-
-    # random families: keep the draw with the largest norm
-    if config.norm_method == "paper_bound":
-        form = _make_draw(config, n, 0)
-        lhs = mixed_norm(form.coefficients, config.r).value
-        # norm bound of the base k-linear sign form
-        k = config.m if config.family == "ksz" else config.k
-        value = float(n) ** ksz_bound_exponent(config.p[:k])
-        return _row(n, lhs, value, "paper_bound", 0)
-
-    best = None
-    for d in range(config.draws):
-        form = _make_draw(config, n, d)
-        value, kind = _estimate(form, config, _rng.derive_seed(config.seed, n, d, 1))
+            # norm bound of the base k-linear sign form
+            k = config.m if config.family == "ksz" else config.k
+            value, kind = float(n) ** ksz_bound_exponent(config.p[:k]), "paper_bound"
         if best is None or value > best[0]:
             best = (value, kind, form)
     value, kind, form = best
     lhs = mixed_norm(form.coefficients, config.r).value
-    return _row(n, lhs, value, kind, config.draws)
+    return _row(n, lhs, value, kind, 0 if single else config.draws)
 
 
 def _rows_from_file(config: ExperimentConfig) -> tuple[GrowthRow, ...]:
@@ -233,7 +258,7 @@ def _rows_from_file(config: ExperimentConfig) -> tuple[GrowthRow, ...]:
         form = form_from_obj(obj)
         lhs = mixed_norm(form.coefficients, config.r).value
         n = form.shape[0]
-        value, kind = _estimate(form, config, _rng.derive_seed(config.seed, n, 0, 1))
+        value, kind = _estimate(config, form, n, 0)
         rows.append(_row(n, lhs, value, kind, 0))
     return tuple(rows)
 
@@ -345,28 +370,56 @@ def config_to_obj(config: ExperimentConfig) -> dict:
     return obj
 
 
+def _integer(v) -> int:
+    """v as an int; bools, strings and floats with a fraction are rejected."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is not an integer")
+    return operator.index(v)
+
+
+def _vector(cast):
+    """Reader of a list or tuple, not a string, casting every entry."""
+
+    def read(v) -> tuple:
+        if not isinstance(v, (list, tuple)):
+            raise TypeError(f"{v!r} is not a list")
+        return tuple(cast(x) for x in v)
+
+    return read
+
+
+_FIELD_CASTS = {
+    "m": _integer,
+    "p": _vector(float),
+    "r": _vector(float),
+    "n_values": _vector(_integer),
+    "norm_method": str,
+    "restarts": _integer,
+    "seed": _integer,
+    "tol": float,
+    "draws": _integer,
+    "k": _integer,
+    "form_file": str,
+}
+
+
 def config_from_obj(obj) -> ExperimentConfig:
+    """ExperimentConfig from a JSON object; absent or null fields take the defaults."""
     try:
-        kwargs = {
-            "family": obj["family"],
-            "m": int(obj["m"]),
-            "p": tuple(float(x) for x in obj["p"]),
-            "r": tuple(float(x) for x in obj["r"]),
-        }
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"config object is missing a required field: {e}") from None
-    for key, cast in (
-        ("n_values", lambda v: tuple(int(n) for n in v)),
-        ("norm_method", str),
-        ("restarts", int),
-        ("seed", int),
-        ("tol", float),
-        ("draws", int),
-        ("k", int),
-        ("form_file", str),
-    ):
-        if key in obj and obj[key] is not None:
-            kwargs[key] = cast(obj[key])
+        missing = [key for key in ("family", "m", "p", "r") if obj.get(key) is None]
+    except AttributeError:
+        raise ValueError("a config must be a JSON object") from None
+    if missing:
+        raise ValueError(f"config object is missing required fields {missing}")
+    kwargs = {"family": obj["family"]}
+    for key, cast in _FIELD_CASTS.items():
+        if obj.get(key) is not None:
+            try:
+                kwargs[key] = cast(obj[key])
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"config field {key!r}: {e}") from None
     return ExperimentConfig(**kwargs)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _rng
 from .exponents import INF, as_exponent, conjugate, harmonic_sum
-from .forms import MultilinearForm, evaluate, partial_contract
+from .forms import MultilinearForm, partial_contract
 from .tensors import fiber_norms, tensor_to_obj
 
 __all__ = [
@@ -144,10 +144,10 @@ def alternating_ascent(
     Runs `restarts` random starts (uniform on the unit sphere of each slot,
     stream keyed by (seed, restart_index)) plus two deterministic starts:
     all-ones normalized and the first basis vector. Reports the best value;
-    ties go to the smallest restart index. converged=False means at least
-    one of the runs (including the best) hit the iteration cap; the reported
-    flag belongs to the best run. Every run executes in the calling thread;
-    `threads` is accepted for compatibility and has no effect.
+    ties go to the smallest restart index. converged is the best run's
+    flag: False means that run hit the iteration cap; other runs may have
+    hit it either way. Every run executes in the calling thread; `threads`
+    is accepted for compatibility and has no effect.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")

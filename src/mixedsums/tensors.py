@@ -156,13 +156,14 @@ def check_splitting(r, q) -> None:
 def random_splitting(g, r_j: float, N: int) -> list[float]:
     """Random exponents q_1..q_N from generator g with sum_k 1/q_k = 1/r_j.
 
-    Normalised weights below 0.05 get q_k = inf, so no exponent is huge.
+    Normalised weights below 0.05 get q_k = inf, so no exponent is huge;
+    the largest weight is always kept, so some q_k is finite.
     """
     if r_j == INF:
         return [INF] * N
     w = g.random(N)
     w = w / w.sum()
-    w[w < 0.05] = 0.0
+    w[w < min(0.05, w.max())] = 0.0
     w = w / w.sum()
     return [INF if wk == 0.0 else r_j / wk for wk in w]
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -351,3 +352,43 @@ def test_verify_holder_splitting_message_matches_library(capsys):
     )
     assert code == 2
     assert err == f"usage error: {exc.value}\n"
+
+
+def test_verify_holder_many_factors(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify-holder", "--N", "60", "--trials", "30")
+    assert (code, err) == (0, "")
+    assert out.startswith("30/30 pass")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("p", "44"), ("n_values", "2345"), ("m", 2.9), ("restarts", 3.7)],
+)
+def test_experiment_config_misread_fields_are_errors(tmp_path, capsys, field, value):
+    obj = {"family": "diagonal", "m": 2, "p": [4, 4], "r": [1, 1],
+           "n_values": [2, 4, 8], "norm_method": "ascent", "restarts": 2}
+    obj[field] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(
+        capsys, "experiment", "--config", str(path), "--out", str(tmp_path / "o.csv")
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: config field '{field}'")
+
+
+def test_experiment_inline_defaults_are_the_config_defaults(tmp_path, capsys):
+    from mixedsums import ExperimentConfig, config_to_obj
+
+    csv = tmp_path / "d.csv"
+    code, _, _ = run(
+        capsys, "experiment", "--family", "row", "--m", "2", "--p", "inf,2",
+        "--r", "1,1", "--n-values", "2,4,8", "--out", str(csv),
+    )
+    assert code == 0
+    want = ExperimentConfig(
+        family="row", m=2, p=(INF, 2.0), r=(1.0, 1.0), n_values=(2, 4, 8)
+    )
+    assert json.loads(csv.with_suffix(".json").read_text())["config"] == config_to_obj(want)

@@ -263,3 +263,29 @@ def test_certificate_alpha_sum_consistency():
         assert cert.alpha_sum == math.fsum(cert.alphas)
         assert cert.bound_exponent == pytest.approx(0.5 + cert.alpha_sum, abs=1e-15)
         assert all(a == alpha(pj) for a, pj in zip(cert.alphas, p))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0,)])
+def test_form_rejects_coefficients_without_entries(shape):
+    with pytest.raises(ValueError, match="no entries"):
+        MultilinearForm(coefficients=np.zeros(shape), p=(INF,) * len(shape))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_evaluate_matches_slot_by_slot_contraction(m, complex_data):
+    g = np.random.Generator(np.random.PCG64(40 + m))
+    shape = (5, 3, 4)[:m]
+    coeffs = g.standard_normal(shape)
+    vs = [g.standard_normal(n) for n in shape]
+    if complex_data:
+        coeffs = coeffs + 1j * g.standard_normal(shape)
+        vs = [v + 1j * g.standard_normal(v.shape) for v in vs]
+    form = MultilinearForm(coefficients=coeffs, p=(2.0,) * m)
+    cur = coeffs
+    for v in reversed(vs):
+        cur = np.einsum("...i,i->...", cur, v, optimize=False)
+    want = complex(cur) if complex_data else float(cur)
+    got = evaluate(form, vs)
+    assert type(got) is type(want)
+    assert repr(got) == repr(want)

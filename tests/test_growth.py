@@ -393,3 +393,97 @@ def test_row_paper_bound_is_the_analytic_norm(p2):
     for row in run_growth(cfg).rows:
         expected = analytic_norm(row_form(row.n, row.n, cfg.p)).value
         assert row.norm.hex() == expected.hex()
+
+
+def test_make_form_matches_family_builders():
+    from mixedsums import diagonal_form, make_form, product_extension, row_form
+
+    p3 = (INF, 4.0, 2.0)
+    ksz, _ = ksz_random_form(3, 4, p3, seed=12)
+    phases, _ = ksz_random_form(2, 3, (3.0, INF), seed=5, complex_phases=True)
+    base, _ = ksz_random_form(2, 4, p3[:2], seed=12)
+    cases = [
+        (make_form("ksz", 3, 4, p3, 12), ksz),
+        (make_form("ksz", 2, 3, (3.0, INF), 5, complex_phases=True), phases),
+        (make_form("diagonal", 3, 4, p3, 12), diagonal_form(3, 4, p3)),
+        (make_form("row", 2, 4, (INF, 3.0), 12), row_form(4, 4, (INF, 3.0))),
+        (make_form("row", 2, 3, (2.0, 2.0), 0, n2=7), row_form(3, 7, (2.0, 2.0))),
+        (
+            make_form("product_extension", 3, 4, p3, 12, k=2),
+            product_extension(base, 3, p3[2:], tail_dims=(4,)),
+        ),
+    ]
+    for got, want in cases:
+        assert got.kind == want.kind and got.p == want.p and got.seed == want.seed
+        assert got.coefficients.dtype == want.coefficients.dtype
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+    with pytest.raises(ValueError, match="requires k"):
+        make_form("product_extension", 3, 4, p3, 12)
+    with pytest.raises(ValueError, match="custom-file"):
+        make_form("custom-file", 2, 4, (INF, INF), 0)
+
+
+def test_estimate_norm_dispatches_to_each_estimator():
+    from mixedsums import (
+        alternating_ascent,
+        analytic_norm,
+        estimate_norm,
+        estimate_to_obj,
+        row_form,
+    )
+
+    def same(a, b):
+        return estimate_to_obj(a) == estimate_to_obj(b)
+
+    form, _ = ksz_random_form(2, 5, (INF, INF), seed=3)
+    assert same(estimate_norm(form, "brute"), brute_force_norm(form))
+    assert same(
+        estimate_norm(form, "ascent", restarts=3, seed=4, tol=1e-6, max_iters=5),
+        alternating_ascent(form, restarts=3, seed=4, tol=1e-6, max_iters=5),
+    )
+    row = row_form(3, 5, (INF, 3.0))
+    assert same(estimate_norm(row, "analytic"), analytic_norm(row))
+    with pytest.raises(ValueError, match="budget is 15"):
+        estimate_norm(form, "brute", budget=15)
+    with pytest.raises(ValueError, match="no analytic norm for form kind 'ksz'"):
+        estimate_norm(form, "analytic")
+    with pytest.raises(ValueError, match="unknown norm method"):
+        estimate_norm(form, "paper_bound")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("p", "44"),
+        ("r", "11"),
+        ("n_values", "2345"),
+        ("n_values", 8),
+        ("n_values", [2, 3.5, 4]),
+        ("m", 2.9),
+        ("m", "2"),
+        ("restarts", 3.7),
+        ("draws", True),
+        ("seed", "0"),
+        ("k", 1.5),
+    ],
+)
+def test_config_from_obj_rejects_misread_fields(field, value):
+    obj = {
+        "family": "product_extension", "m": 2, "k": 1, "p": [4, 4], "r": [1, 1],
+        "n_values": [2, 3, 4], "norm_method": "ascent",
+    }
+    config_from_obj(obj)
+    obj[field] = value
+    with pytest.raises(ValueError, match=f"field '{field}'"):
+        config_from_obj(obj)
+
+
+def test_config_from_obj_accepts_tuples_and_integral_floats():
+    cfg = config_from_obj(
+        {"family": "ksz", "m": 2.0, "p": (INF, INF), "r": (1.0, 1.0),
+         "n_values": (2, 3.0, 4), "restarts": 8.0, "seed": 3, "draws": 2}
+    )
+    assert cfg == ExperimentConfig(
+        family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 4),
+        restarts=8, seed=3, draws=2,
+    )

@@ -461,3 +461,18 @@ def test_ascent_monotone_check_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ArithmeticError: ascent objective fell")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=2, max_size=3),
+    ps=st.lists(st.sampled_from([1.0, 1.5, 2.0, 4.0, INF]), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ascent_witness_is_valid_property(dims, ps, seed):
+    coeffs = np.random.Generator(np.random.PCG64(seed)).standard_normal(dims)
+    form = MultilinearForm(coefficients=coeffs, p=ps[: len(dims)])
+    est = alternating_ascent(form, restarts=3, seed=seed)
+    for x, pj in zip(est.witness, form.p):
+        assert lp_norm(x, pj) <= 1.0 + 1e-12
+    assert evaluate(form, est.witness) == pytest.approx(est.value, rel=1e-9)

@@ -246,3 +246,25 @@ def test_tensor_from_obj_validation():
         tensor_from_obj({"shape": [0], "data": []})
     with pytest.raises(ValueError):
         tensor_from_obj({"shape": [1], "data": [float("nan")]})
+
+
+def test_random_splitting_many_factors_stays_finite():
+    from mixedsums.tensors import random_splitting
+
+    for seed in range(20):
+        q = random_splitting(np.random.Generator(np.random.PCG64(seed)), 1.5, 60)
+        assert all(not math.isnan(qk) and qk > 0.0 for qk in q)
+        assert any(qk != INF for qk in q)
+        assert math.fsum(1.0 / qk for qk in q) == pytest.approx(1.0 / 1.5, rel=1e-12)
+
+
+def test_random_splitting_keeps_draws_with_a_large_weight():
+    from mixedsums.tensors import random_splitting
+
+    for N in (1, 2, 5, 12):
+        g, h = (np.random.Generator(np.random.PCG64(N)) for _ in range(2))
+        w = h.random(N)
+        w = w / w.sum()
+        w[w < 0.05] = 0.0
+        w = w / w.sum()
+        assert random_splitting(g, 2.0, N) == [INF if wk == 0.0 else 2.0 / wk for wk in w]

@@ -9,13 +9,19 @@ script runs, in a fresh interpreter, the ten ``bundled_suite()``
 experiments and the ``bound_growth`` benchmark experiments at seeds 0 and
 5, and hashes ``series_to_csv`` plus ``report_obj`` of each. It also runs
 ``brute_force_norm`` on the ``brute_exact`` benchmark forms at the same
-seeds and hashes ``repr(value)`` plus the witness bytes. It prints one
-line per payload and exits 1 if any payload differs.
+seeds and hashes ``repr(value)`` plus the witness bytes. Through
+``cli.main`` it hashes the exit code, stdout, stderr and written files of
+``generate`` for every family (plus ``--complex`` and ``--n2``), of
+``norm --method brute|ascent|analytic`` on generated forms, of inline-flag
+``experiment`` runs and of ``verify-holder``. It prints one line per
+payload and exits 1 if any payload differs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -25,6 +31,69 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 5)
+
+# name -> generate flags; each form is written to <name>.json
+FORMS = {
+    "ksz": "--family ksz --m 2 --n 6 --p inf,inf --seed 3",
+    "ksz_p4": "--family ksz --m 2 --n 8 --p 4,4 --seed 4",
+    "ksz_complex": "--family ksz --m 2 --n 5 --p 3,inf --seed 5 --complex",
+    "ksz_m3": "--family ksz --m 3 --n 4 --p inf,inf,inf --seed 6",
+    "diagonal": "--family diagonal --m 3 --n 5 --p 4,4,2",
+    "row": "--family row --m 2 --n 4 --p inf,3",
+    "row_n2": "--family row --m 2 --n 3 --n2 7 --p 2,4/3",
+    "product_extension": "--family product_extension --m 3 --k 2 --n 4 --p inf,inf,inf --seed 8",
+    "row_m3": "--family row --m 3 --n 4 --p 2,2,2",
+    "product_extension_no_k": "--family product_extension --m 3 --n 4 --p 2,2,2",
+}
+# norm runs as (form name, extra flags)
+NORMS = [
+    ("ksz", "--method brute"),
+    ("ksz_m3", "--method brute"),
+    ("product_extension", "--method brute"),
+    ("product_extension", "--method ascent --restarts 3"),
+    ("ksz_p4", "--method brute"),
+    ("ksz", "--method ascent"),
+    ("ksz_p4", "--method ascent --restarts 4 --seed 2"),
+    ("ksz_complex", "--method ascent --max-iters 3"),
+    ("diagonal", "--method ascent --tol 1e-6"),
+    ("diagonal", "--method analytic"),
+    ("row_n2", "--method analytic"),
+    ("ksz", "--method analytic"),
+]
+EXPERIMENTS = [
+    "--family ksz --m 2 --p inf,inf --r 1,1 --n-values 2,3,4 --norm-method brute --draws 3",
+    "--family row --m 2 --p 5,2 --r 1,1 --n-values 2,4,8",
+    "--family product_extension --m 3 --k 2 --p inf,inf,inf --r 1,2,2 --n-values 2,3,4 --norm-method paper_bound",
+]
+HOLDER = ["--trials 40", "--trials 40 --m 3 --N 4 --seed 9"]
+
+
+def cli_payloads(tmp: Path) -> dict[str, str]:
+    """Exit code, output and written files of CLI runs, keyed by name."""
+    from mixedsums import cli
+
+    def run(argv: list[str], *files: Path) -> str:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        texts = [str(code), out.getvalue(), err.getvalue()]
+        texts += [f.read_text() if f.exists() else "-" for f in files]
+        return "\0".join(texts).replace(str(tmp), "<tmp>")
+
+    out = {}
+    for name, flags in FORMS.items():
+        path = tmp / f"{name}.json"
+        out[f"cli:generate:{name}"] = run(["generate", *flags.split(), "--out", str(path)], path)
+    for name, flags in NORMS:
+        argv = ["norm", "--input", str(tmp / f"{name}.json"), *flags.split()]
+        out[f"cli:norm:{name}:{flags}"] = run(argv)
+    for idx, flags in enumerate(EXPERIMENTS):
+        csv = tmp / f"experiment{idx}.csv"
+        argv = ["experiment", *flags.split(), "--out", str(csv)]
+        out[f"cli:experiment{idx}"] = run(argv, csv, csv.with_suffix(".json"))
+    for idx, flags in enumerate(HOLDER):
+        out[f"cli:verify-holder{idx}"] = run(["verify-holder", *flags.split()])
+    return out
 
 
 def digests() -> dict[str, str]:
@@ -50,6 +119,7 @@ def digests() -> dict[str, str]:
                 est, _ = item.run()
                 witness = b"".join(w.tobytes() for w in est.witness)
                 out[f"seed{seed}:{item.name}"] = repr(est.value) + witness.hex()
+        out.update(cli_payloads(Path(tmp)))
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}
 
 
