@@ -219,7 +219,9 @@ def evaluate(form: MultilinearForm, vectors):
 def partial_contract(form: MultilinearForm, vectors, skip: int) -> np.ndarray:
     """Contract every slot except `skip`; returns the induced linear functional.
 
-    vectors[skip] is ignored and may be None.
+    The vectors are either all 1-D or all stacks of R rows, shape (R, n_j);
+    for stacks, row r of the (R, n_skip) result is the functional of the
+    r-th rows. vectors[skip] is ignored and may be None.
     """
     m = form.arity
     if not 0 <= skip < m:
@@ -227,17 +229,23 @@ def partial_contract(form: MultilinearForm, vectors, skip: int) -> np.ndarray:
     vs = list(vectors)
     if len(vs) != m:
         raise ValueError(f"expected {m} vectors, got {len(vs)}")
-    cur = np.moveaxis(form.coefficients, skip, 0)
+    # one leading row axis throughout, of length 1 for 1-D vectors; einsum
+    # without optimize is a fixed-order loop, so each row gets the bits of
+    # the 1-D contraction
+    cur = np.moveaxis(form.coefficients, skip, 0)[None]
+    lead = None
     for j in reversed(range(m)):
         if j == skip:
             continue
         v = np.asarray(vs[j])
-        if v.shape != (form.shape[j],):
+        if lead is None:  # the first vector contracted sets the row count
+            lead = v.shape[:1] if v.ndim == 2 else ()
+        if v.shape != lead + (form.shape[j],):
             raise ValueError(
-                f"vector {j} has shape {v.shape}, expected ({form.shape[j]},)"
+                f"vector {j} has shape {v.shape}, expected {lead + (form.shape[j],)}"
             )
-        cur = np.einsum("...i,i->...", cur, v, optimize=False)
-    return cur
+        cur = np.einsum("r...i,ri->r...", cur, v.reshape(-1, form.shape[j]), optimize=False)
+    return cur if lead else cur[0]
 
 
 def form_to_obj(form: MultilinearForm) -> dict:

@@ -263,11 +263,8 @@ def _rows_from_file(config: ExperimentConfig) -> tuple[GrowthRow, ...]:
     return tuple(rows)
 
 
-def run_growth(config: ExperimentConfig, threads: int = 1) -> GrowthSeries:
-    """Run one experiment; rows are computed in n order in the calling thread.
-
-    `threads` is accepted for compatibility and has no effect.
-    """
+def run_growth(config: ExperimentConfig) -> GrowthSeries:
+    """Run one experiment; rows are computed in n order in the calling thread."""
     if config.family == "custom-file":
         return GrowthSeries(config=config, rows=_rows_from_file(config))
     rows = tuple(_row_for_n(config, n) for n in config.n_values)

@@ -11,7 +11,9 @@ Three estimators with honestly labeled kinds:
     O(n_m) adds instead of O(n_1 ... n_m), without BLAS.
   * alternating_ascent - lower bound for any p >= 1. Cyclically replaces one
     argument by the exact maximizer of the induced linear functional; the
-    objective is monotone, so every run converges to a local maximum.
+    objective is monotone, so every run converges to a local maximum. The
+    restarts advance together as rows of one array per slot, and a row
+    retires once a sweep stops raising its value by more than tol.
   * analytic_norm      - closed forms for the diagonal and row families.
 
 All estimates carry a witness; evaluate(form, witness) reproduces the value
@@ -62,73 +64,37 @@ def lp_norm(v: np.ndarray, p: float) -> float:
     return float(fiber_norms(v, p))
 
 
-def dual_maximizer(c, p) -> tuple[np.ndarray, float]:
-    """Exact maximizer of Re sum(c_i x_i) over the unit ell_p ball.
+def dual_maximizer(c, p) -> tuple[np.ndarray, float | np.ndarray]:
+    """Exact maximizer of Re sum(c_i x_i) over the unit ell_p ball, row by row.
 
-    Returns (x, value) with ||x||_p <= 1 and value = ||c||_{p'}. Ties at
-    p = 1 go to the smallest index; sign(0) = +1. Complex c gets a
-    phase-aligned maximizer. c = 0 returns the zero vector.
+    Works along the last axis: a 1-D c returns (x, value) with a float
+    value, a stack of rows returns x of the same shape and one value per
+    row. ||x||_p <= 1 and value = ||c||_{p'}. x is phase-aligned with
+    conj(c), so for real c its entries carry the signs of c with
+    sign(0) = +1. Ties at p = 1 go to the smallest index. A zero row
+    gives the zero vector and value 0.
     """
     p = as_exponent(p, "p")
     if p < 1.0:
         raise ValueError(f"requires p >= 1, got p = {p}")
     c = np.asarray(c)
-    if np.iscomplexobj(c):
-        c = c.astype(np.complex128)
-        a = np.abs(c)
-        # align phases: x_i proportional to conj(c_i)/|c_i|
-        unit = np.where(a > 0.0, np.conj(c) / np.where(a > 0.0, a, 1.0), 1.0 + 0j)
-    else:
-        c = c.astype(np.float64)
-        a = np.abs(c)
-        unit = np.where(c >= 0.0, 1.0, -1.0)
-
-    if not np.any(a > 0.0):
-        return np.zeros_like(c), 0.0
-
+    c = c.astype(np.complex128 if np.iscomplexobj(c) else np.float64)
+    a = np.abs(c)
+    unit = np.where(a > 0.0, np.conj(c) / np.where(a > 0.0, a, 1.0), 1.0)
+    top = a.max(axis=-1, keepdims=True)
+    live = top > 0.0
     pp = conjugate(p)
-    value = lp_norm(a, pp)
     if p == INF:
-        return unit, value
-    if p == 1.0:
-        i = int(np.argmax(a))
-        x = np.zeros_like(c)
-        x[i] = unit[i]
-        return x, value
-    x = unit * (a / a.max()) ** (pp - 1.0)
-    return x / lp_norm(x, p), value
-
-
-def _unit_start(v: np.ndarray, p: float) -> np.ndarray:
-    nrm = lp_norm(v, p)
-    return v / nrm if nrm > 0.0 else v
-
-
-def _single_ascent(form, start, tol, max_iters):
-    """One ascent run; returns (value, witness, converged)."""
-    m = form.arity
-    xs = [np.asarray(v, dtype=np.float64) for v in start]
-    if np.iscomplexobj(form.coefficients):
-        xs = [v.astype(np.complex128) for v in xs]
-    prev = None
-    last = 0.0
-    val = 0.0
-    converged = False
-    for _ in range(max_iters):
-        for j in range(m):
-            c = partial_contract(form, xs, j)
-            xs[j], val = dual_maximizer(c, form.p[j])
-            # each exact slot update can only raise the objective
-            if val < last * (1.0 - 1e-9) - 1e-300:
-                raise ArithmeticError(
-                    f"ascent objective fell from {last!r} to {val!r} at slot {j}"
-                )
-            last = val
-        if prev is not None and val - prev <= tol * max(prev, 1e-300):
-            converged = True
-            break
-        prev = val
-    return val, xs, converged
+        x = np.where(live, unit, 0.0)
+    elif p == 1.0:
+        first = np.arange(a.shape[-1]) == a.argmax(axis=-1)[..., None]
+        x = np.where(first & live, unit, 0.0)
+    else:
+        # zero rows stay zero: 0 ** (p' - 1) = 0 and their norm divides as 1
+        x = unit * (a / np.where(live, top, 1.0)) ** (pp - 1.0)
+        x /= np.where(live, fiber_norms(x, p)[..., None], 1.0)
+    value = fiber_norms(a, pp)
+    return (x, float(value)) if c.ndim == 1 else (x, value)
 
 
 def alternating_ascent(
@@ -137,17 +103,18 @@ def alternating_ascent(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    threads: int = 1,
 ) -> NormEstimate:
     """Lower-bound the norm by cyclic exact line maximization.
 
     Runs `restarts` random starts (uniform on the unit sphere of each slot,
-    stream keyed by (seed, restart_index)) plus two deterministic starts:
-    all-ones normalized and the first basis vector. Reports the best value;
-    ties go to the smallest restart index. converged is the best run's
-    flag: False means that run hit the iteration cap; other runs may have
-    hit it either way. Every run executes in the calling thread; `threads`
-    is accepted for compatibility and has no effect.
+    stream keyed by (seed, restart_index)) plus two deterministic starts,
+    restart 0 all-ones normalized and restart 1 the first basis vector.
+    Every restart is a row of one array per slot, and a slot update is one
+    partial_contract and one dual_maximizer call on the rows still running.
+    A row retires after the first full sweep that raised its value by at
+    most tol relative to the previous sweep; rows still running after
+    max_iters sweeps keep converged=False. Reports the best value; ties go
+    to the smallest restart index. converged is the best run's flag.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -155,33 +122,55 @@ def alternating_ascent(
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    m = form.arity
-    dims = form.shape
-
-    def start_for(t: int) -> list[np.ndarray]:
-        if t == 0:
-            return [_unit_start(np.ones(n), pj) for n, pj in zip(dims, form.p)]
-        if t == 1:
-            return [np.eye(n)[0] for n in dims]
-        g = _rng.stream(seed, t)
-        return [
-            _unit_start(g.standard_normal(n), pj) for n, pj in zip(dims, form.p)
-        ]
-
     total = restarts + 2
-    results = [_single_ascent(form, start_for(t), tol, max_iters) for t in range(total)]
+    gens = [_rng.stream(seed, t) for t in range(2, total)]
+    dtype = np.complex128 if np.iscomplexobj(form.coefficients) else np.float64
+    xs = []
+    for n, pj in zip(form.shape, form.p):
+        start = np.zeros((total, n))
+        start[0] = 1.0
+        start[1, 0] = 1.0
+        for t, g in enumerate(gens, 2):  # each stream draws slot after slot
+            start[t] = g.standard_normal(n)
+        xs.append((start / fiber_norms(start, pj)[:, None]).astype(dtype))
 
-    best = 0
-    for t in range(1, total):
-        if results[t][0] > results[best][0]:
-            best = t
-    val, xs, converged = results[best]
+    value = np.zeros(total)  # each run's value after its last slot update
+    converged = np.zeros(total, dtype=bool)
+    active = np.arange(total)
+    prev = None
+    for _ in range(max_iters):
+        rows = [x[active] for x in xs]
+        last = value[active]
+        for j, pj in enumerate(form.p):
+            # at m = 1 c is the coefficient vector, shared by every row
+            c = partial_contract(form, rows, j)
+            rows[j], val = dual_maximizer(np.broadcast_to(c, rows[j].shape), pj)
+            # each exact slot update can only raise the objective; NaN counts
+            # as a fall
+            fell = np.flatnonzero(~(val >= last * (1.0 - 1e-9) - 1e-300))
+            if fell.size:
+                raise ArithmeticError(
+                    f"ascent objective fell at slot {j} in restarts {active[fell].tolist()}"
+                )
+            last = val
+        for x, row in zip(xs, rows):
+            x[active] = row
+        value[active] = val
+        if prev is not None:
+            done = val - prev <= tol * np.maximum(prev, 1e-300)
+            converged[active[done]] = True
+            active, val = active[~done], val[~done]
+            if not active.size:
+                break
+        prev = val
+
+    best = int(np.argmax(value))
     return NormEstimate(
-        value=val,
+        value=float(value[best]),
         kind="lower_bound",
-        witness=xs,
+        witness=[x[best].copy() for x in xs],
         restarts_used=total,
-        converged=converged,
+        converged=bool(converged[best]),
     )
 
 

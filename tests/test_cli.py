@@ -159,6 +159,24 @@ def test_generate_complex(tmp_path, capsys):
     assert json.loads(path.read_text())["dtype"] == "complex"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ("--family product_extension --m 3 --k 2 --p inf,inf,inf --complex",
+         "--complex applies to the ksz family only"),
+        ("--family diagonal --m 2 --p 2,2 --complex", "--complex applies"),
+        ("--family ksz --m 2 --p 2,2 --n2 5", "--n2 applies to the row family only"),
+        ("--family diagonal --m 2 --p 2,2 --n2 5", "--n2 applies"),
+    ],
+)
+def test_generate_rejects_flags_it_would_ignore(tmp_path, capsys, flags, message):
+    path = tmp_path / "form.json"
+    code, _, err = run(capsys, "generate", *flags.split(), "--n", "3", "--out", str(path))
+    assert code == 2
+    assert message in err
+    assert not path.exists()
+
+
 def test_experiment_inline(tmp_path, capsys):
     out_csv = tmp_path / "exp.csv"
     code, out, _ = run(
@@ -298,6 +316,25 @@ def test_verify_holder_fixed_splitting_invalid(capsys):
         capsys, "verify-holder", "--r", "1,1", "--q", "2;2", "--trials", "2",
     )
     assert code == 2
+
+
+def test_verify_holder_worst_slack_skips_equalities(capsys):
+    # the trials with one factor or one entry have slack 0 by construction
+    code, out, _ = run(
+        capsys, "verify-holder", "--m", "3", "--N", "4", "--trials", "40", "--seed", "9",
+    )
+    assert code == 0
+    worst, _, _, counted = out.split("worst slack ")[1].split()[:4]
+    assert float(worst) > 0.0  # the minimum over all trials is 0.0 here
+    assert 0 < int(counted) < 40
+    code, out, _ = run(
+        capsys, "verify-holder", "--r", "1,1", "--q", "2,2;2,2", "--n", "3", "--trials", "3",
+    )
+    assert float(out.split("worst slack ")[1].split()[0]) > 0.0
+    for flags in ("--N 1", "--n 1", "--r 2,2 --q 2,2"):
+        code, out, _ = run(capsys, "verify-holder", *flags.split(), "--trials", "5")
+        assert code == 0
+        assert "worst slack n/a over the 0 trials" in out
 
 
 def test_verify_holder_zero_trials(capsys):

@@ -168,6 +168,37 @@ def test_partial_contract_consistency():
         partial_contract(form, vs, 3)
 
 
+@pytest.mark.parametrize("dims", [(5,), (3, 4), (1, 7), (3, 4, 2), (2, 1, 6)])
+@pytest.mark.parametrize("complex_coeffs", [False, True])
+def test_partial_contract_stack_matches_rows(dims, complex_coeffs):
+    g = np.random.Generator(np.random.PCG64(len(dims) + 10 * complex_coeffs))
+    coeffs = g.standard_normal(dims)
+    if complex_coeffs:
+        coeffs = coeffs + 1j * g.standard_normal(dims)
+    form = MultilinearForm(coefficients=coeffs, p=(2,) * len(dims))
+    rows = 4
+    stack = [g.standard_normal((rows, n)) for n in dims]
+    for skip in range(len(dims)):
+        got = partial_contract(form, stack, skip)
+        want = [partial_contract(form, [v[r] for v in stack], skip) for r in range(rows)]
+        if len(dims) == 1:  # no vector is contracted: the coefficients themselves
+            assert got.tobytes() == coeffs.tobytes()
+            continue
+        assert got.shape == (rows, dims[skip])
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_partial_contract_rejects_bad_stacks():
+    form = MultilinearForm(coefficients=np.ones((3, 4, 2)), p=(2, 2, 2))
+    with pytest.raises(ValueError, match=r"vector 2 has shape \(1, 2, 2\)"):
+        partial_contract(form, [np.ones(3), np.ones(4), np.ones((1, 2, 2))], 0)
+    # every vector must have the row count of the first one contracted
+    with pytest.raises(ValueError, match=r"expected \(5, 4\)"):
+        partial_contract(form, [None, np.ones((2, 4)), np.ones((5, 2))], 0)
+    with pytest.raises(ValueError, match=r"expected \(4,\)"):
+        partial_contract(form, [None, np.ones((2, 4)), np.ones(2)], 0)
+
+
 def test_product_extension_layout():
     base, _ = ksz_random_form(2, 3, (INF, INF), seed=5)
     ext = product_extension(base, 4, (2, 2), tail_dims=(2, 5))

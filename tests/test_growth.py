@@ -353,10 +353,10 @@ def test_run_growth_deterministic_across_threads():
         draws=3,
         seed=17,
     )
-    s1 = run_growth(cfg, threads=1)
-    s2 = run_growth(cfg, threads=3)
-    s3 = run_growth(cfg, threads=1)
-    assert series_to_csv(s1) == series_to_csv(s2) == series_to_csv(s3)
+    # all work runs in the calling thread; two runs give the same bytes
+    s1 = run_growth(cfg)
+    s2 = run_growth(cfg)
+    assert series_to_csv(s1) == series_to_csv(s2)
     f1 = loglog_fit(s1, mode="match")
     f2 = loglog_fit(s2, mode="match")
     assert json.dumps(report_obj(s1, f1)) == json.dumps(report_obj(s2, f2))

@@ -12,9 +12,10 @@ experiments and the ``bound_growth`` benchmark experiments at seeds 0 and
 seeds and hashes ``repr(value)`` plus the witness bytes. Through
 ``cli.main`` it hashes the exit code, stdout, stderr and written files of
 ``generate`` for every family (plus ``--complex`` and ``--n2``), of
-``norm --method brute|ascent|analytic`` on generated forms, of inline-flag
-``experiment`` runs and of ``verify-holder``. It prints one line per
-payload and exits 1 if any payload differs.
+``norm --method brute|ascent|analytic`` on generated forms (ascent also at
+p_j = 1, at m = 1 and m = 3, at n = 64 and with a cap of two sweeps), of
+inline-flag ``experiment`` runs and of ``verify-holder``. It prints one
+line per payload and exits 1 if any payload differs.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ FORMS = {
     "product_extension": "--family product_extension --m 3 --k 2 --n 4 --p inf,inf,inf --seed 8",
     "row_m3": "--family row --m 3 --n 4 --p 2,2,2",
     "product_extension_no_k": "--family product_extension --m 3 --n 4 --p 2,2,2",
+    "ksz_p1": "--family ksz --m 2 --n 7 --p 1,3 --seed 9",
+    "ksz_m3_finite": "--family ksz --m 3 --n 5 --p 4,2,3 --seed 10",
+    "ksz_m1": "--family ksz --m 1 --n 9 --p 3 --seed 11",
+    "ksz_n64": "--family ksz --m 2 --n 64 --p 4,4 --seed 12",
 }
 # norm runs as (form name, extra flags)
 NORMS = [
@@ -59,6 +64,11 @@ NORMS = [
     ("diagonal", "--method analytic"),
     ("row_n2", "--method analytic"),
     ("ksz", "--method analytic"),
+    ("ksz_p1", "--method ascent"),
+    ("ksz_m3_finite", "--method ascent --restarts 6"),
+    ("ksz_m1", "--method ascent"),
+    ("ksz_n64", "--method ascent"),
+    ("ksz_p4", "--method ascent --max-iters 2"),
 ]
 EXPERIMENTS = [
     "--family ksz --m 2 --p inf,inf --r 1,1 --n-values 2,3,4 --norm-method brute --draws 3",
