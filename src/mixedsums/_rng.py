@@ -33,16 +33,15 @@ def derive_seed(seed: int, *key: int) -> int:
 def sign_array(shape: tuple[int, ...], seed: int, *key: int) -> np.ndarray:
     """Uniform +-1 array; signs come from the top bit of 64-bit draws.
 
-    Equal to 1.0 - 2.0 * (draws >> 63), computed in place so that at most
-    two arrays of the given shape exist at once.
+    Equal to 1.0 - 2.0 * (draws >> 63). The float64 bit pattern of +-1.0
+    is the draw's top bit as sign over the exponent bits of 1.0, built in
+    place on the draws, so only one array of the given shape ever exists.
     """
     g = stream(seed, *key)
     bits = g.integers(0, 2**64, size=shape, dtype=np.uint64)
-    bits >>= np.uint64(63)
-    signs = bits.astype(np.float64)
-    signs *= -2.0
-    signs += 1.0
-    return signs
+    bits &= np.uint64(1 << 63)
+    bits |= np.uint64(0x3FF0000000000000)
+    return bits.view(np.float64)
 
 
 def phase_array(shape: tuple[int, ...], seed: int, *key: int) -> np.ndarray:

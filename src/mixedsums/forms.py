@@ -47,6 +47,18 @@ __all__ = [
 KINDS = ("ksz", "diagonal", "row", "product_extension", "custom")
 
 
+class _Fresh:
+    """An array a factory of this module built and hands over to one form.
+
+    No caller holds it, so MultilinearForm takes it without a copy.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 @dataclass(frozen=True)
 class MultilinearForm:
     """Immutable coefficient tensor plus domain exponents."""
@@ -57,14 +69,17 @@ class MultilinearForm:
     seed: int | None = None
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients)
+        coeffs = self.coefficients
+        if isinstance(coeffs, _Fresh):
+            coeffs = coeffs.array
+        else:  # the form owns a copy, so no caller can change it later
+            coeffs = np.array(coeffs, order="C")
         if coeffs.ndim < 1:
             coeffs = coeffs.reshape(1)
         if coeffs.size == 0:
             raise ValueError(f"coefficients of shape {coeffs.shape} have no entries")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
-        coeffs = coeffs.copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(
@@ -130,7 +145,7 @@ def ksz_random_form(
         coeffs = _rng.phase_array(shape, seed)
     else:
         coeffs = _rng.sign_array(shape, seed)
-    form = MultilinearForm(coefficients=coeffs, p=p, kind="ksz", seed=int(seed))
+    form = MultilinearForm(coefficients=_Fresh(coeffs), p=p, kind="ksz", seed=int(seed))
     alphas = tuple(alpha(pj) for pj in p)
     cert = KszCertificate(
         seed=int(seed),
@@ -149,7 +164,7 @@ def diagonal_form(m: int, n: int, p) -> MultilinearForm:
     coeffs = np.zeros((n,) * m)
     idx = np.arange(n)
     coeffs[(idx,) * m] = 1.0
-    return MultilinearForm(coefficients=coeffs, p=p, kind="diagonal")
+    return MultilinearForm(coefficients=_Fresh(coeffs), p=p, kind="diagonal")
 
 
 def row_form(n1: int, n2: int, p) -> MultilinearForm:
@@ -159,7 +174,7 @@ def row_form(n1: int, n2: int, p) -> MultilinearForm:
     p = as_exponent_vector(p, 2, "p")
     coeffs = np.zeros((n1, n2))
     coeffs[0, :] = 1.0
-    return MultilinearForm(coefficients=coeffs, p=p, kind="row")
+    return MultilinearForm(coefficients=_Fresh(coeffs), p=p, kind="row")
 
 
 def product_extension(
@@ -178,8 +193,9 @@ def product_extension(
     if m == k:
         if tuple(p_tail):
             raise ValueError("p_tail must be empty when m equals the base arity")
+        # the base's array is read-only and never written, so both forms share it
         return MultilinearForm(
-            coefficients=base.coefficients,
+            coefficients=_Fresh(base.coefficients),
             p=base.p,
             kind="product_extension",
             seed=base.seed,
@@ -193,7 +209,7 @@ def product_extension(
     coeffs = np.zeros(base.shape + tail_dims, dtype=base.coefficients.dtype)
     coeffs[(...,) + (0,) * (m - k)] = base.coefficients
     return MultilinearForm(
-        coefficients=coeffs,
+        coefficients=_Fresh(coeffs),
         p=base.p + p_tail,
         kind="product_extension",
         seed=base.seed,

@@ -80,7 +80,13 @@ def dual_maximizer(c, p) -> tuple[np.ndarray, float | np.ndarray]:
     c = np.asarray(c)
     c = c.astype(np.complex128 if np.iscomplexobj(c) else np.float64)
     a = np.abs(c)
-    unit = np.where(a > 0.0, np.conj(c) / np.where(a > 0.0, a, 1.0), 1.0)
+    # NumPy's complex division by a subnormal modulus overflows, e.g.
+    # (1e-310+0j)/1e-310 = inf+nanj; such entries are scaled by 2**64 on
+    # both sides first, which is exact, and every other entry keeps its bits
+    sub = (a > 0.0) & (a < np.finfo(np.float64).tiny)
+    num = np.where(sub, c * 2.0**64, c)
+    den = np.where(sub, a * 2.0**64, np.where(a > 0.0, a, 1.0))
+    unit = np.where(a > 0.0, np.conj(num) / den, 1.0)
     top = a.max(axis=-1, keepdims=True)
     live = top > 0.0
     pp = conjugate(p)

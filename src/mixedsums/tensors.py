@@ -45,6 +45,25 @@ _BLOCK = 2**15
 _POW2_SCALING_MAX_R = 512.0
 
 
+def _sum2(x: np.ndarray, s: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # Sum2 of each row of the (k, n) array x, writing the running totals
+    # to s, shape (k, n), and the TwoSum terms to the C-contiguous b and t,
+    # shape (k, n - 1), so the errors sum pairwise along contiguous rows
+    np.cumsum(x, axis=-1, out=s)
+    prev, cur = s[:, :-1], s[:, 1:]
+    np.subtract(cur, prev, out=b)
+    np.subtract(cur, b, out=t)
+    np.subtract(prev, t, out=t)
+    np.subtract(x[:, 1:], b, out=b)
+    t += b
+    return s[:, -1] + t.sum(axis=-1)
+
+
+def _sum2_scratch(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # running totals and the two TwoSum buffers for k fibers of length n
+    return np.empty((k, n)), np.empty((k, n - 1)), np.empty((k, n - 1))
+
+
 def compensated_sum(x) -> np.ndarray:
     """Sum along the last axis, as if accumulated in twice the working precision.
 
@@ -53,25 +72,8 @@ def compensated_sum(x) -> np.ndarray:
     the errors are added back at the end.
     """
     x = np.asarray(x, dtype=np.float64)
-    s = np.cumsum(x, axis=-1)
-    prev, cur = s[..., :-1], s[..., 1:]
-    b = cur - prev
-    err = (prev - (cur - b)) + (x[..., 1:] - b)
-    return s[..., -1] + err.sum(axis=-1)
-
-
-def _block_norms(x: np.ndarray, r: float) -> np.ndarray:
-    x = np.abs(x).astype(np.float64, copy=False)
-    top = x.max(axis=-1)
-    if r == INF:
-        return top
-    if r > _POW2_SCALING_MAX_R:
-        scale = np.where(top > 0.0, top, 1.0)
-    else:
-        scale = np.ldexp(0.5, np.frexp(top)[1])
-    x /= scale[..., None]
-    x **= r
-    return compensated_sum(x) ** (1.0 / r) * scale
+    rows = x.reshape(-1, x.shape[-1])
+    return _sum2(rows, *_sum2_scratch(*rows.shape)).reshape(x.shape[:-1])[()]
 
 
 def fiber_norms(a, r: float) -> np.ndarray:
@@ -80,16 +82,34 @@ def fiber_norms(a, r: float) -> np.ndarray:
     Each fiber is divided by the power of two that brings its largest
     modulus into [1, 2). That is exact, so sums of integers stay exact; for
     r > 512, where x**r could then overflow, the divisor is the largest
-    modulus itself. Large tensors go a block of fibers at a time. r is not
-    validated.
+    modulus itself. Large tensors go a block of fibers at a time, and the
+    scratch for one block (|x|, running totals, TwoSum terms) is allocated
+    once per call and reused by every block. r is not validated.
     """
     a = np.asarray(a)
     n = a.shape[-1]
     rows = a.reshape(-1, n)
     out = np.empty(len(rows))
-    step = max(1, _BLOCK // n)
+    step = max(1, min(len(rows), _BLOCK // n))
+    xbuf = np.empty((step, n))
+    sbuf, bbuf, tbuf = _sum2_scratch(step, n)
     for lo in range(0, len(rows), step):
-        out[lo : lo + step] = _block_norms(rows[lo : lo + step], r)
+        block = rows[lo : lo + step]
+        k = len(block)
+        # unsafe casting converts any input dtype as astype(float64) would
+        x = np.abs(block, out=xbuf[:k], casting="unsafe")
+        top = x.max(axis=-1)
+        if r == INF:
+            out[lo : lo + k] = top
+            continue
+        if r > _POW2_SCALING_MAX_R:
+            scale = np.where(top > 0.0, top, 1.0)
+        else:
+            scale = np.ldexp(0.5, np.frexp(top)[1])
+        x /= scale[:, None]
+        if r != 1.0:  # x ** 1 is x exactly
+            x **= r
+        out[lo : lo + k] = _sum2(x, sbuf[:k], bbuf[:k], tbuf[:k]) ** (1.0 / r) * scale
     return out.reshape(a.shape[:-1])
 
 

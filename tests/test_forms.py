@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,9 +245,47 @@ def test_product_extension_degenerate_and_errors():
 
 
 def test_form_immutable():
-    form = diagonal_form(2, 3, (2, 2))
-    with pytest.raises(ValueError):
-        form.coefficients[0, 0] = 5.0
+    base, _ = ksz_random_form(2, 3, (2, 2), seed=1)
+    factory_forms = [
+        base,
+        ksz_random_form(2, 3, (2, 2), seed=1, complex_phases=True)[0],
+        diagonal_form(2, 3, (2, 2)),
+        row_form(2, 3, (2, 2)),
+        product_extension(base, 3, (2,)),
+        product_extension(base, 2, ()),
+    ]
+    for form in factory_forms:
+        assert not form.coefficients.flags.writeable
+        with pytest.raises(ValueError):
+            form.coefficients[(0,) * form.arity] = 5.0
+
+
+def test_form_does_not_alias_caller_arrays():
+    src = np.arange(6.0).reshape(2, 3)
+    ro_view = src.view()
+    ro_view.flags.writeable = False
+    fortran = np.asfortranarray(src)
+    want = src.copy()
+    forms = [MultilinearForm(coefficients=a, p=(2, 2)) for a in (src, ro_view, fortran)]
+    src[...] = -1.0  # also the memory behind the read-only view
+    fortran[...] = -1.0
+    for form in forms:
+        assert np.array_equal(form.coefficients, want)
+        assert not form.coefficients.flags.writeable
+        assert form.coefficients.flags.c_contiguous
+    assert src.flags.writeable
+
+
+def test_ksz_random_form_makes_no_second_array():
+    tracemalloc.start()
+    try:
+        form, _ = ksz_random_form(2, 1024, (INF, INF), seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the draws become the coefficients in place; only the finiteness
+    # check's boolean mask (1/8 of the bytes) comes on top
+    assert peak <= 1.25 * form.coefficients.nbytes
 
 
 def test_form_validation():

@@ -268,12 +268,52 @@ def test_ascent_capped_rows_match_reference(n, p, restarts, best_converged):
     assert [w.tobytes() for w in est.witness] == [w.tobytes() for w in witness]
 
 
-def test_ascent_raises_instead_of_returning_nan():
-    # numpy's complex division by a subnormal modulus overflows, so this
-    # form's dual maximizer yields NaN; the ascent must not report it
-    form = MultilinearForm(coefficients=[[1.0, 0.0], [0.0, 1e-310 * (1 + 1j)]], p=(2, 2))
-    with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="fell"):
+def test_ascent_raises_instead_of_returning_nan(monkeypatch):
+    # a maximizer whose value turns NaN must make the ascent raise, not
+    # report the NaN
+    real = norms_module.dual_maximizer
+
+    def nan_value(c, p):
+        x, value = real(c, p)
+        return x, value * np.nan
+
+    monkeypatch.setattr(norms_module, "dual_maximizer", nan_value)
+    form, _ = ksz_random_form(2, 3, (2.0, 2.0), seed=0)
+    with pytest.raises(ArithmeticError, match="fell"):
         alternating_ascent(form, restarts=2)
+
+
+def test_dual_maximizer_subnormal_complex_moduli():
+    # numpy's complex division by a subnormal modulus overflows to inf+nanj
+    c = np.array([1e-310 * (1 + 1j), 3e-320j, 0.0, 2e-308 - 1e-309j])
+    for p in (1.0, 1.5, 2.0, INF):
+        x, value = dual_maximizer(c, p)
+        assert np.all(np.isfinite(x)) and math.isfinite(value)
+        assert lp_norm(x, p) <= 1.0 + 1e-12
+        assert (c @ x).real == pytest.approx(value, rel=1e-12, abs=0.0)
+    x, _ = dual_maximizer(c, INF)
+    assert np.allclose(x, [(1 - 1j) / math.sqrt(2), -1j, 1.0, np.conj(c[3]) / abs(c[3])])
+
+
+@pytest.mark.parametrize(
+    "coefficients, p",
+    [
+        # the functionals reach the subnormal entry directly
+        ([[1.0, 0.0], [0.0, 1e-310 * (1 + 1j)]], (2.0, 2.0)),
+        # (a / top) ** (p' - 1) = 0.695 ** 2000 is subnormal, so the next
+        # slot's functional is too
+        (np.diag([1.0, 0.695j, 0.69 * (1 + 1j) / math.sqrt(2)]), (1.0005, 1.0005)),
+    ],
+)
+def test_ascent_finite_on_subnormal_complex_functionals(coefficients, p):
+    form = MultilinearForm(coefficients=coefficients, p=p)
+    with np.errstate(under="ignore"):
+        est = alternating_ascent(form, restarts=4)
+    assert math.isfinite(est.value) and est.value == pytest.approx(1.0, rel=1e-12)
+    for w, pj in zip(est.witness, form.p):
+        assert np.all(np.isfinite(w))
+        assert lp_norm(w, pj) <= 1.0 + 1e-12
+    assert abs(evaluate(form, est.witness)) == pytest.approx(est.value, rel=1e-9)
 
 
 def test_ascent_validation():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,44 @@ from mixedsums import (
     tensor_from_obj,
     tensor_to_obj,
 )
-from mixedsums.tensors import fiber_norms
+from mixedsums.tensors import _BLOCK, fiber_norms
+
+
+def _sum2(x):
+    # unbuffered Ogita-Rump-Oishi Sum2 along the last axis
+    s = np.cumsum(x, axis=-1)
+    prev, cur = s[..., :-1], s[..., 1:]
+    b = cur - prev
+    err = (prev - (cur - b)) + (x[..., 1:] - b)
+    return s[..., -1] + err.sum(axis=-1)
+
+
+def _block_norms(x, r):
+    # one block of fibers, every temporary freshly allocated
+    x = np.abs(x).astype(np.float64, copy=False)
+    top = x.max(axis=-1)
+    if r == INF:
+        return top
+    if r > 512.0:
+        scale = np.where(top > 0.0, top, 1.0)
+    else:
+        scale = np.ldexp(0.5, np.frexp(top)[1])
+    x /= scale[..., None]
+    x **= r
+    return _sum2(x) ** (1.0 / r) * scale
+
+
+def _reference_fiber_norms(a, r):
+    # fiber_norms with fresh temporaries in every block: the reference for
+    # the bits of the buffered kernel
+    a = np.asarray(a)
+    n = a.shape[-1]
+    rows = a.reshape(-1, n)
+    out = np.empty(len(rows))
+    step = max(1, _BLOCK // n)
+    for lo in range(0, len(rows), step):
+        out[lo : lo + step] = _block_norms(rows[lo : lo + step], r)
+    return out.reshape(a.shape[:-1])
 
 
 def test_mixed_norm_examples():
@@ -131,6 +169,55 @@ def test_fiber_norms_blocks_match_single_fibers():
     for r in (1.0, 2.5, INF):
         whole = fiber_norms(a, r)
         assert np.array_equal(whole, [fiber_norms(row, r) for row in a])
+
+
+def _grid_tensor(shape, data, layout, seed):
+    g = np.random.Generator(np.random.PCG64(seed))
+    if data == "normal":
+        a = g.standard_normal(shape)
+    elif data == "mixed":  # entries from 1e-150 to 1e150, so Sum2's errors matter
+        a = g.standard_normal(shape) * 10.0 ** g.choice([-150.0, 0.0, 150.0], shape)
+    elif data == "int":
+        a = g.integers(-1000, 1000, shape)
+    else:
+        a = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+    return np.asfortranarray(a) if layout == "F" else a
+
+
+# n = 1; n = 3000 does not divide 2**15 and leaves a short last block;
+# n = 40000 is more than one block per fiber
+@pytest.mark.parametrize("shape", [(5, 1), (25, 3000), (2, 40000), (3, 7, 300)])
+@pytest.mark.parametrize("data", ["normal", "mixed", "int", "complex"])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_fiber_norms_match_unbuffered_blocks(shape, data, layout):
+    a = _grid_tensor(shape, data, layout, seed=len(shape) + shape[-1])
+    for r in (0.5, 1.0, 4 / 3, 2.0, 3.0, 600.0, INF):
+        got = fiber_norms(a, r)
+        assert got.shape == shape[:-1]
+        assert got.tobytes() == _reference_fiber_norms(a, r).tobytes(), r
+
+
+def test_compensated_sum_matches_unbuffered_sum2():
+    g = np.random.Generator(np.random.PCG64(20))
+    for shape in ((1,), (9,), (3, 1000), (2, 3, 50)):
+        x = g.standard_normal(shape) * 10.0 ** g.choice([-150.0, 0.0, 150.0], shape)
+        for a in (x, np.asfortranarray(x)):
+            assert np.asarray(compensated_sum(a)).tobytes() == _sum2(x).tobytes()
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_mixed_norm_temporaries_stay_small(n):
+    a = np.ones((n, n))
+    tracemalloc.start()
+    try:
+        for r in ((1.0, 1.0), (2.0, 3.0), (INF, 0.5)):
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            mixed_norm(a, r)
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - base <= 2 * 2**20, r
+    finally:
+        tracemalloc.stop()
 
 
 def test_mixed_norm_deterministic():

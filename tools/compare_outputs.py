@@ -14,8 +14,13 @@ seeds and hashes ``repr(value)`` plus the witness bytes. Through
 ``generate`` for every family (plus ``--complex`` and ``--n2``), of
 ``norm --method brute|ascent|analytic`` on generated forms (ascent also at
 p_j = 1, at m = 1 and m = 3, at n = 64 and with a cap of two sweeps), of
-inline-flag ``experiment`` runs and of ``verify-holder``. It prints one
-line per payload and exits 1 if any payload differs.
+inline-flag ``experiment`` runs and of ``verify-holder``. Last, it hashes
+``tensors.fiber_norms`` and ``mixed_norm`` on seeded tensors whose Sum2
+error terms are not zero (standard normal, and magnitudes from 1e-150 to
+1e150; n = 1, n = 3000 and n = 40000; C and Fortran order, int and
+complex entries) at r in {0.5, 1, 4/3, 2, 3, 600, inf}, and the
+coefficient bytes of ``ksz_random_form(2, 2048)``. It prints one line per
+payload and exits 1 if any payload differs.
 """
 
 from __future__ import annotations
@@ -76,6 +81,10 @@ EXPERIMENTS = [
     "--family product_extension --m 3 --k 2 --p inf,inf,inf --r 1,2,2 --n-values 2,3,4 --norm-method paper_bound",
 ]
 HOLDER = ["--trials 40", "--trials 40 --m 3 --N 4 --seed 9"]
+# fiber lengths: one entry, one that does not divide the 2**15-entry
+# block, and more than one block per fiber
+KERNEL_SHAPES = [(6, 1), (25, 3000), (2, 40000), (3, 7, 300)]
+KERNEL_R = (0.5, 1.0, 4 / 3, 2.0, 3.0, 600.0, float("inf"))
 
 
 def cli_payloads(tmp: Path) -> dict[str, str]:
@@ -106,6 +115,38 @@ def cli_payloads(tmp: Path) -> dict[str, str]:
     return out
 
 
+def kernel_payloads() -> dict[str, str]:
+    """fiber_norms and mixed_norm bits on data where Sum2 compensates.
+
+    Every bound_growth tensor is +-1, so there each compensation term is 0
+    and a broken Sum2 would go unseen.
+    """
+    import numpy as np
+    from mixedsums import forms, tensors
+
+    out = {}
+    for idx, shape in enumerate(KERNEL_SHAPES):
+        g = np.random.Generator(np.random.PCG64(idx))
+        normal = g.standard_normal(shape)
+        tensors_by_kind = {
+            "normal": normal,
+            "mixed": normal * 10.0 ** g.choice([-150.0, 0.0, 150.0], shape),
+            "fortran": np.asfortranarray(g.standard_normal(shape)),
+            "int": g.integers(-1000, 1000, shape),
+            "complex": normal + 1j * g.standard_normal(shape),
+        }
+        for kind, a in tensors_by_kind.items():
+            parts = []
+            for r in KERNEL_R:
+                parts.append(tensors.fiber_norms(a, r).tobytes().hex())
+                rs = (2.0, 3.0, r)[-a.ndim :]
+                parts.append(repr(tensors.mixed_norm(a, rs).value))
+            out[f"kernel:{kind}:{'x'.join(map(str, shape))}"] = " ".join(parts)
+    form, _ = forms.ksz_random_form(2, 2048, (2.0, 2.0), seed=0)
+    out["kernel:ksz_random_form(2, 2048)"] = hashlib.sha256(form.coefficients.tobytes()).hexdigest()
+    return out
+
+
 def digests() -> dict[str, str]:
     """sha256 of every payload, in this interpreter."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -130,6 +171,7 @@ def digests() -> dict[str, str]:
                 witness = b"".join(w.tobytes() for w in est.witness)
                 out[f"seed{seed}:{item.name}"] = repr(est.value) + witness.hex()
         out.update(cli_payloads(Path(tmp)))
+    out.update(kernel_payloads())
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}
 
 
