@@ -70,6 +70,12 @@ def as_exponent_vector(v, m: int | None = None, name: str = "p") -> tuple[float,
     return entries
 
 
+def _excess(terms, k: int) -> float:
+    """max{sum(terms) - (k+1)/2, 0} in one fsum, the shape of every exponent
+    over an index set of size k (terms: its 1/r_j plus harmonic sums of p)."""
+    return max(math.fsum([*terms, -(k + 1.0) / 2.0]), 0.0)
+
+
 def exponent_to_json(x):
     """JSON form of an exponent: "inf" for inf, x otherwise; float() decodes both."""
     return "inf" if x == INF else x
@@ -185,12 +191,7 @@ def unified_exponent(m: int, p, r) -> UnifiedExponents:
     s_case1 = None
     if all(2.0 <= pj <= 2.0 * m for pj in p):
         m2 = m_less_set(2.0, r)
-        if not m2:
-            s_case1 = 0.0
-        else:
-            terms = [1.0 / r[j - 1] for j in sorted(m2)]
-            terms += [h, -(len(m2) + 1.0) / 2.0]
-            s_case1 = max(math.fsum(terms), 0.0)
+        s_case1 = _excess([*(1.0 / r[j - 1] for j in m2), h], len(m2)) if m2 else 0.0
 
     s_case2 = None
     if h <= 0.5:
@@ -200,11 +201,10 @@ def unified_exponent(m: int, p, r) -> UnifiedExponents:
         if k == 0:
             s_case2 = 0.0
         elif k == m:
-            terms = [1.0 / rj for rj in r] + [h, -(m + 1.0) / 2.0]
-            s_case2 = max(math.fsum(terms), 0.0)
+            s_case2 = _excess([*(1.0 / rj for rj in r), h], m)
         else:
             factor = (m + 1.0 - 2.0 * h) / (2.0 * m)
-            terms = [1.0 / r[j - 1] for j in sorted(mhl)] + [-factor * k]
+            terms = [1.0 / r[j - 1] for j in mhl] + [-factor * k]
             s_case2 = max(math.fsum(terms), 0.0)
 
     return UnifiedExponents(s_case1=s_case1, s_case2=s_case2)
@@ -235,7 +235,7 @@ def archiv_exponent(m: int, r, p) -> ArchivExponents:
     in_a = (r <= 2.0 and all(2.0 <= pj < 2.0 * m for pj in p)) or (
         r < INF and all(pj >= 2.0 * m for pj in p)
     )
-    s_a = max(math.fsum((m / r, -(m + 1.0) / 2.0, h)), 0.0) if in_a else None
+    s_a = _excess([m / r, h], m) if in_a else None
 
     s_b = None
     if p.count(p[0]) == m and p[0] < INF:
@@ -257,8 +257,7 @@ def alt_exponent(m: int, p, r) -> float:
         raise ValueError(f"requires |1/p| <= 1/2, got |1/p| = {h}")
     if any(not 1.0 <= rj <= 2.0 for rj in r):
         raise ValueError(f"requires r in [1,2]^m, got r = {r}")
-    terms = [1.0 / rj for rj in r] + [h, -(m + 1.0) / 2.0]
-    return max(math.fsum(terms), 0.0)
+    return _excess([*(1.0 / rj for rj in r), h], m)
 
 
 def delta_chain(p) -> tuple[float, ...]:
@@ -384,8 +383,8 @@ def linear_exponent(r, p) -> float:
     p = as_exponent(p, "p")
     if p < 1.0:
         raise ValueError(f"requires p >= 1, got p = {p}")
-    # 1/p' = 1 - 1/p
-    return max(math.fsum((1.0 / r, -1.0, 1.0 / p)), 0.0)
+    # 1/p' = 1 - 1/p, so this is the excess over S = {1}
+    return _excess([1.0 / r, 1.0 / p], 1)
 
 
 @dataclass(frozen=True)
@@ -503,10 +502,7 @@ def predict(m: int, p, r) -> ExponentReport:
 
     s_case1_lower = None
     if case1 and 0 < len(m2) < m:
-        terms = [1.0 / r[j - 1] for j in sorted(m2)]
-        terms += [1.0 / p[j - 1] for j in sorted(m2)]
-        terms += [-(len(m2) + 1.0) / 2.0]
-        s_case1_lower = max(math.fsum(terms), 0.0)
+        s_case1_lower = _excess([1.0 / v[j - 1] for v in (r, p) for j in m2], len(m2))
 
     s_alt = None
     if case2 and all(1.0 <= rj <= 2.0 for rj in r):

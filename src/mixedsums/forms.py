@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _rng
 from .exponents import as_exponent_vector, exponent_to_json
-from .tensors import tensor_from_obj, tensor_to_obj
+from .tensors import _integer, _read_field, _vector, tensor_from_obj, tensor_to_obj
 
 __all__ = [
     "MultilinearForm",
@@ -280,12 +280,8 @@ def form_to_obj(form: MultilinearForm) -> dict:
 def form_from_obj(obj) -> MultilinearForm:
     """Inverse of form_to_obj."""
     coeffs = tensor_from_obj(obj)
-    try:
-        p = tuple(float(x) for x in obj["p"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError("form object needs a 'p' field listing exponents") from None
-    kind = obj.get("kind", "custom")
-    seed = obj.get("seed")
+    p = _read_field(obj, "p", _vector(float), "form")
+    seed = None if obj.get("seed") is None else _read_field(obj, "seed", _integer, "form")
     return MultilinearForm(
-        coefficients=coeffs, p=p, kind=kind, seed=None if seed is None else int(seed)
+        coefficients=coeffs, p=p, kind=obj.get("kind", "custom"), seed=seed
     )

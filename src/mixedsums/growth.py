@@ -7,18 +7,28 @@ exponent, compared against the predicted exponent in one of two modes:
 match (optimality: |slope - s| <= tol) or upper_bound (validity:
 slope <= s + tol).
 
-Random families evaluate `draws` independent sign draws per n and keep the
-draw with the largest operator norm (smallest draw index on ties); the norm
-denominator of the reported ratio belongs to that draw. All randomness
-derives from (seed, n, draw_index) and rows are computed one after another
-in one thread, so output is reproducible bit-for-bit.
+Random families (ksz, product_extension) evaluate `draws` independent sign
+draws per n and keep the draw with the largest operator norm (smallest
+draw index on ties); the norm denominator of the reported ratio belongs to
+that draw, and the row reports draws_used = draws. The closed families
+(diagonal, row) and the paper_bound method take one draw and report
+draws_used = 0. The custom-file family gives one row per form in its
+file, with n the form's first dimension and draws_used = 0.
+
+paper_bound fills the norm column with a closed form instead of an
+estimate: the analytic norm for diagonal and row, and
+n^{ksz_bound_exponent(p[:k])} for ksz (k = m) and product_extension (its
+base arity k), the unit-constant norm bound of a k-linear sign form. A fit
+over such rows is bound_relative.
+
+All randomness derives from (seed, n, draw_index) and rows are computed
+one after another in one thread, so output is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass
 
 from . import _rng
@@ -34,7 +44,7 @@ from .forms import (
 )
 from .norms import DEFAULT_BUDGET, DEFAULT_MAX_ITERS, DEFAULT_TOL, NormEstimate
 from .norms import alternating_ascent, analytic_norm, brute_force_norm
-from .tensors import mixed_norm
+from .tensors import _integer, _read_field, _vector, mixed_norm
 
 __all__ = [
     "FAMILIES",
@@ -59,6 +69,8 @@ FAMILIES = ("ksz", "diagonal", "row", "product_extension", "custom-file")
 NORM_METHODS = ("brute", "ascent", "analytic", "paper_bound")
 DEFAULT_FIT_TOLERANCE = 0.15
 CSV_HEADER = "n,lhs,norm,norm_kind,ratio,draws_used"
+# families with a closed-form norm: one draw per n, no random sign
+_CLOSED = ("diagonal", "row")
 
 
 @dataclass(frozen=True)
@@ -66,11 +78,11 @@ class ExperimentConfig:
     """One growth experiment.
 
     k is the base arity for the product_extension family (k = m collapses
-    to a plain sign form); form_file names a JSON file with a list of forms
-    for the custom-file family, whose rows replace the generated ones
-    (n_values is then ignored). For the custom-file family the declared
-    (m, p) describe the file's forms for prediction purposes; each form's
-    own p drives the norm estimate.
+    to a plain sign form); form_file names a JSON file with a list of forms,
+    or one form object, for the custom-file family, whose rows replace the
+    generated ones (n_values is then ignored). For the custom-file family
+    the declared (m, p) describe the file's forms for prediction purposes;
+    each form's own p drives the norm estimate.
     """
 
     family: str
@@ -115,7 +127,7 @@ class ExperimentConfig:
                 raise ValueError("product_extension requires k in [1, m]")
         if self.family == "custom-file" and not self.form_file:
             raise ValueError("custom-file family requires form_file")
-        if self.norm_method == "analytic" and self.family not in ("diagonal", "row"):
+        if self.norm_method == "analytic" and self.family not in _CLOSED:
             raise ValueError("analytic norms exist only for diagonal and row families")
         if self.norm_method == "paper_bound" and self.family == "custom-file":
             raise ValueError("paper_bound has no closed form for custom files")
@@ -214,60 +226,46 @@ def _make_draw(config: ExperimentConfig, n: int, d: int) -> MultilinearForm:
 
 def _estimate(config: ExperimentConfig, form: MultilinearForm, n: int, d: int):
     """(value, kind) of draw d at size n under the configured method."""
-    seed = _rng.derive_seed(config.seed, n, d, 1)
-    est = estimate_norm(form, config.norm_method, config.restarts, seed, config.tol)
-    return est.value, est.kind
+    if config.norm_method != "paper_bound":
+        seed = _rng.derive_seed(config.seed, n, d, 1)
+        est = estimate_norm(form, config.norm_method, config.restarts, seed, config.tol)
+        return est.value, est.kind
+    if config.family in _CLOSED:
+        return analytic_norm(form).value, "paper_bound"
+    # norm bound of the base k-linear sign form
+    k = config.m if config.family == "ksz" else config.k
+    return float(n) ** ksz_bound_exponent(config.p[:k]), "paper_bound"
 
 
-def _row(n: int, lhs: float, value: float, kind: str, draws_used: int) -> GrowthRow:
+def _row(config: ExperimentConfig, n: int, forms, draws_used: int) -> GrowthRow:
+    """The row at size n: of the draws in `forms`, the one with the largest
+    norm wins (the first on ties) and its coefficients give lhs."""
+    best = None
+    for d, form in enumerate(forms):
+        value, kind = _estimate(config, form, n, d)
+        if best is None or value > best[0]:
+            best = (value, kind, form)
+    value, kind, form = best
+    lhs = mixed_norm(form.coefficients, config.r).value
     if value == 0.0:
         raise ValueError(f"the norm is 0 at n={n}, so the ratio is undefined")
     return GrowthRow(n, lhs, value, kind, lhs / value, draws_used)
 
 
-def _row_for_n(config: ExperimentConfig, n: int) -> GrowthRow:
-    """Keep the draw with the largest norm; closed families and paper_bound
-    take one draw and report draws_used = 0."""
-    closed = config.family in ("diagonal", "row")
-    single = closed or config.norm_method == "paper_bound"
-    best = None
-    for d in range(1 if single else config.draws):
-        form = _make_draw(config, n, d)
-        if config.norm_method != "paper_bound":
-            value, kind = _estimate(config, form, n, d)
-        elif closed:
-            value, kind = analytic_norm(form).value, "paper_bound"
-        else:
-            # norm bound of the base k-linear sign form
-            k = config.m if config.family == "ksz" else config.k
-            value, kind = float(n) ** ksz_bound_exponent(config.p[:k]), "paper_bound"
-        if best is None or value > best[0]:
-            best = (value, kind, form)
-    value, kind, form = best
-    lhs = mixed_norm(form.coefficients, config.r).value
-    return _row(n, lhs, value, kind, 0 if single else config.draws)
-
-
-def _rows_from_file(config: ExperimentConfig) -> tuple[GrowthRow, ...]:
-    with open(config.form_file) as f:
-        payload = json.load(f)
-    if isinstance(payload, dict):
-        payload = [payload]
-    rows = []
-    for obj in payload:
-        form = form_from_obj(obj)
-        lhs = mixed_norm(form.coefficients, config.r).value
-        n = form.shape[0]
-        value, kind = _estimate(config, form, n, 0)
-        rows.append(_row(n, lhs, value, kind, 0))
-    return tuple(rows)
-
-
 def run_growth(config: ExperimentConfig) -> GrowthSeries:
     """Run one experiment; rows are computed in n order in the calling thread."""
     if config.family == "custom-file":
-        return GrowthSeries(config=config, rows=_rows_from_file(config))
-    rows = tuple(_row_for_n(config, n) for n in config.n_values)
+        with open(config.form_file) as f:
+            payload = json.load(f)
+        objs = [payload] if isinstance(payload, dict) else payload
+        rows = tuple(_row(config, form.shape[0], [form], 0) for form in map(form_from_obj, objs))
+    else:
+        single = config.family in _CLOSED or config.norm_method == "paper_bound"
+        used = 0 if single else config.draws
+        rows = tuple(
+            _row(config, n, (_make_draw(config, n, d) for d in range(used or 1)), used)
+            for n in config.n_values
+        )
     return GrowthSeries(config=config, rows=rows)
 
 
@@ -307,26 +305,18 @@ def loglog_fit(
     ys = [math.log(ratio) for _, ratio in pts]
     n_pts = len(pts)
     if n_pts < 3 or len(set(xs)) < 2:
-        return FitResult(
-            slope=math.nan,
-            intercept=math.nan,
-            r_squared=0.0,
-            n_points=n_pts,
-            predicted=report,
-            verdict="inconclusive",
-            tolerance=tolerance,
-            mode=mode,
-            bound_relative=bound_relative,
-        )
-    xm = math.fsum(xs) / n_pts
-    ym = math.fsum(ys) / n_pts
-    sxx = math.fsum((x - xm) ** 2 for x in xs)
-    sxy = math.fsum((x - xm) * (y - ym) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = ym - slope * xm
-    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = math.fsum((y - ym) ** 2 for y in ys)
-    r2 = 1.0 if ss_tot <= 1e-20 else 1.0 - ss_res / ss_tot
+        slope = intercept = math.nan
+        r2 = 0.0
+    else:
+        xm = math.fsum(xs) / n_pts
+        ym = math.fsum(ys) / n_pts
+        sxx = math.fsum((x - xm) ** 2 for x in xs)
+        sxy = math.fsum((x - xm) * (y - ym) for x, y in zip(xs, ys))
+        slope = sxy / sxx
+        intercept = ym - slope * xm
+        ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+        ss_tot = math.fsum((y - ym) ** 2 for y in ys)
+        r2 = 1.0 if ss_tot <= 1e-20 else 1.0 - ss_res / ss_tot
     return FitResult(
         slope=slope,
         intercept=intercept,
@@ -367,26 +357,6 @@ def config_to_obj(config: ExperimentConfig) -> dict:
     return obj
 
 
-def _integer(v) -> int:
-    """v as an int; bools, strings and floats with a fraction are rejected."""
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    if isinstance(v, bool):
-        raise TypeError(f"{v!r} is not an integer")
-    return operator.index(v)
-
-
-def _vector(cast):
-    """Reader of a list or tuple, not a string, casting every entry."""
-
-    def read(v) -> tuple:
-        if not isinstance(v, (list, tuple)):
-            raise TypeError(f"{v!r} is not a list")
-        return tuple(cast(x) for x in v)
-
-    return read
-
-
 _FIELD_CASTS = {
     "m": _integer,
     "p": _vector(float),
@@ -413,10 +383,7 @@ def config_from_obj(obj) -> ExperimentConfig:
     kwargs = {"family": obj["family"]}
     for key, cast in _FIELD_CASTS.items():
         if obj.get(key) is not None:
-            try:
-                kwargs[key] = cast(obj[key])
-            except (TypeError, ValueError) as e:
-                raise ValueError(f"config field {key!r}: {e}") from None
+            kwargs[key] = _read_field(obj, key, cast, "config")
     return ExperimentConfig(**kwargs)
 
 

@@ -151,12 +151,13 @@ def alternating_ascent(
             # at m = 1 c is the coefficient vector, shared by every row
             c = partial_contract(form, rows, j)
             rows[j], val = dual_maximizer(np.broadcast_to(c, rows[j].shape), pj)
-            # each exact slot update can only raise the objective; NaN counts
-            # as a fall
-            fell = np.flatnonzero(~(val >= last * (1.0 - 1e-9) - 1e-300))
+            # each exact slot update can only raise the objective, which is
+            # finite; NaN counts as a fall, and so does an overflow to inf
+            fell = np.flatnonzero(~(val >= last * (1.0 - 1e-9) - 1e-300) | (val == INF))
             if fell.size:
                 raise ArithmeticError(
-                    f"ascent objective fell at slot {j} in restarts {active[fell].tolist()}"
+                    f"ascent objective fell or overflowed at slot {j} in restarts "
+                    f"{active[fell].tolist()}"
                 )
             last = val
         for x, row in zip(xs, rows):
@@ -286,20 +287,14 @@ def brute_force_norm(
         raise ValueError("brute force requires real coefficients")
     m = form.arity
     dims = form.shape
-    coeffs = form.coefficients
-
-    if m == 1:
-        x, val = dual_maximizer(coeffs, INF)
-        return NormEstimate(
-            value=val, kind="exact", witness=[x], restarts_used=0, converged=True
-        )
-
     total = math.prod(2 ** (n - 1) for n in dims[:-1])
     if total > budget:
         raise ValueError(
             f"enumeration needs {total} sign patterns, budget is {budget}"
         )
-    _, idx = _scan(np.asarray(coeffs, dtype=np.float64)[None])
+    idx = 0  # at m = 1 there is nothing to enumerate, only the last slot
+    if m > 1:
+        _, idx = _scan(np.asarray(form.coefficients, dtype=np.float64)[None])
 
     # rebuild the winning witness and recompute its exact value
     witness = []

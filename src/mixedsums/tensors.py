@@ -15,6 +15,7 @@ fixed index order in one thread, so results are bit-identical run to run.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,18 +234,49 @@ def tensor_to_obj(a) -> dict:
     return obj
 
 
+def _integer(v) -> int:
+    """v as an int; bools, strings and floats with a fraction are rejected."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is not an integer")
+    return operator.index(v)
+
+
+def _vector(cast):
+    """Reader of a list or tuple, not a string, casting every entry."""
+
+    def read(v) -> tuple:
+        if not isinstance(v, (list, tuple)):
+            raise TypeError(f"{v!r} is not a list")
+        return tuple(cast(x) for x in v)
+
+    return read
+
+
+def _read_field(obj, key: str, cast, owner: str):
+    """cast(obj[key]); a missing or malformed field raises a ValueError naming it.
+
+    The one reader of JSON fields: tensors, forms and experiment configs
+    all decode theirs through it.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a {owner} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"{owner} object needs a {key!r} field")
+    try:
+        return cast(obj[key])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{owner} field {key!r}: {e}") from None
+
+
 def tensor_from_obj(obj) -> np.ndarray:
     """Inverse of tensor_to_obj, with shape/finiteness validation."""
-    try:
-        shape = tuple(int(n) for n in obj["shape"])
-        data = obj["data"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"tensor object needs 'shape' and 'data' fields: {e}") from None
+    shape = _read_field(obj, "shape", _vector(_integer), "tensor")
+    data = _read_field(obj, "data", _vector(lambda x: x), "tensor")
     if any(n < 1 for n in shape):
         raise ValueError(f"shape entries must be positive, got {shape}")
     size = int(np.prod(shape)) if shape else 1
-    if not isinstance(data, list):
-        raise ValueError("tensor 'data' must be a list")
     if len(data) != size:
         raise ValueError(f"data length {len(data)} does not match shape {shape}")
     try:

@@ -377,6 +377,35 @@ def test_malformed_input_files_are_errors(tmp_path, capsys, obj):
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("shape", "22"), ("shape", [2.9]), ("shape", [True, 2]),
+        ("p", "44"), ("seed", 2.9), ("seed", "7"),
+    ],
+)
+def test_misread_form_fields_are_errors(tmp_path, capsys, key, value):
+    # a lenient reader takes each for another value: "22" for (2, 2), [2.9]
+    # for (2,), [true, 2] for (1, 2), "44" for (4.0, 4.0), 2.9 for 2, "7" for 7
+    from mixedsums import form_from_obj, tensor_from_obj
+
+    obj = {"shape": [2, 2], "data": [1.0, 2.0, 3.0, 4.0], "p": [4, 4], "seed": 3, key: value}
+    owner = "tensor" if key == "shape" else "form"
+    with pytest.raises(ValueError, match=f"^{owner} field '{key}'"):
+        form_from_obj(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    commands = [("norm", "--input", str(path), "--method", "ascent")]
+    if key == "shape":
+        with pytest.raises(ValueError, match="^tensor field 'shape'"):
+            tensor_from_obj(obj)
+        commands.append(("mixed-norm", "--input", str(path), "--r", "1,1"))
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {owner} field '{key}'")
+
+
 def test_verify_holder_splitting_message_matches_library(capsys):
     from mixedsums import holder_verify
 

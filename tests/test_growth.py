@@ -255,6 +255,27 @@ def test_paper_bound_method():
         assert row.norm == float(row.n) ** 1.5
 
 
+@pytest.mark.parametrize("family", ["ksz", "diagonal", "row"])
+def test_paper_bound_builds_one_form_per_n(monkeypatch, family):
+    import mixedsums.growth as growth_module
+
+    built = []
+    real = growth_module.make_form
+
+    def counting(family, m, n, *args, **kwargs):
+        built.append(n)
+        return real(family, m, n, *args, **kwargs)
+
+    monkeypatch.setattr(growth_module, "make_form", counting)
+    cfg = ExperimentConfig(
+        family=family, m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 4),
+        norm_method="paper_bound", draws=5,
+    )
+    rows = run_growth(cfg).rows
+    assert built == [2, 3, 4]
+    assert [row.draws_used for row in rows] == [0, 0, 0]
+
+
 def test_csv_round_trip():
     cfg = ExperimentConfig(
         family="ksz",
@@ -339,6 +360,18 @@ def test_custom_file_family(tmp_path):
         )
     )
     assert len(series.rows) == 1
+
+
+def test_custom_file_form_of_another_arity_is_an_error(tmp_path):
+    form, _ = ksz_random_form(3, 2, (INF, INF, INF), seed=1)
+    path = tmp_path / "forms.json"
+    path.write_text(json.dumps([form_to_obj(form)]))
+    cfg = ExperimentConfig(
+        family="custom-file", m=2, p=(INF, INF), r=(1.0, 1.0),
+        norm_method="brute", form_file=str(path),
+    )
+    with pytest.raises(ValueError, match="r has length 2, expected m=3"):
+        run_growth(cfg)
 
 
 def test_run_growth_deterministic_across_threads():

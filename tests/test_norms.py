@@ -283,6 +283,14 @@ def test_ascent_raises_instead_of_returning_nan(monkeypatch):
         alternating_ascent(form, restarts=2)
 
 
+def test_ascent_raises_when_the_norm_overflows():
+    # the norm is 2e308, beyond float64: an infinite "lower bound" would be
+    # no bound at all
+    form = MultilinearForm(coefficients=[[1e308, 1e308], [1e308, 1e308]], p=(2.0, 2.0))
+    with pytest.raises(ArithmeticError, match="overflowed"):
+        alternating_ascent(form, restarts=2)
+
+
 def test_dual_maximizer_subnormal_complex_moduli():
     # numpy's complex division by a subnormal modulus overflows to inf+nanj
     c = np.array([1e-310 * (1 + 1j), 3e-320j, 0.0, 2e-308 - 1e-309j])

@@ -12,9 +12,13 @@ experiments and the ``bound_growth`` benchmark experiments at seeds 0 and
 seeds and hashes ``repr(value)`` plus the witness bytes. Through
 ``cli.main`` it hashes the exit code, stdout, stderr and written files of
 ``generate`` for every family (plus ``--complex`` and ``--n2``), of
-``norm --method brute|ascent|analytic`` on generated forms (ascent also at
-p_j = 1, at m = 1 and m = 3, at n = 64 and with a cap of two sweeps), of
-inline-flag ``experiment`` runs and of ``verify-holder``. Last, it hashes
+``norm --method brute|ascent|analytic`` on generated forms (brute also at
+m = 1; ascent also at p_j = 1, at m = 1 and m = 3, at n = 64 and with a
+cap of two sweeps), of inline-flag ``experiment`` runs (brute, ascent with
+three draws, ``paper_bound`` on ksz, diagonal, row and product_extension,
+and the custom-file family on a list file and on a single-object file),
+of ``exponent --format json`` over a grid of (m, p, r) with m <= 3, and
+of ``verify-holder``. Last, it hashes
 ``tensors.fiber_norms`` and ``mixed_norm`` on seeded tensors whose Sum2
 error terms are not zero (standard normal, and magnitudes from 1e-150 to
 1e150; n = 1, n = 3000 and n = 40000; C and Fortran order, int and
@@ -28,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -53,6 +58,7 @@ FORMS = {
     "ksz_p1": "--family ksz --m 2 --n 7 --p 1,3 --seed 9",
     "ksz_m3_finite": "--family ksz --m 3 --n 5 --p 4,2,3 --seed 10",
     "ksz_m1": "--family ksz --m 1 --n 9 --p 3 --seed 11",
+    "ksz_m1_inf": "--family ksz --m 1 --n 9 --p inf --seed 11",
     "ksz_n64": "--family ksz --m 2 --n 64 --p 4,4 --seed 12",
 }
 # norm runs as (form name, extra flags)
@@ -74,12 +80,26 @@ NORMS = [
     ("ksz_m1", "--method ascent"),
     ("ksz_n64", "--method ascent"),
     ("ksz_p4", "--method ascent --max-iters 2"),
+    ("ksz_m1_inf", "--method brute"),
 ]
+# generated forms listed in one custom-file form file, forms.json
+FORM_LIST = ("ksz", "ksz_p4", "row", "ksz_complex")
+# experiment flags; {tmp} is the directory of the generated form files
 EXPERIMENTS = [
     "--family ksz --m 2 --p inf,inf --r 1,1 --n-values 2,3,4 --norm-method brute --draws 3",
     "--family row --m 2 --p 5,2 --r 1,1 --n-values 2,4,8",
     "--family product_extension --m 3 --k 2 --p inf,inf,inf --r 1,2,2 --n-values 2,3,4 --norm-method paper_bound",
+    "--family ksz --m 2 --p 4,4 --r 1,2 --n-values 2,3,4,5 --draws 3 --restarts 4 --seed 3",
+    "--family ksz --m 2 --p 4,inf --r 1,1 --n-values 2,4,8 --norm-method paper_bound --draws 5",
+    "--family diagonal --m 3 --p 4,4,2 --r 1,1,2 --n-values 2,4,8 --norm-method paper_bound --draws 5",
+    "--family row --m 2 --p inf,3 --r 1,1 --n-values 2,3,5,8 --norm-method paper_bound",
+    "--family custom-file --m 2 --p inf,inf --r 1,1 --norm-method ascent --restarts 3 --form-file {tmp}/forms.json",
+    "--family custom-file --m 2 --p inf,inf --r 1,1 --norm-method brute --form-file {tmp}/ksz.json",
 ]
+# exponent grid: every m, a p common to all slots or with the last slot
+# 3/2 (the anisotropic regime), and r common to all slots or r_1 then 2s
+EXPONENT_P = ("inf", "6", "4", "2", "3/2")
+EXPONENT_R = ("1", "4/3", "2", "3")
 HOLDER = ["--trials 40", "--trials 40 --m 3 --N 4 --seed 9"]
 # fiber lengths: one entry, one that does not divide the 2**15-entry
 # block, and more than one block per fiber
@@ -106,10 +126,20 @@ def cli_payloads(tmp: Path) -> dict[str, str]:
     for name, flags in NORMS:
         argv = ["norm", "--input", str(tmp / f"{name}.json"), *flags.split()]
         out[f"cli:norm:{name}:{flags}"] = run(argv)
+    listed = [json.loads((tmp / f"{name}.json").read_text()) for name in FORM_LIST]
+    (tmp / "forms.json").write_text(json.dumps(listed))
     for idx, flags in enumerate(EXPERIMENTS):
         csv = tmp / f"experiment{idx}.csv"
-        argv = ["experiment", *flags.split(), "--out", str(csv)]
+        argv = ["experiment", *flags.format(tmp=tmp).split(), "--out", str(csv)]
         out[f"cli:experiment{idx}"] = run(argv, csv, csv.with_suffix(".json"))
+    for m in (1, 2, 3):
+        runs = []
+        for pj, rj in itertools.product(EXPONENT_P, EXPONENT_R):
+            for p in dict.fromkeys([(pj,) * m, (pj,) * (m - 1) + ("3/2",)]):
+                for r in dict.fromkeys([(rj,) * m, (rj,) + ("2",) * (m - 1)]):
+                    argv = ["exponent", "--m", str(m), "--p", ",".join(p), "--r", ",".join(r)]
+                    runs.append(run([*argv, "--format", "json"]))
+        out[f"cli:exponent:m={m}"] = "\0".join(runs)
     for idx, flags in enumerate(HOLDER):
         out[f"cli:verify-holder{idx}"] = run(["verify-holder", *flags.split()])
     return out
