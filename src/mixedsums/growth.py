@@ -227,7 +227,8 @@ def _make_draw(config: ExperimentConfig, n: int, d: int) -> MultilinearForm:
 def _estimate(config: ExperimentConfig, form: MultilinearForm, n: int, d: int):
     """(value, kind) of draw d at size n under the configured method."""
     if config.norm_method != "paper_bound":
-        seed = _rng.derive_seed(config.seed, n, d, 1)
+        # only ascent draws from the seed, and deriving one costs ~20 us
+        seed = _rng.derive_seed(config.seed, n, d, 1) if config.norm_method == "ascent" else 0
         est = estimate_norm(form, config.norm_method, config.restarts, seed, config.tol)
         return est.value, est.kind
     if config.family in _CLOSED:
@@ -257,8 +258,14 @@ def run_growth(config: ExperimentConfig) -> GrowthSeries:
     if config.family == "custom-file":
         with open(config.form_file) as f:
             payload = json.load(f)
-        objs = [payload] if isinstance(payload, dict) else payload
-        rows = tuple(_row(config, form.shape[0], [form], 0) for form in map(form_from_obj, objs))
+        if isinstance(payload, dict):
+            payload = [payload]
+        elif not isinstance(payload, list):
+            raise ValueError(
+                f"form file {config.form_file} must hold a form object or a list "
+                f"of them, not {type(payload).__name__}"
+            )
+        rows = tuple(_row(config, form.shape[0], [form], 0) for form in map(form_from_obj, payload))
     else:
         single = config.family in _CLOSED or config.norm_method == "paper_bound"
         used = 0 if single else config.draws

@@ -8,7 +8,9 @@ Three estimators with honestly labeled kinds:
     in closed form) is an exact oracle. Signed row sums are tabulated by
     doubling, and each slot's sign bits are split into a low and a high
     table whose entries add up to the full table's, so a pattern costs
-    O(n_m) adds instead of O(n_1 ... n_m), without BLAS.
+    O(n_m) adds instead of O(n_1 ... n_m), without BLAS. Every sum formed
+    is a signed sum of some coefficients, so on integer forms with
+    sum |a| < 2**15 the scan runs exactly in int16, otherwise in float64.
   * alternating_ascent - lower bound for any p >= 1. Cyclically replaces one
     argument by the exact maximizer of the induced linear functional; the
     objective is monotone, so every run converges to a local maximum. The
@@ -45,7 +47,7 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 200
 DEFAULT_BUDGET = 2**24
-_SCAN_BLOCK = 2**16  # float64 entries in one enumeration block
+_SCAN_BLOCK = 2**16  # entries in one enumeration block
 
 
 @dataclass(frozen=True)
@@ -82,11 +84,14 @@ def dual_maximizer(c, p) -> tuple[np.ndarray, float | np.ndarray]:
     a = np.abs(c)
     # NumPy's complex division by a subnormal modulus overflows, e.g.
     # (1e-310+0j)/1e-310 = inf+nanj; such entries are scaled by 2**64 on
-    # both sides first, which is exact, and every other entry keeps its bits
+    # both sides first, which is exact. Only those entries are multiplied:
+    # a huge entry times 2**64 would overflow, and a complex one times
+    # 1 + 0j can flip the sign of a zero part
     sub = (a > 0.0) & (a < np.finfo(np.float64).tiny)
-    num = np.where(sub, c * 2.0**64, c)
-    den = np.where(sub, a * 2.0**64, np.where(a > 0.0, a, 1.0))
-    unit = np.where(a > 0.0, np.conj(num) / den, 1.0)
+    den = np.where(a > 0.0, a, 1.0)
+    for v in (c, den):  # c is this call's own copy
+        np.multiply(v, 2.0**64, out=v, where=sub)
+    unit = np.where(a > 0.0, np.conj(c) / den, 1.0)
     top = a.max(axis=-1, keepdims=True)
     live = top > 0.0
     pp = conjugate(p)
@@ -191,7 +196,7 @@ def _sign_table(first: float | np.ndarray, rows: np.ndarray) -> np.ndarray:
     exact.
     """
     n = rows.shape[-1]
-    table = np.empty(rows.shape[:-1] + (2**n,))
+    table = np.empty(rows.shape[:-1] + (2**n,), dtype=rows.dtype)
     table[..., :1] = first
     for i in range(n):
         half, row = table[..., : 2**i], rows[..., i : i + 1]
@@ -236,7 +241,7 @@ def _scan(x: np.ndarray) -> tuple[float, int]:
     step = max(1, _SCAN_BLOCK // (nl * per_row))
     rc, hc = max(1, step // nh), min(nh, step)
     if leaf:
-        acc_mem = np.empty((min(rc, rows), hc, nl))
+        acc_mem = np.empty((min(rc, rows), hc, nl), dtype=x.dtype)
         buf_mem = np.empty_like(acc_mem)
     best, best_idx = -1.0, 0
     for r0 in range(0, rows, rc):
@@ -247,7 +252,7 @@ def _scan(x: np.ndarray) -> tuple[float, int]:
             if leaf:
                 acc = acc_mem[: hi.shape[0], : hi.shape[-2]]
                 buf = buf_mem[: hi.shape[0], : hi.shape[-2]]
-                acc.fill(0.0)
+                acc.fill(0)
                 for col in range(rest[0]):
                     np.add(hi[:, col], lo[:, col], out=buf)
                     np.abs(buf, out=buf)
@@ -255,7 +260,7 @@ def _scan(x: np.ndarray) -> tuple[float, int]:
                 k = int(np.argmax(acc))
                 val, idx = float(acc.flat[k]), first + k
             else:
-                block = np.empty((hi.shape[0], hi.shape[-2], nl) + rest)
+                block = np.empty((hi.shape[0], hi.shape[-2], nl) + rest, dtype=x.dtype)
                 np.add(hi.transpose(back), lo.transpose(back), out=block)
                 val, k = _scan(block.reshape((-1,) + rest))
                 idx = first * below + k
@@ -279,7 +284,14 @@ def brute_force_norm(
     O(n_m) adds, O(2**(sum_j (n_j - 1)) * n_m) in total, in blocks of at
     most _SCAN_BLOCK entries. The winner is the first maximum in the flat
     pattern order (slot 1 most significant); its value is recomputed from
-    the witness, so `evaluate(form, witness)` reproduces it.
+    the witness in float64, so `evaluate(form, witness)` reproduces it.
+
+    When every coefficient is an integer and sum |a| < 2**15, the scan runs
+    in int16, otherwise in float64. Each table entry, block entry and leaf
+    sum is a signed sum over a subset of the coefficients, so its modulus
+    is at most sum |a| <= 2**15 - 1: int16 holds every one exactly, and the
+    scan finds the same first maximum as in float64 with four times the
+    values per SIMD register.
     """
     if any(pj != INF for pj in form.p):
         raise ValueError("brute force requires every domain exponent to be inf")
@@ -294,7 +306,11 @@ def brute_force_norm(
         )
     idx = 0  # at m = 1 there is nothing to enumerate, only the last slot
     if m > 1:
-        _, idx = _scan(np.asarray(form.coefficients, dtype=np.float64)[None])
+        a = np.asarray(form.coefficients, dtype=np.float64)
+        # int16 holds every sum the scan forms exactly here (see above)
+        if np.abs(a).sum() < 2**15 and (a == np.trunc(a)).all():
+            a = a.astype(np.int16)
+        _, idx = _scan(a[None])
 
     # rebuild the winning witness and recompute its exact value
     witness = []

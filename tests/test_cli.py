@@ -255,6 +255,20 @@ def test_experiment_zero_form_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "n=3" in err
 
 
+@pytest.mark.parametrize("payload", ["5", "true", "null", "1.5", '"abc"'])
+def test_experiment_form_file_of_a_scalar_is_an_error(tmp_path, capsys, payload):
+    path = tmp_path / "scalar.json"
+    path.write_text(payload)
+    code, out, err = run(
+        capsys, "experiment", "--family", "custom-file", "--m", "2",
+        "--p", "inf,inf", "--r", "1,1", "--form-file", str(path),
+        "--norm-method", "brute", "--out", str(tmp_path / "s.csv"),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "a form object or a list of them" in err
+
+
 def test_experiment_bound_relative_prefix(tmp_path, capsys):
     code, out, _ = run(
         capsys, "experiment", "--family", "diagonal", "--m", "2",

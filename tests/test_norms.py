@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,19 @@ def test_dual_maximizer_subnormal_complex_moduli():
     assert np.allclose(x, [(1 - 1j) / math.sqrt(2), -1j, 1.0, np.conj(c[3]) / abs(c[3])])
 
 
+def test_dual_maximizer_scales_only_subnormal_entries():
+    # scaling every entry by 2**64 would overflow at 1e300, and the complex
+    # product with 1 + 0j would turn the -0.0 imaginary part of 1 - 0j into 0.0
+    c = np.array([complex(1.0, -0.0), 1e300j, 1e-310 + 0j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, value = dual_maximizer(np.array([1e300, -2.0]), INF)
+        xc, _ = dual_maximizer(c, INF)
+    assert np.array_equal(x, [1.0, -1.0]) and value == 1e300
+    assert xc[:2].tobytes() == (np.conj(c[:2]) / np.abs(c[:2])).tobytes()
+    assert xc[2] == 1.0
+
+
 @pytest.mark.parametrize(
     "coefficients, p",
     [
@@ -529,6 +543,58 @@ def test_brute_force_many_unit_slots():
     assert all(np.array_equal(w, [1.0]) for w in est.witness[:-1])
     assert np.array_equal(est.witness[-1], [1.0, -1.0])
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_int16_scan_matches_float64_scan(data):
+    dims = tuple(data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=4)))
+    size = math.prod(dims)
+    k = data.draw(st.integers(1, (2**15 - 1) // size))  # so sum |a| < 2**15
+    entries = data.draw(st.lists(st.integers(-k, k), min_size=size, max_size=size))
+    a = np.array(entries, dtype=np.float64).reshape(dims)
+    wide = norms_module._scan(a[None])
+    assert norms_module._scan(a.astype(np.int16)[None]) == wide
+
+
+def _scan_dtypes(monkeypatch):
+    """The dtypes brute_force_norm hands to _scan, outermost call first."""
+    seen, scan = [], norms_module._scan
+
+    def spy(x):
+        seen.append(x.dtype)
+        return scan(x)
+
+    monkeypatch.setattr(norms_module, "_scan", spy)
+    return seen
+
+
+@pytest.mark.parametrize("total, dtype", [(2**15 - 1, np.int16), (2**15, np.float64)])
+@pytest.mark.parametrize("dims", [(3, 2), (2, 2, 2)])
+def test_brute_force_int16_threshold(monkeypatch, total, dtype, dims):
+    # every entry sits in column 0 of the last slot, so at the all-plus
+    # pattern a sign-table entry and the leaf sum both reach `total`
+    coeffs = np.zeros(dims)
+    first = coeffs[..., 0].reshape(-1)
+    first[:] = total // first.size
+    first[: total % first.size] += 1
+    coeffs[..., 0] = first.reshape(dims[:-1])
+    seen = _scan_dtypes(monkeypatch)
+    est = brute_force_norm(MultilinearForm(coefficients=coeffs, p=(INF,) * len(dims)))
+    assert seen[0] == dtype
+    assert est.value == total
+    assert all(np.array_equal(w, np.ones(n)) for w, n in zip(est.witness, dims))
+
+
+def test_brute_force_fractional_form_stays_float64(monkeypatch):
+    # truncated to integers the entries would all be 0, and every pattern
+    # would tie at 0
+    coeffs = np.array([[0.9, 0.0], [-0.9, 0.0]])
+    seen = _scan_dtypes(monkeypatch)
+    est = brute_force_norm(MultilinearForm(coefficients=coeffs, p=(INF, INF)))
+    assert seen[0] == np.float64
+    assert est.value == 1.8
+    assert np.array_equal(est.witness[0], [1.0, -1.0])
 
 def test_analytic_row():
     est = analytic_norm(row_form(3, 4, (5, 2)))

@@ -9,7 +9,11 @@ script runs, in a fresh interpreter, the ten ``bundled_suite()``
 experiments and the ``bound_growth`` benchmark experiments at seeds 0 and
 5, and hashes ``series_to_csv`` plus ``report_obj`` of each. It also runs
 ``brute_force_norm`` on the ``brute_exact`` benchmark forms at the same
-seeds and hashes ``repr(value)`` plus the witness bytes. Through
+seeds and hashes ``repr(value)`` plus the witness bytes; the same goes
+for ``brute_force_norm`` on seeded integer forms with entries in -3..3
+(m = 2 and 3), on integer forms whose sum of |entries| is 2**15 - 1 (the
+largest the int16 scan takes) or 2**15 (the smallest it leaves to
+float64), and on forms with fractional entries. Through
 ``cli.main`` it hashes the exit code, stdout, stderr and written files of
 ``generate`` for every family (plus ``--complex`` and ``--n2``), of
 ``norm --method brute|ascent|analytic`` on generated forms (brute also at
@@ -105,6 +109,8 @@ HOLDER = ["--trials 40", "--trials 40 --m 3 --N 4 --seed 9"]
 # block, and more than one block per fiber
 KERNEL_SHAPES = [(6, 1), (25, 3000), (2, 40000), (3, 7, 300)]
 KERNEL_R = (0.5, 1.0, 4 / 3, 2.0, 3.0, 600.0, float("inf"))
+# brute-force shapes of the integer and fractional forms
+BRUTE_SHAPES = [(10, 10), (14, 6), (5, 5, 5), (6, 4, 3)]
 
 
 def cli_payloads(tmp: Path) -> dict[str, str]:
@@ -177,6 +183,42 @@ def kernel_payloads() -> dict[str, str]:
     return out
 
 
+def brute_payloads() -> dict[str, str]:
+    """brute_force_norm value and witness bytes on forms that are not +-1.
+
+    Integer forms whose sum of |entries| is below 2**15 are scanned in
+    int16, the rest in float64; the threshold forms sit on either side.
+    """
+    import numpy as np
+    from mixedsums import INF, MultilinearForm, brute_force_norm
+
+    def payload(coeffs) -> str:
+        est = brute_force_norm(MultilinearForm(coefficients=coeffs, p=(INF,) * coeffs.ndim))
+        return repr(est.value) + b"".join(w.tobytes() for w in est.witness).hex()
+
+    out = {}
+    for idx, shape in enumerate(BRUTE_SHAPES):
+        g = np.random.Generator(np.random.PCG64(100 + idx))
+        name = "x".join(map(str, shape))
+        out[f"brute:int3:{name}"] = payload(g.integers(-3, 4, shape).astype(np.float64))
+        out[f"brute:half:{name}"] = payload(g.integers(-6, 7, shape) / 2.0)
+        out[f"brute:normal:{name}"] = payload(g.standard_normal(shape))
+        for total in (2**15 - 1, 2**15):
+            # one large entry brings the sum of |entries| to `total`
+            coeffs = g.integers(-60, 61, shape).astype(np.float64)
+            coeffs.flat[0] = total - (np.abs(coeffs).sum() - abs(coeffs.flat[0]))
+            out[f"brute:sum{total}:{name}"] = payload(coeffs)
+            # all of the mass on one last-slot column: the all-plus pattern
+            # takes every sign-table entry and the leaf sum to `total`
+            column = np.zeros(shape)
+            head = column[..., 0].reshape(-1)
+            head[:] = total // head.size
+            head[: total % head.size] += 1
+            column[..., 0] = head.reshape(shape[:-1])
+            out[f"brute:column{total}:{name}"] = payload(column)
+    return out
+
+
 def digests() -> dict[str, str]:
     """sha256 of every payload, in this interpreter."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -202,6 +244,7 @@ def digests() -> dict[str, str]:
                 out[f"seed{seed}:{item.name}"] = repr(est.value) + witness.hex()
         out.update(cli_payloads(Path(tmp)))
     out.update(kernel_payloads())
+    out.update(brute_payloads())
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}
 
 
