@@ -175,11 +175,16 @@ def cmd_experiment(args) -> int:
                 "without --config, " + ", ".join(missing) + " are required"
             )
         config = config_from_obj(vars(args))
+    report_path = args.report or os.path.splitext(args.out)[0] + ".json"
+    inputs = [path for path in (args.config, config.form_file) if path]
+    for kind, path in (("CSV", args.out), ("report", report_path)):
+        for source in inputs:
+            if os.path.realpath(path) == os.path.realpath(source):
+                raise UsageError(f"the {kind} path {path} would overwrite the input {source}")
     series = run_growth(config)
     fit = loglog_fit(series, tolerance=args.tolerance, mode=args.mode)
     with open(args.out, "w") as f:
         f.write(series_to_csv(series))
-    report_path = args.report or os.path.splitext(args.out)[0] + ".json"
     with open(report_path, "w") as f:
         json.dump(report_obj(series, fit), f, indent=2)
         f.write("\n")

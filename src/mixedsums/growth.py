@@ -265,6 +265,8 @@ def run_growth(config: ExperimentConfig) -> GrowthSeries:
                 f"form file {config.form_file} must hold a form object or a list "
                 f"of them, not {type(payload).__name__}"
             )
+        if not payload:
+            raise ValueError(f"form file {config.form_file} holds no forms")
         rows = tuple(_row(config, form.shape[0], [form], 0) for form in map(form_from_obj, payload))
     else:
         single = config.family in _CLOSED or config.norm_method == "paper_bound"

@@ -10,6 +10,8 @@ supremum. Each level is one call of `fiber_norms`: every fiber is scaled
 near its largest modulus, so that its powers stay in floating-point range,
 and the powers are added by a compensated sum (Ogita-Rump-Oishi Sum2) in
 fixed index order in one thread, so results are bit-identical run to run.
+Integer fibers at r = 1 or 2 whose sums stay below 2**53 are added plainly:
+there Sum2 cannot change a bit.
 """
 
 from __future__ import annotations
@@ -83,9 +85,13 @@ def fiber_norms(a, r: float) -> np.ndarray:
     Each fiber is divided by the power of two that brings its largest
     modulus into [1, 2). That is exact, so sums of integers stay exact; for
     r > 512, where x**r could then overflow, the divisor is the largest
-    modulus itself. Large tensors go a block of fibers at a time, and the
-    scratch for one block (|x|, running totals, TwoSum terms) is allocated
-    once per call and reused by every block. r is not validated.
+    modulus itself. The powers are added by Sum2, except in a block where
+    r is 1 or 2, every modulus is an integer and n * max**r < 2**53: there
+    every partial sum is exact in any order, so the plain sum gives the
+    same float at a fraction of the cost. Large tensors go a block of
+    fibers at a time, and the scratch for one block (|x|, running totals,
+    TwoSum terms) is allocated once per call and reused by every block.
+    r is not validated.
     """
     a = np.asarray(a)
     n = a.shape[-1]
@@ -107,11 +113,29 @@ def fiber_norms(a, r: float) -> np.ndarray:
             scale = np.where(top > 0.0, top, 1.0)
         else:
             scale = np.ldexp(0.5, np.frexp(top)[1])
+        exact = _integer_powers_fit(x, top, r, sbuf[:k])
         x /= scale[:, None]
-        if r != 1.0:  # x ** 1 is x exactly
+        if r == 2.0:  # a product is correctly rounded on every host
+            np.square(x, out=x)
+        elif r != 1.0:  # x ** 1 is x exactly
             x **= r
-        out[lo : lo + k] = _sum2(x, sbuf[:k], bbuf[:k], tbuf[:k]) ** (1.0 / r) * scale
+        total = x.sum(axis=-1) if exact else _sum2(x, sbuf[:k], bbuf[:k], tbuf[:k])
+        out[lo : lo + k] = total ** (1.0 / r) * scale
     return out.reshape(a.shape[:-1])
+
+
+def _integer_powers_fit(x: np.ndarray, top: np.ndarray, r: float, scratch: np.ndarray) -> bool:
+    # True when r is 1 or 2, every modulus in x is an integer and
+    # n * max**r < 2**53: then every partial sum of the scaled powers is an
+    # integer below 2**53 times a power of two, so any order of addition is
+    # exact and Sum2 would return the plain sum. The scalar tests go first,
+    # so float data pays for no pass over x.
+    if r != 1.0 and r != 2.0:
+        return False
+    biggest = float(top.max())
+    if not biggest.is_integer() or x.shape[-1] * int(biggest) ** int(r) >= 2**53:
+        return False
+    return bool((np.trunc(x, out=scratch) == x).all())
 
 
 @dataclass(frozen=True)

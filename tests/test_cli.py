@@ -269,6 +269,65 @@ def test_experiment_form_file_of_a_scalar_is_an_error(tmp_path, capsys, payload)
     assert err.startswith("error: ") and "a form object or a list of them" in err
 
 
+def test_experiment_empty_form_file_is_an_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    csv = tmp_path / "e.csv"
+    code, out, err = run(
+        capsys, "experiment", "--family", "custom-file", "--m", "2",
+        "--p", "inf,inf", "--r", "1,1", "--form-file", str(path),
+        "--norm-method", "brute", "--out", str(csv),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "holds no forms" in err
+    assert not csv.exists()
+
+
+def _write_form_file(path):
+    form, _ = ksz_random_form(2, 3, (INF, INF), seed=3)
+    path.write_text(json.dumps([form_to_obj(form)]))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("out_name", ["e.csv", "e.json"])
+def test_experiment_refuses_to_overwrite_its_form_file(tmp_path, capsys, out_name):
+    # --out e.csv writes its report to e.json; --out e.json is the CSV itself
+    path = tmp_path / "e.json"
+    before = _write_form_file(path)
+    code, out, err = run(
+        capsys, "experiment", "--family", "custom-file", "--m", "2",
+        "--p", "inf,inf", "--r", "1,1", "--form-file", str(path),
+        "--norm-method", "brute", "--out", str(tmp_path / out_name),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and "would overwrite" in err
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.json"]
+
+
+def test_experiment_refuses_to_overwrite_its_config(tmp_path, capsys, monkeypatch):
+    # relative and absolute spellings of one file are the same input
+    monkeypatch.chdir(tmp_path)
+    forms = tmp_path / "forms.json"
+    _write_form_file(forms)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "family": "custom-file", "m": 2, "p": ["inf", "inf"], "r": [1, 1],
+        "norm_method": "brute", "form_file": str(forms),
+    }))
+    before = config.read_bytes()
+    code, _, err = run(
+        capsys, "experiment", "--config", "c.json",
+        "--out", str(tmp_path / "out.csv"), "--report", str(config),
+    )
+    assert code == 2
+    assert "would overwrite the input c.json" in err
+    assert config.read_bytes() == before
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_experiment_bound_relative_prefix(tmp_path, capsys):
     code, out, _ = run(
         capsys, "experiment", "--family", "diagonal", "--m", "2",

@@ -18,6 +18,7 @@ from mixedsums import (
     mixed_norm,
     tensor_from_obj,
     tensor_to_obj,
+    tensors,
 )
 from mixedsums.tensors import _BLOCK, fiber_norms
 
@@ -195,6 +196,80 @@ def test_fiber_norms_match_unbuffered_blocks(shape, data, layout):
         got = fiber_norms(a, r)
         assert got.shape == shape[:-1]
         assert got.tobytes() == _reference_fiber_norms(a, r).tobytes(), r
+
+
+# complex entries with integer moduli 5, 5, 13, 17 and 1
+_PYTHAGOREAN = np.array([3 + 4j, -4 + 3j, 5 - 12j, -8 - 15j, 1j])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 6), max_size=2),
+    n=st.sampled_from([1, 2, 7, 130, 3000]),
+    dtype=st.sampled_from(["float64", "int64", "complex"]),
+    layout=st.sampled_from(["C", "F"]),
+    bound=st.sampled_from([1, 3, 1000, 2**24, 2**40, 2**50]),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fiber_norms_integer_tensors_match_sum2(lead, n, dtype, layout, bound, zeros, seed):
+    # whether a block takes the plain sum or Sum2, the bits are Sum2's
+    g = np.random.Generator(np.random.PCG64(seed))
+    shape = (*lead, n)
+    a = g.integers(-bound, bound + 1, shape)
+    if dtype == "float64":
+        a = a.astype(np.float64)
+    elif dtype == "complex":
+        a = a * g.choice(_PYTHAGOREAN, shape)
+    if zeros:  # some fibers all zero
+        a[g.random(shape[:-1]) < 0.5] = 0
+    if layout == "F":
+        a = np.asfortranarray(a)
+    for r in (1.0, 2.0):
+        assert fiber_norms(a, r).tobytes() == _reference_fiber_norms(a, r).tobytes(), r
+
+
+@pytest.fixture
+def sum2_calls(monkeypatch):
+    # the number of fibers in each Sum2 call fiber_norms makes
+    calls = []
+    real = tensors._sum2
+
+    def spy(x, *scratch):
+        calls.append(len(x))
+        return real(x, *scratch)
+
+    monkeypatch.setattr(tensors, "_sum2", spy)
+    return calls
+
+
+# 8 * top**r == 2**53 on each side
+@pytest.mark.parametrize("r, top", [(1.0, 2**50), (2.0, 2**25)])
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_fiber_norms_plain_sum_below_2_to_53(sum2_calls, r, top, dtype):
+    for largest, expected in ((top - 1, []), (top, [3])):
+        a = np.arange(-12, 12, dtype=dtype).reshape(3, 8)
+        a[1] = largest
+        a[2, 5] = -largest
+        got = fiber_norms(a, r)
+        assert sum2_calls == expected, largest
+        assert got.tobytes() == _reference_fiber_norms(a, r).tobytes()
+        sum2_calls.clear()
+
+
+def test_fiber_norms_sum2_for_fractions_and_other_exponents(sum2_calls):
+    ints = np.arange(-12, 12, dtype=np.float64).reshape(3, 8)
+    for r in (1.0, 2.0):
+        fiber_norms(ints, r)
+        fiber_norms(ints * (3 + 4j), r)  # moduli 5 |k|
+    assert sum2_calls == []
+    half = ints.copy()
+    half[1, 3] = 0.5  # the largest modulus, 12, is still an integer
+    for a, r in ((half, 1.0), (half, 2.0), (ints / 8.0, 1.0), (ints, 3.0), (ints, 0.5)):
+        sum2_calls.clear()
+        got = fiber_norms(a, r)
+        assert sum2_calls == [3], (a, r)
+        assert got.tobytes() == _reference_fiber_norms(a, r).tobytes()
 
 
 def test_compensated_sum_matches_unbuffered_sum2():

@@ -27,8 +27,14 @@ of ``verify-holder``. Last, it hashes
 error terms are not zero (standard normal, and magnitudes from 1e-150 to
 1e150; n = 1, n = 3000 and n = 40000; C and Fortran order, int and
 complex entries) at r in {0.5, 1, 4/3, 2, 3, 600, inf}, and the
-coefficient bytes of ``ksz_random_form(2, 2048)``. It prints one line per
-payload and exits 1 if any payload differs.
+coefficient bytes of ``ksz_random_form(2, 2048)``. It also hashes
+``fiber_norms`` and ``mixed_norm`` at r in {1, 2, (1, 2), (1, 2, 2)} on
+seeded integer tensors with entries in -3..3 (float, int, Fortran-order
+and complex with integer moduli), which are added without Sum2, on
+tensors with one row on either side of 8 * top**r = 2**53, where the
+plain sum stops, on a row beyond it whose plain sum is inexact, and on
+normal data whose largest moduli are integers. It
+prints one line per payload and exits 1 if any payload differs.
 """
 
 from __future__ import annotations
@@ -111,6 +117,8 @@ KERNEL_SHAPES = [(6, 1), (25, 3000), (2, 40000), (3, 7, 300)]
 KERNEL_R = (0.5, 1.0, 4 / 3, 2.0, 3.0, 600.0, float("inf"))
 # brute-force shapes of the integer and fractional forms
 BRUTE_SHAPES = [(10, 10), (14, 6), (5, 5, 5), (6, 4, 3)]
+# shapes of the integer tensors that fiber_norms adds without Sum2
+EXACT_SHAPES = [(6, 1), (25, 3000), (2, 40000), (3, 7, 300), (64, 64)]
 
 
 def cli_payloads(tmp: Path) -> dict[str, str]:
@@ -183,6 +191,51 @@ def kernel_payloads() -> dict[str, str]:
     return out
 
 
+def exact_payloads() -> dict[str, str]:
+    """fiber_norms and mixed_norm bits on integer tensors at r = 1 and 2.
+
+    There a block whose sums stay below 2**53 is added without Sum2. The
+    threshold tensors hold one row with 8 * top**r just below 2**53 or at
+    it. Two tensors must stay on Sum2: one whose largest moduli are
+    integers but whose other entries are not, and one with a row whose
+    plain sum is not its exact sum.
+    """
+    import numpy as np
+    from mixedsums import tensors
+
+    def payload(a) -> str:
+        parts = []
+        for r in (1.0, 2.0):
+            parts.append(tensors.fiber_norms(a, r).tobytes().hex())
+            parts.append(repr(tensors.mixed_norm(a, (r,) * a.ndim).value))
+        if a.ndim > 1:  # (1, 2) or (1, 2, 2)
+            parts.append(repr(tensors.mixed_norm(a, (1.0,) + (2.0,) * (a.ndim - 1)).value))
+        return " ".join(parts)
+
+    out = {}
+    for idx, shape in enumerate(EXACT_SHAPES):
+        g = np.random.Generator(np.random.PCG64(200 + idx))
+        ints = g.integers(-3, 4, shape)
+        name = "x".join(map(str, shape))
+        out[f"exact:int3:{name}"] = payload(ints.astype(np.float64))
+        out[f"exact:int3-int64:{name}"] = payload(ints)
+        out[f"exact:int3-fortran:{name}"] = payload(np.asfortranarray(ints.astype(np.float64)))
+        out[f"exact:int3-complex:{name}"] = payload(ints * g.choice([3 + 4j, 5 - 12j, 1j], shape))
+    for r, top in ((1, 2**50), (2, 2**25)):
+        for largest in (top - 1, top):
+            a = np.arange(-12, 12, dtype=np.float64).reshape(3, 8)
+            a[1] = largest
+            out[f"exact:threshold:r={r}:{largest}"] = payload(a)
+    g = np.random.Generator(np.random.PCG64(210))
+    fractional = g.standard_normal((25, 3000))
+    fractional[:, 0] = 8.0  # an integer largest modulus, fractions below it
+    out["exact:fractional-integer-top"] = payload(fractional)
+    beyond = np.ones((2, 3))
+    beyond[0, 0] = 2.0**53  # 2**53 + 1 + 1, added in order, rounds to 2**53
+    out["exact:beyond-threshold"] = payload(beyond)
+    return out
+
+
 def brute_payloads() -> dict[str, str]:
     """brute_force_norm value and witness bytes on forms that are not +-1.
 
@@ -244,6 +297,7 @@ def digests() -> dict[str, str]:
                 out[f"seed{seed}:{item.name}"] = repr(est.value) + witness.hex()
         out.update(cli_payloads(Path(tmp)))
     out.update(kernel_payloads())
+    out.update(exact_payloads())
     out.update(brute_payloads())
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}
 
