@@ -63,7 +63,9 @@ from .norms import (
     NormEstimate,
     alternating_ascent,
     analytic_norm,
+    brute_force_estimate,
     brute_force_norm,
+    brute_force_scan,
     dual_maximizer,
     estimate_to_obj,
     lp_norm,

@@ -16,6 +16,7 @@ bad file, violated inequality), 2 usage error. Honors NO_COLOR.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -343,9 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the tree costs more than parsing one command line
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as e:

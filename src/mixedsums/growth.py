@@ -10,10 +10,12 @@ slope <= s + tol).
 Random families (ksz, product_extension) evaluate `draws` independent sign
 draws per n and keep the draw with the largest operator norm (smallest
 draw index on ties); the norm denominator of the reported ratio belongs to
-that draw, and the row reports draws_used = draws. The closed families
-(diagonal, row) and the paper_bound method take one draw and report
-draws_used = 0. The custom-file family gives one row per form in its
-file, with n the form's first dimension and draws_used = 0.
+that draw, and the row reports draws_used = draws. Under the brute method
+a row's draws are stacked and enumerated by one brute_force_scan, in
+chunks of at most _STACK_ENTRIES coefficients, with the budget counted per
+draw. The closed families (diagonal, row) and the paper_bound method take
+one draw and report draws_used = 0. The custom-file family gives one row
+per form in its file, with n the form's first dimension and draws_used = 0.
 
 paper_bound fills the norm column with a closed form instead of an
 estimate: the analytic norm for diagonal and row, and
@@ -27,9 +29,12 @@ one after another in one thread, so output is reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from . import _rng
 from .exponents import INF, ExponentReport, as_exponent_vector, exponent_to_json, predict
@@ -43,7 +48,13 @@ from .forms import (
     row_form,
 )
 from .norms import DEFAULT_BUDGET, DEFAULT_MAX_ITERS, DEFAULT_TOL, NormEstimate
-from .norms import alternating_ascent, analytic_norm, brute_force_norm
+from .norms import (
+    alternating_ascent,
+    analytic_norm,
+    brute_force_estimate,
+    brute_force_norm,
+    brute_force_scan,
+)
 from .tensors import _integer, _read_field, _vector, mixed_norm
 
 __all__ = [
@@ -71,6 +82,9 @@ DEFAULT_FIT_TOLERANCE = 0.15
 CSV_HEADER = "n,lhs,norm,norm_kind,ratio,draws_used"
 # families with a closed-form norm: one draw per n, no random sign
 _CLOSED = ("diagonal", "row")
+# coefficients in one stacked brute-force scan, so memory does not grow
+# with draws
+_STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -238,15 +252,46 @@ def _estimate(config: ExperimentConfig, form: MultilinearForm, n: int, d: int):
     return float(n) ** ksz_bound_exponent(config.p[:k]), "paper_bound"
 
 
+def _brute_best(forms) -> tuple[float, str, MultilinearForm]:
+    """(value, kind, form) of the draw in `forms` with the largest exact norm,
+    the first on ties.
+
+    The draws are stacked and scanned together, _STACK_ENTRIES coefficients
+    at a time; a later chunk wins only with a strictly larger value. Only
+    the winner's witness is rebuilt. On these integer draws the scan is
+    exact, so the value recomputed from the witness must equal its own.
+    """
+    forms = iter(forms)
+    first = next(forms)
+    per_chunk = max(1, _STACK_ENTRIES // first.coefficients.size)
+    chunk = [first, *itertools.islice(forms, per_chunk - 1)]
+    best = None
+    while chunk:
+        d, idx, value = brute_force_scan(np.stack([f.coefficients for f in chunk]))
+        if best is None or value > best[0]:
+            best = (value, chunk[d], idx)
+        chunk = list(itertools.islice(forms, per_chunk))
+    value, form, idx = best
+    est = brute_force_estimate(form, idx)
+    if est.value != value:
+        raise ArithmeticError(
+            f"brute force scan value {value!r} differs from its witness's {est.value!r}"
+        )
+    return est.value, est.kind, form
+
+
 def _row(config: ExperimentConfig, n: int, forms, draws_used: int) -> GrowthRow:
     """The row at size n: of the draws in `forms`, the one with the largest
     norm wins (the first on ties) and its coefficients give lhs."""
-    best = None
-    for d, form in enumerate(forms):
-        value, kind = _estimate(config, form, n, d)
-        if best is None or value > best[0]:
-            best = (value, kind, form)
-    value, kind, form = best
+    if config.norm_method == "brute" and draws_used > 1:
+        value, kind, form = _brute_best(forms)
+    else:
+        best = None
+        for d, form in enumerate(forms):
+            value, kind = _estimate(config, form, n, d)
+            if best is None or value > best[0]:
+                best = (value, kind, form)
+        value, kind, form = best
     lhs = mixed_norm(form.coefficients, config.r).value
     if value == 0.0:
         raise ValueError(f"the norm is 0 at n={n}, so the ratio is undefined")

@@ -11,6 +11,9 @@ Three estimators with honestly labeled kinds:
     O(n_m) adds instead of O(n_1 ... n_m), without BLAS. Every sum formed
     is a signed sum of some coefficients, so on integer forms with
     sum |a| < 2**15 the scan runs exactly in int16, otherwise in float64.
+    brute_force_scan enumerates a stack of same-shape forms at once (ties
+    go to the first draw, the budget counts one form's patterns), and
+    brute_force_estimate rebuilds the winner's witness.
   * alternating_ascent - lower bound for any p >= 1. Cyclically replaces one
     argument by the exact maximizer of the induced linear functional; the
     objective is monotone, so every run converges to a local maximum. The
@@ -39,6 +42,8 @@ __all__ = [
     "lp_norm",
     "dual_maximizer",
     "alternating_ascent",
+    "brute_force_scan",
+    "brute_force_estimate",
     "brute_force_norm",
     "analytic_norm",
     "estimate_to_obj",
@@ -220,13 +225,13 @@ def _scan(x: np.ndarray) -> tuple[float, int]:
     (row, hi) pairs times all lo stay within _SCAN_BLOCK entries. On the
     last free axis each block accumulates |high + low| column by column over
     n_m; otherwise each block is a batch of rows passed on to the next axis.
+    The tables are built for one block's rows at a time, so however many
+    rows x has, they take no more memory than those of one block.
     """
     n, rest = x.shape[1], x.shape[2:]
     a = n // 2
     xt = x.transpose((0, *range(2, x.ndim), 1))  # (R, *rest, n_j)
-    low = _sign_table(xt[..., :1], xt[..., 1 : a + 1])
-    high = _sign_table(0.0, xt[..., a + 1 :])
-    rows, nh, nl = x.shape[0], high.shape[-1], low.shape[-1]
+    rows, nh, nl = x.shape[0], 2 ** (n - 1 - a), 2**a
     leaf = len(rest) == 1
     if leaf:
         per_row = 1
@@ -245,9 +250,12 @@ def _scan(x: np.ndarray) -> tuple[float, int]:
         buf_mem = np.empty_like(acc_mem)
     best, best_idx = -1.0, 0
     for r0 in range(0, rows, rc):
+        part = xt[r0 : r0 + rc]
+        low = _sign_table(part[..., :1], part[..., 1 : a + 1])
+        high = _sign_table(0.0, part[..., a + 1 :])
         for h0 in range(0, nh, hc):
-            hi = high[r0 : r0 + rc, ..., h0 : h0 + hc, None]
-            lo = low[r0 : r0 + rc, ..., None, :]
+            hi = high[..., h0 : h0 + hc, None]
+            lo = low[..., None, :]
             first = (r0 * nh + h0) * nl
             if leaf:
                 acc = acc_mem[: hi.shape[0], : hi.shape[-2]]
@@ -269,6 +277,67 @@ def _scan(x: np.ndarray) -> tuple[float, int]:
     return best, best_idx
 
 
+def brute_force_scan(stack, budget: int = DEFAULT_BUDGET) -> tuple[int, int, float]:
+    """Best sign pattern over a stack of same-shape real coefficient arrays.
+
+    `stack` has shape (D, n_1, ..., n_m): D forms, each scanned as in
+    brute_force_norm. Returns (d, idx, value): the draw d and flat pattern
+    index idx of the largest pattern value over all draws, the first in
+    (draw, pattern) order on ties, so the first draw wins a tie between
+    draws. value is the scan's own sum. The budget counts the patterns of
+    one form, whatever D is. At m = 1 there is no pattern to enumerate:
+    idx is 0 and a draw's value is sum |a|.
+
+    The scan runs in int16 when every draw is integer with sum |a| < 2**15
+    (see brute_force_norm), otherwise in float64. A draw's sums never mix
+    with another draw's, so the test is per draw, not on the stack's total.
+    """
+    a = np.asarray(stack)
+    if a.ndim < 2 or not a.size:
+        raise ValueError(
+            f"brute force needs a stack of forms with entries, got shape {a.shape}"
+        )
+    if np.iscomplexobj(a):
+        raise ValueError("brute force requires real coefficients")
+    a = a.astype(np.float64, copy=False)
+    dims = a.shape[1:]
+    total = math.prod(2 ** (n - 1) for n in dims[:-1])
+    if total > budget:
+        raise ValueError(
+            f"enumeration needs {total} sign patterns, budget is {budget}"
+        )
+    if len(dims) == 1:
+        values = fiber_norms(a, 1.0)
+        d = int(np.argmax(values))
+        return d, 0, float(values[d])
+    # int16 holds every sum the scan forms exactly here (see brute_force_norm)
+    flat = a.reshape(len(a), -1)
+    if (np.abs(flat).sum(axis=1) < 2**15).all() and (flat == np.trunc(flat)).all():
+        a = a.astype(np.int16)
+    value, idx = _scan(a)
+    d, idx = divmod(idx, total)
+    return d, idx, value
+
+
+def brute_force_estimate(form: MultilinearForm, idx: int) -> NormEstimate:
+    """The exact estimate at flat pattern index idx of brute_force_scan.
+
+    Rebuilds the witness from idx and recomputes its value in float64 with
+    partial_contract and dual_maximizer, so `evaluate(form, witness)`
+    reproduces it.
+    """
+    witness = []
+    for n in reversed(form.shape[:-1]):
+        idx, k = divmod(idx, 2 ** (n - 1))
+        witness.insert(0, 1.0 - 2.0 * (2 * k >> np.arange(n) & 1))
+    c_last = partial_contract(form, witness + [None], form.arity - 1)
+    x_last, val = dual_maximizer(c_last, INF)
+    witness.append(x_last)
+    return NormEstimate(
+        value=val, kind="exact", witness=witness, restarts_used=0, converged=True
+    )
+
+
 def brute_force_norm(
     form: MultilinearForm, budget: int = DEFAULT_BUDGET
 ) -> NormEstimate:
@@ -279,6 +348,7 @@ def brute_force_norm(
     and optimizes the last argument in closed form: the pattern's value is
     the ell_1 norm of the contracted last-slot functional. Rejects finite
     exponents, complex coefficients, and pattern counts beyond `budget`.
+    This is brute_force_scan on a stack of one, then brute_force_estimate.
 
     The enumeration is a split table (see _scan): every pattern costs
     O(n_m) adds, O(2**(sum_j (n_j - 1)) * n_m) in total, in blocks of at
@@ -295,34 +365,8 @@ def brute_force_norm(
     """
     if any(pj != INF for pj in form.p):
         raise ValueError("brute force requires every domain exponent to be inf")
-    if np.iscomplexobj(form.coefficients):
-        raise ValueError("brute force requires real coefficients")
-    m = form.arity
-    dims = form.shape
-    total = math.prod(2 ** (n - 1) for n in dims[:-1])
-    if total > budget:
-        raise ValueError(
-            f"enumeration needs {total} sign patterns, budget is {budget}"
-        )
-    idx = 0  # at m = 1 there is nothing to enumerate, only the last slot
-    if m > 1:
-        a = np.asarray(form.coefficients, dtype=np.float64)
-        # int16 holds every sum the scan forms exactly here (see above)
-        if np.abs(a).sum() < 2**15 and (a == np.trunc(a)).all():
-            a = a.astype(np.int16)
-        _, idx = _scan(a[None])
-
-    # rebuild the winning witness and recompute its exact value
-    witness = []
-    for n in reversed(dims[:-1]):
-        idx, k = divmod(idx, 2 ** (n - 1))
-        witness.insert(0, 1.0 - 2.0 * (2 * k >> np.arange(n) & 1))
-    c_last = partial_contract(form, witness + [None], m - 1)
-    x_last, val = dual_maximizer(c_last, INF)
-    witness.append(x_last)
-    return NormEstimate(
-        value=val, kind="exact", witness=witness, restarts_used=0, converged=True
-    )
+    _, idx, _ = brute_force_scan(np.asarray(form.coefficients)[None], budget)
+    return brute_force_estimate(form, idx)
 
 
 def analytic_norm(form: MultilinearForm) -> NormEstimate | None:

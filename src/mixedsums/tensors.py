@@ -88,7 +88,10 @@ def fiber_norms(a, r: float) -> np.ndarray:
     modulus itself. The powers are added by Sum2, except in a block where
     r is 1 or 2, every modulus is an integer and n * max**r < 2**53: there
     every partial sum is exact in any order, so the plain sum gives the
-    same float at a fraction of the cost. Large tensors go a block of
+    same float at a fraction of the cost. Such a block is not scaled
+    either: at r = 1 the scale is an exact power of two, and at r = 2 the
+    root is a correctly rounded square root, which commutes with the even
+    power of two the squares were scaled by. Large tensors go a block of
     fibers at a time, and the scratch for one block (|x|, running totals,
     TwoSum terms) is allocated once per call and reused by every block.
     r is not validated.
@@ -114,13 +117,16 @@ def fiber_norms(a, r: float) -> np.ndarray:
         else:
             scale = np.ldexp(0.5, np.frexp(top)[1])
         exact = _integer_powers_fit(x, top, r, sbuf[:k])
-        x /= scale[:, None]
+        if not exact:
+            x /= scale[:, None]
         if r == 2.0:  # a product is correctly rounded on every host
             np.square(x, out=x)
         elif r != 1.0:  # x ** 1 is x exactly
             x **= r
-        total = x.sum(axis=-1) if exact else _sum2(x, sbuf[:k], bbuf[:k], tbuf[:k])
-        out[lo : lo + k] = total ** (1.0 / r) * scale
+        if exact:
+            out[lo : lo + k] = x.sum(axis=-1) ** (1.0 / r)
+        else:
+            out[lo : lo + k] = _sum2(x, sbuf[:k], bbuf[:k], tbuf[:k]) ** (1.0 / r) * scale
     return out.reshape(a.shape[:-1])
 
 

@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mixedsums.growth as growth_module
 from mixedsums import (
     INF,
     ExperimentConfig,
     GrowthRow,
     GrowthSeries,
+    MultilinearForm,
     brute_force_norm,
     bundled_suite,
     compare,
@@ -19,6 +23,7 @@ from mixedsums import (
     form_to_obj,
     ksz_random_form,
     loglog_fit,
+    mixed_norm,
     report_obj,
     run_growth,
     series_to_csv,
@@ -137,6 +142,106 @@ def test_ksz_keeps_largest_norm_draw():
             for d in range(cfg.draws)
         ]
         assert row.norm == max(norms)
+
+
+def _per_draw_rows(cfg):
+    """The rows of a brute experiment built one brute_force_norm call per
+    draw: the largest value wins, the first draw on ties."""
+    rows = []
+    for n in cfg.n_values:
+        best = None
+        for d in range(cfg.draws):
+            form = growth_module._make_draw(cfg, n, d)
+            value = brute_force_norm(form).value
+            if best is None or value > best[0]:
+                best = (value, form)
+        value, form = best
+        lhs = mixed_norm(form.coefficients, cfg.r).value
+        rows.append(GrowthRow(n, lhs, value, "exact", lhs / value, cfg.draws))
+    return tuple(rows)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    shape=st.sampled_from(
+        [("ksz", 1, None), ("ksz", 2, None), ("ksz", 3, None),
+         ("product_extension", 2, 1), ("product_extension", 3, 1),
+         ("product_extension", 3, 2)]
+    ),
+    draws=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    cap=st.sampled_from([None, 1, 40]),
+)
+def test_stacked_brute_rows_match_per_draw_rows(shape, draws, seed, cap):
+    family, m, k = shape
+    cfg = ExperimentConfig(
+        family=family, m=m, k=k, p=(INF,) * m, r=(1.0,) + (2.0,) * (m - 1),
+        n_values=(2, 3, 5), norm_method="brute", draws=draws, seed=seed,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:  # several chunks a row
+            mp.setattr(growth_module, "_STACK_ENTRIES", cap)
+        rows = run_growth(cfg).rows
+    assert rows == _per_draw_rows(cfg)
+
+
+@pytest.mark.parametrize("cap", [None, 1, 16, 40])
+def test_stacked_brute_ties_go_to_the_first_draw(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(growth_module, "_STACK_ENTRIES", cap)
+    draws = [ksz_random_form(2, 4, (INF, INF), seed=s)[0] for s in range(6)]
+    values = [brute_force_norm(f).value for f in draws]
+    top = values.index(max(values))
+    low = values.index(min(values))
+
+    def copy(k):
+        return MultilinearForm(coefficients=draws[k].coefficients.copy(), p=(INF, INF))
+
+    # copies of the winner and the loser, before and after the winner
+    forms = draws[:top] + [copy(low)] + draws[top:] + [copy(top), copy(low)] * 3
+    value, kind, form = growth_module._brute_best(forms)
+    assert (value, kind) == (max(values), "exact")
+    assert form is draws[top]
+
+
+def test_stacked_brute_scans_each_row_once(monkeypatch):
+    calls, scan = [], growth_module.brute_force_scan
+
+    def counting(stack):
+        calls.append(len(stack))
+        return scan(stack)
+
+    monkeypatch.setattr(growth_module, "brute_force_scan", counting)
+    cfg, _ = bundled_suite()[8]  # ksz, 50 draws at n = 2..10
+    run_growth(cfg)
+    assert calls == [50] * len(cfg.n_values)
+
+
+def test_stacked_brute_past_the_budget_raises_the_per_form_error():
+    cfg = ExperimentConfig(
+        family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 26),
+        norm_method="brute", draws=3,
+    )
+    with pytest.raises(
+        ValueError, match=r"^enumeration needs 33554432 sign patterns, budget is 16777216$"
+    ):
+        run_growth(cfg)
+
+
+def test_stacked_brute_checks_the_scan_against_the_witness(monkeypatch):
+    scan = growth_module.brute_force_scan
+
+    def off_by_one(stack):
+        d, idx, value = scan(stack)
+        return d, idx, value + 1.0
+
+    monkeypatch.setattr(growth_module, "brute_force_scan", off_by_one)
+    cfg = ExperimentConfig(
+        family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 4),
+        norm_method="brute", draws=3,
+    )
+    with pytest.raises(ArithmeticError, match="differs from its witness"):
+        run_growth(cfg)
 
 
 def test_product_extension_lhs_growth():

@@ -596,6 +596,102 @@ def test_brute_force_fractional_form_stays_float64(monkeypatch):
     assert est.value == 1.8
     assert np.array_equal(est.witness[0], [1.0, -1.0])
 
+
+def _stacked_matches_per_draw(draws):
+    """brute_force_scan on the stack picks the per-draw winner: the largest
+    brute_force_norm value, the first draw on ties, with its witness."""
+    forms = [MultilinearForm(coefficients=a, p=(INF,) * a.ndim) for a in draws]
+    per_draw = [brute_force_norm(f) for f in forms]
+    values = [est.value for est in per_draw]
+    d, idx, value = norms_module.brute_force_scan(np.stack(draws))
+    assert d == values.index(max(values))
+    assert value == values[d]
+    est = norms_module.brute_force_estimate(forms[d], idx)
+    assert est.value == per_draw[d].value
+    assert all(np.array_equal(w, v) for w, v in zip(est.witness, per_draw[d].witness))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_stacked_scan_matches_per_draw_brute_force(data):
+    dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    entries = st.lists(st.integers(-2, 2), min_size=math.prod(dims), max_size=math.prod(dims))
+    draws = [
+        np.array(data.draw(entries), dtype=np.float64).reshape(dims)
+        for _ in range(data.draw(st.integers(1, 6)))
+    ]
+    # planted duplicates tie with their originals, which come first
+    for _ in range(data.draw(st.integers(0, 3))):
+        src = data.draw(st.integers(0, len(draws) - 1))
+        draws.insert(data.draw(st.integers(src + 1, len(draws))), draws[src].copy())
+    _stacked_matches_per_draw(draws)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stacked_scan_int16_test_is_per_draw(data):
+    # every draw but the wide ones has sum |a| < 2**15, while the stack's
+    # total is far above it; one wide draw sends the whole stack to float64
+    dims = tuple(data.draw(st.lists(st.integers(2, 4), min_size=2, max_size=3)))
+    size = math.prod(dims)
+    count = data.draw(st.integers(2, 5))
+    wide = data.draw(st.sets(st.integers(0, count - 1), max_size=count - 1))
+    draws = []
+    for k in range(count):
+        a = np.array(data.draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size)),
+                     dtype=np.float64).reshape(dims)
+        if k in wide and data.draw(st.booleans()):
+            a /= 2.0  # half-integers: not integer
+        else:
+            target = 2**15 if k in wide else 2**15 - 1
+            a.flat[0] = target - (np.abs(a).sum() - abs(a.flat[0]))
+        draws.append(a)
+    seen, scan = [], norms_module._scan
+
+    def spy(x):
+        seen.append(x.dtype)
+        return scan(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms_module, "_scan", spy)
+        norms_module.brute_force_scan(np.stack(draws))
+    assert seen[0] == (np.float64 if wide else np.int16)
+    _stacked_matches_per_draw(draws)
+
+
+def _ksz_stack(n, count):
+    return np.stack([ksz_random_form(2, n, (INF, INF), seed=s)[0].coefficients
+                     for s in range(count)])
+
+
+def test_stacked_scan_budget_is_per_draw():
+    stack = _ksz_stack(8, 10)
+    norms_module.brute_force_scan(stack, budget=128)  # 2**7 patterns a draw
+    with pytest.raises(
+        ValueError, match=r"^enumeration needs 128 sign patterns, budget is 127$"
+    ):
+        norms_module.brute_force_scan(stack, budget=127)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 3), (3,), (2, 0, 3)])
+def test_stacked_scan_rejects_stacks_without_forms(shape):
+    with pytest.raises(ValueError, match="needs a stack of forms with entries"):
+        norms_module.brute_force_scan(np.zeros(shape))
+
+
+def test_stacked_scan_tables_stay_within_blocks():
+    # 64 draws at n = 18: their sign tables together would take 6.75 MiB
+    stack = _ksz_stack(18, 64)
+    stack[:, 0, 0] = 0.5  # float64, the wider scan
+    tracemalloc.start()
+    try:
+        norms_module.brute_force_scan(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack.nbytes + 8 * norms_module._SCAN_BLOCK * 8
+
+
 def test_analytic_row():
     est = analytic_norm(row_form(3, 4, (5, 2)))
     assert est.value == 2.0

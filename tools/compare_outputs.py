@@ -6,8 +6,11 @@ Usage:
 Each SRC is a directory that contains the ``mixedsums`` package (a tree's
 ``src``); NEW_SRC defaults to this checkout's ``src``. For every tree the
 script runs, in a fresh interpreter, the ten ``bundled_suite()``
-experiments and the ``bound_growth`` benchmark experiments at seeds 0 and
-5, and hashes ``series_to_csv`` plus ``report_obj`` of each. It also runs
+experiments, the ``bound_growth`` benchmark experiments and three
+multi-draw brute experiments at seeds 0 and 5 (ksz at m = 3 with 20
+draws, product_extension with k = 1 and 6 draws, and ksz at m = 2 with
+300 draws, more than one stacked scan holds), and hashes
+``series_to_csv`` plus ``report_obj`` of each. It also runs
 ``brute_force_norm`` on the ``brute_exact`` benchmark forms at the same
 seeds and hashes ``repr(value)`` plus the witness bytes; the same goes
 for ``brute_force_norm`` on seeded integer forms with entries in -3..3
@@ -117,6 +120,15 @@ KERNEL_SHAPES = [(6, 1), (25, 3000), (2, 40000), (3, 7, 300)]
 KERNEL_R = (0.5, 1.0, 4 / 3, 2.0, 3.0, 600.0, float("inf"))
 # brute-force shapes of the integer and fractional forms
 BRUTE_SHAPES = [(10, 10), (14, 6), (5, 5, 5), (6, 4, 3)]
+# multi-draw brute experiments, whose draws are scanned as one stack; the
+# last has 300 draws of 16 x 16 at n = 16, more than one stack holds
+INF = float("inf")
+STACKED = [
+    dict(family="ksz", m=3, p=(INF,) * 3, r=(1.0, 2.0, 2.0), n_values=(2, 3, 4, 5), draws=20),
+    dict(family="product_extension", m=3, k=1, p=(INF,) * 3, r=(1.0, 1.0, 2.0),
+         n_values=(2, 4, 6, 8), draws=6),
+    dict(family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(8, 12, 16), draws=300),
+]
 # shapes of the integer tensors that fiber_norms adds without Sum2
 EXACT_SHAPES = [(6, 1), (25, 3000), (2, 40000), (3, 7, 300), (64, 64)]
 
@@ -287,6 +299,13 @@ def digests() -> dict[str, str]:
         series = growth.run_growth(cfg)
         fit = growth.loglog_fit(series, mode=mode)
         out[f"suite{idx}:{cfg.family}:{cfg.norm_method}"] = payload(series, fit)
+    for seed in SEEDS:
+        for idx, kw in enumerate(STACKED):
+            cfg = growth.ExperimentConfig(norm_method="brute", seed=seed, **kw)
+            series = growth.run_growth(cfg)
+            fit = growth.loglog_fit(series, mode="upper_bound")
+            name = f"seed{seed}:stacked{idx}:{cfg.family}:m{cfg.m}:draws{cfg.draws}"
+            out[name] = payload(series, fit)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             for item in workloads.setup_bound_growth(seed, "full", Path(tmp)):
