@@ -5,18 +5,42 @@ by an integer seed plus a tuple of context integers (experiment seed, size,
 draw index, restart index, ...). Identical keys give identical streams on
 every platform, which is what makes experiment output reproducible
 bit-for-bit.
+
+derive_seeds and sign_stack are the batched forms of derive_seed and
+sign_array for many keys at once. They run numpy's SeedSequence algorithm
+as uint32 array operations over all keys and reproduce it word for word;
+the 128-bit PCG64 seeding and the draws stay in numpy. A one-key batch is
+slower than numpy's own SeedSequence, so single keys go through stream.
+Every multi-draw brute growth row checks its winner against numpy.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
-__all__ = ["stream", "derive_seed", "sign_array", "phase_array"]
+__all__ = ["stream", "derive_seed", "derive_seeds", "sign_array", "sign_stack", "phase_array"]
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_SIGN_BIT = np.uint64(1 << 63)
+_ONE_BITS = np.uint64(0x3FF0000000000000)
 
 
 def _key(seed: int, key: tuple[int, ...]) -> tuple[int, ...]:
     # SeedSequence wants nonnegative entropy words
-    return tuple(int(k) & 0xFFFFFFFFFFFFFFFF for k in (seed, *key))
+    return tuple(int(k) & _MASK64 for k in (seed, *key))
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -39,8 +63,12 @@ def sign_array(shape: tuple[int, ...], seed: int, *key: int) -> np.ndarray:
     """
     g = stream(seed, *key)
     bits = g.integers(0, 2**64, size=shape, dtype=np.uint64)
-    bits &= np.uint64(1 << 63)
-    bits |= np.uint64(0x3FF0000000000000)
+    return _signs(bits)
+
+
+def _signs(bits: np.ndarray) -> np.ndarray:
+    bits &= _SIGN_BIT
+    bits |= _ONE_BITS
     return bits.view(np.float64)
 
 
@@ -49,3 +77,126 @@ def phase_array(shape: tuple[int, ...], seed: int, *key: int) -> np.ndarray:
     g = stream(seed, *key)
     u = g.random(size=shape)
     return np.exp(2j * np.pi * u)
+
+
+def _hash_steps(start: int, mult: int):
+    """SeedSequence's hash multiplier, step by step, as (before, after)
+    pairs: each step multiplies by `mult`, the same for every key."""
+    while True:
+        after = (start * mult) & _MASK32
+        yield start, after
+        start = after
+
+
+def _hashmix(value: np.ndarray, steps) -> np.ndarray:
+    # SeedSequence's hashmix: the xor takes the multiplier before its step,
+    # the product the one after
+    before, after = next(steps)
+    value = (value ^ np.uint32(before)) * np.uint32(after)
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> _XSHIFT)
+
+
+def _pools(words: np.ndarray) -> np.ndarray:
+    """(K, 4) SeedSequence pools of K keys of L uint32 entropy words each."""
+    count, length = words.shape
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    zero = np.zeros(count, dtype=np.uint32)
+    pool = [_hashmix(words[:, i] if i < length else zero, steps) for i in range(_POOL_SIZE)]
+    # mix all bits together so late words can affect earlier ones
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
+    # entropy past the pool is mixed into every pool word
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(words[:, src], steps))
+    return np.stack(pool, axis=1)
+
+
+def _generate(pools: np.ndarray, n_words: int) -> np.ndarray:
+    """(K, n_words) uint32 output of SeedSequence.generate_state per pool."""
+    state = np.empty((len(pools), n_words), dtype=np.uint32)
+    for i, (before, after) in zip(range(n_words), _hash_steps(_INIT_B, _MULT_B)):
+        value = (pools[:, i % _POOL_SIZE] ^ np.uint32(before)) * np.uint32(after)
+        state[:, i] = value ^ (value >> _XSHIFT)
+    return state
+
+
+def _words(entropy: tuple[int, ...]) -> list[int]:
+    """uint32 entropy words of a key, as SeedSequence splits them: each
+    integer masked to 64 bits, little end first, 0 as one word."""
+    out = []
+    for k in entropy:
+        k = int(k) & _MASK64
+        out.append(k & _MASK32)
+        if k >> 32:
+            out.append(k >> 32)
+    return out
+
+
+def _states(keys, n_words: int) -> np.ndarray:
+    """(K, n_words) uint32: row i is
+    SeedSequence(keys[i]).generate_state(n_words), with each key a tuple of
+    integers masked as derive_seed masks them."""
+    groups: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for i, key in enumerate(keys):
+        words = _words(key)
+        rows, group = groups.setdefault(len(words), ([], []))
+        rows.append(i)
+        group.append(words)
+    state = np.empty((len(keys), n_words), dtype=np.uint32)
+    for rows, group in groups.values():
+        state[rows] = _generate(_pools(np.array(group, dtype=np.uint32)), n_words)
+    return state
+
+
+def _uint64(state: np.ndarray) -> np.ndarray:
+    """Pairs of uint32 words as uint64, the low word first, on any platform."""
+    return np.ascontiguousarray(state.astype("<u4")).view("<u8").astype(np.uint64)
+
+
+def derive_seeds(seed: int, keys) -> list[int]:
+    """[derive_seed(seed, *key) for key in keys], seeded in one batch."""
+    state = _uint64(_states([(seed, *key) for key in keys], 2))
+    return state[:, 0].tolist()
+
+
+@functools.cache
+def _seeded_type() -> type:
+    """An ISeedSequence that hands a bit generator precomputed
+    generate_state words. Built on first use: NumPy loads numpy.random
+    lazily, and importing it with this module would add ~10 ms to every
+    import of the package."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seeded(ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return Seeded
+
+
+def sign_stack(shape: tuple[int, ...], seeds) -> np.ndarray:
+    """np.stack([sign_array(shape, s) for s in seeds]), seeded in one batch.
+
+    Each PCG64 takes the four 64-bit words numpy's SeedSequence would give
+    it; random_raw yields the words Generator.integers(0, 2**64) draws.
+    """
+    size = math.prod(shape)
+    states = _uint64(_states([(s,) for s in seeds], 8))
+    seeded = _seeded_type()
+    bits = np.empty((len(states), size), dtype=np.uint64)
+    for row, state in zip(bits, states):
+        row[:] = np.random.PCG64(seeded(state)).random_raw(size)
+    return _signs(bits).reshape((len(states), *shape))

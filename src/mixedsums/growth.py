@@ -10,11 +10,14 @@ slope <= s + tol).
 Random families (ksz, product_extension) evaluate `draws` independent sign
 draws per n and keep the draw with the largest operator norm (smallest
 draw index on ties); the norm denominator of the reported ratio belongs to
-that draw, and the row reports draws_used = draws. Under the brute method
-a row's draws are stacked and enumerated by one brute_force_scan, in
-chunks of at most _STACK_ENTRIES coefficients, with the budget counted per
-draw. The closed families (diagonal, row) and the paper_bound method take
-one draw and report draws_used = 0. The custom-file family gives one row
+that draw, and the row reports draws_used = draws. An experiment derives
+all of its form seeds in one batch before the first row. Under the brute
+method a row's draws are built as sign stacks in one batch each and
+enumerated by one brute_force_scan, in chunks of at most _STACK_ENTRIES
+coefficients, with the budget counted per draw; only the winner becomes a
+form, and its coefficients are checked against the stack. The closed
+families (diagonal, row) and the paper_bound method take one draw and
+report draws_used = 0. The custom-file family gives one row
 per form in its file, with n the form's first dimension and draws_used = 0.
 
 paper_bound fills the norm column with a closed form instead of an
@@ -29,7 +32,6 @@ one after another in one thread, so output is reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -233,11 +235,6 @@ def estimate_norm(
     raise ValueError(f"unknown norm method {method!r}")
 
 
-def _make_draw(config: ExperimentConfig, n: int, d: int) -> MultilinearForm:
-    form_seed = _rng.derive_seed(config.seed, n, d, 0)
-    return make_form(config.family, config.m, n, config.p, form_seed, config.k)
-
-
 def _estimate(config: ExperimentConfig, form: MultilinearForm, n: int, d: int):
     """(value, kind) of draw d at size n under the configured method."""
     if config.norm_method != "paper_bound":
@@ -252,26 +249,50 @@ def _estimate(config: ExperimentConfig, form: MultilinearForm, n: int, d: int):
     return float(n) ** ksz_bound_exponent(config.p[:k]), "paper_bound"
 
 
-def _brute_best(forms) -> tuple[float, str, MultilinearForm]:
-    """(value, kind, form) of the draw in `forms` with the largest exact norm,
-    the first on ties.
-
-    The draws are stacked and scanned together, _STACK_ENTRIES coefficients
-    at a time; a later chunk wins only with a strictly larger value. Only
-    the winner's witness is rebuilt. On these integer draws the scan is
-    exact, so the value recomputed from the witness must equal its own.
-    """
-    forms = iter(forms)
-    first = next(forms)
-    per_chunk = max(1, _STACK_ENTRIES // first.coefficients.size)
-    chunk = [first, *itertools.islice(forms, per_chunk - 1)]
+def _best(config: ExperimentConfig, n: int, forms) -> tuple[float, str, MultilinearForm]:
+    """(value, kind, form) of the draw in `forms` with the largest norm
+    estimate, the first on ties."""
     best = None
-    while chunk:
-        d, idx, value = brute_force_scan(np.stack([f.coefficients for f in chunk]))
+    for d, form in enumerate(forms):
+        value, kind = _estimate(config, form, n, d)
         if best is None or value > best[0]:
-            best = (value, chunk[d], idx)
-        chunk = list(itertools.islice(forms, per_chunk))
-    value, form, idx = best
+            best = (value, kind, form)
+    return best
+
+
+def _draw_stack(config: ExperimentConfig, n: int, seeds) -> np.ndarray:
+    """The coefficients of the draws make_form builds from `seeds`, stacked."""
+    k = config.m if config.family == "ksz" else config.k
+    base = _rng.sign_stack((n,) * k, seeds)
+    if k == config.m:
+        return base
+    stack = np.zeros(base.shape + (n,) * (config.m - k))
+    stack[(...,) + (0,) * (config.m - k)] = base
+    return stack
+
+
+def _brute_best(config: ExperimentConfig, n: int, seeds) -> tuple[float, str, MultilinearForm]:
+    """(value, kind, form) of the draw with the largest exact norm among
+    the forms seeded by `seeds`, the first on ties.
+
+    The draws' signs are built and scanned as stacks of at most
+    _STACK_ENTRIES coefficients; a later chunk wins only with a strictly
+    larger value. Only the winner becomes a form, through make_form, and
+    its coefficients must equal its slice of the stack. On these integer
+    draws the scan is exact, so the value recomputed from the winner's
+    witness must equal the scan's.
+    """
+    per_chunk = max(1, _STACK_ENTRIES // n**config.m)
+    best = None
+    for start in range(0, len(seeds), per_chunk):
+        stack = _draw_stack(config, n, seeds[start : start + per_chunk])
+        d, idx, value = brute_force_scan(stack)
+        if best is None or value > best[0]:
+            best = (value, seeds[start + d], idx, stack[d].copy())
+    value, seed, idx, coefficients = best
+    form = make_form(config.family, config.m, n, config.p, seed, config.k)
+    if form.coefficients.tobytes() != coefficients.tobytes():
+        raise ArithmeticError(f"batched signs of seed {seed} differ from numpy's")
     est = brute_force_estimate(form, idx)
     if est.value != value:
         raise ArithmeticError(
@@ -280,18 +301,10 @@ def _brute_best(forms) -> tuple[float, str, MultilinearForm]:
     return est.value, est.kind, form
 
 
-def _row(config: ExperimentConfig, n: int, forms, draws_used: int) -> GrowthRow:
-    """The row at size n: of the draws in `forms`, the one with the largest
-    norm wins (the first on ties) and its coefficients give lhs."""
-    if config.norm_method == "brute" and draws_used > 1:
-        value, kind, form = _brute_best(forms)
-    else:
-        best = None
-        for d, form in enumerate(forms):
-            value, kind = _estimate(config, form, n, d)
-            if best is None or value > best[0]:
-                best = (value, kind, form)
-        value, kind, form = best
+def _row(config: ExperimentConfig, n: int, best, draws_used: int) -> GrowthRow:
+    """The row at size n of the winning (value, kind, form); the form's
+    coefficients give lhs."""
+    value, kind, form = best
     lhs = mixed_norm(form.coefficients, config.r).value
     if value == 0.0:
         raise ValueError(f"the norm is 0 at n={n}, so the ratio is undefined")
@@ -312,15 +325,29 @@ def run_growth(config: ExperimentConfig) -> GrowthSeries:
             )
         if not payload:
             raise ValueError(f"form file {config.form_file} holds no forms")
-        rows = tuple(_row(config, form.shape[0], [form], 0) for form in map(form_from_obj, payload))
-    else:
-        single = config.family in _CLOSED or config.norm_method == "paper_bound"
-        used = 0 if single else config.draws
         rows = tuple(
-            _row(config, n, (_make_draw(config, n, d) for d in range(used or 1)), used)
-            for n in config.n_values
+            _row(config, form.shape[0], _best(config, form.shape[0], [form]), 0)
+            for form in map(form_from_obj, payload)
         )
+        return GrowthSeries(config=config, rows=rows)
+    used = 0 if config.family in _CLOSED or config.norm_method == "paper_bound" else config.draws
+    count = used or 1
+    keys = [(n, d, 0) for n in config.n_values for d in range(count)]
+    # the closed families have no random signs, so no seeds
+    seeds = [0] * len(keys) if config.family in _CLOSED else _rng.derive_seeds(config.seed, keys)
+    rows = tuple(
+        _generated_row(config, n, seeds[i * count : (i + 1) * count], used)
+        for i, n in enumerate(config.n_values)
+    )
     return GrowthSeries(config=config, rows=rows)
+
+
+def _generated_row(config: ExperimentConfig, n: int, seeds, draws_used: int) -> GrowthRow:
+    """The row at size n of a generated family, of the draws `seeds` give."""
+    if config.norm_method == "brute" and draws_used > 1:
+        return _row(config, n, _brute_best(config, n, seeds), draws_used)
+    forms = (make_form(config.family, config.m, n, config.p, s, config.k) for s in seeds)
+    return _row(config, n, _best(config, n, forms), draws_used)
 
 
 def _verdict(slope, r2, n_points, s, tol, mode) -> str:

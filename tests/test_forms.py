@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedsums import (
     INF,
@@ -21,7 +23,14 @@ from mixedsums import (
     product_extension,
     row_form,
 )
-from mixedsums._rng import derive_seed, phase_array, sign_array, stream
+from mixedsums import _rng
+from mixedsums._rng import derive_seed, derive_seeds, phase_array, sign_array, sign_stack, stream
+
+# key entries at the edges of SeedSequence's word split: 0 is one word,
+# 2**32 - 1 the largest one-word entry, 2**64 - 1 the largest two-word one;
+# negatives and entries past 64 bits are masked to 64 bits first
+_EDGE_KEYS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**63 + 5, 2**64 - 1, -1, -3, 2**64, 2**70 + 3)
+_KEY_ENTRY = st.one_of(st.sampled_from(_EDGE_KEYS), st.integers(-(2**65), 2**65))
 
 
 def test_alpha():
@@ -46,6 +55,57 @@ def test_derive_seed_frozen():
     assert derive_seed(7, 2, 0, 0) == 18279110831140952437
     assert derive_seed(7, 2, 0, 0) == derive_seed(7, 2, 0, 0)
     assert derive_seed(7, 2, 0, 1) != derive_seed(7, 2, 0, 0)
+
+
+def test_derive_seed_frozen_in_a_batch():
+    assert derive_seeds(7, [(2, 0, 0)]) == [18279110831140952437]
+    assert derive_seeds(7, [(2, 0, 1), (2, 0, 0)])[1] == 18279110831140952437
+    assert derive_seeds(7, []) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # one to nine entries: past the pool of four words, and with two-word
+    # entries up to eighteen words
+    keys=st.lists(st.lists(_KEY_ENTRY, min_size=1, max_size=9).map(tuple), min_size=1, max_size=12),
+    n_words=st.sampled_from([1, 2, 5, 8]),
+)
+def test_batched_states_are_seed_sequence_words(keys, n_words):
+    got = _rng._states(keys, n_words)
+    assert got.dtype == np.uint32 and got.shape == (len(keys), n_words)
+    for key, row in zip(keys, got):
+        entropy = [k & 0xFFFFFFFFFFFFFFFF for k in key]
+        want = np.random.SeedSequence(entropy).generate_state(n_words)
+        assert row.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=_KEY_ENTRY,
+    keys=st.lists(st.lists(_KEY_ENTRY, max_size=5).map(tuple), max_size=8),
+)
+def test_derive_seeds_is_derive_seed_per_key(seed, keys):
+    assert derive_seeds(seed, keys) == [derive_seed(seed, *key) for key in keys]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
+    seeds=st.lists(_KEY_ENTRY, max_size=6),
+)
+def test_sign_stack_is_stacked_sign_arrays(shape, seeds):
+    got = sign_stack(shape, seeds)
+    want = np.stack([sign_array(shape, s) for s in seeds]) if seeds else np.empty((0, *shape))
+    assert got.dtype == np.float64 and got.shape == (len(seeds), *shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_random_raw_is_the_full_range_integers():
+    # sign_stack reads random_raw where sign_array reads integers(0, 2**64)
+    for seed in (0, 3, 2**32, 2**64 - 1):
+        raw = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(50)
+        draws = stream(seed).integers(0, 2**64, size=50, dtype=np.uint64)
+        assert raw.tobytes() == draws.tobytes()
 
 
 def test_sign_and_phase_arrays():

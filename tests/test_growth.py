@@ -23,11 +23,13 @@ from mixedsums import (
     form_to_obj,
     ksz_random_form,
     loglog_fit,
+    make_form,
     mixed_norm,
     report_obj,
     run_growth,
     series_to_csv,
 )
+from mixedsums._rng import derive_seed
 
 
 def _cfg(**kw):
@@ -134,14 +136,17 @@ def test_ksz_keeps_largest_norm_draw():
         seed=3,
     )
     series = run_growth(cfg)
-    from mixedsums.growth import _make_draw
-
     for row in series.rows:
         norms = [
-            brute_force_norm(_make_draw(cfg, row.n, d)).value
+            brute_force_norm(_draw(cfg, row.n, d)).value
             for d in range(cfg.draws)
         ]
         assert row.norm == max(norms)
+
+
+def _draw(cfg, n, d):
+    """Draw d at size n, seeded one key at a time through numpy."""
+    return make_form(cfg.family, cfg.m, n, cfg.p, derive_seed(cfg.seed, n, d, 0), cfg.k)
 
 
 def _per_draw_rows(cfg):
@@ -151,7 +156,7 @@ def _per_draw_rows(cfg):
     for n in cfg.n_values:
         best = None
         for d in range(cfg.draws):
-            form = growth_module._make_draw(cfg, n, d)
+            form = _draw(cfg, n, d)
             value = brute_force_norm(form).value
             if best is None or value > best[0]:
                 best = (value, form)
@@ -169,7 +174,13 @@ def _per_draw_rows(cfg):
          ("product_extension", 3, 2)]
     ),
     draws=st.integers(2, 12),
-    seed=st.integers(0, 2**32 - 1),
+    # keys of one to three words a seed: 2**32 and the masked negatives
+    # take two, so (seed, n, d, 0) has more words than the pool holds
+    seed=st.one_of(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0, 2**32, 2**63 + 5, -3]),
+        st.integers(-(2**70), 2**70),
+    ),
     cap=st.sampled_from([None, 1, 40]),
 )
 def test_stacked_brute_rows_match_per_draw_rows(shape, draws, seed, cap):
@@ -185,23 +196,29 @@ def test_stacked_brute_rows_match_per_draw_rows(shape, draws, seed, cap):
     assert rows == _per_draw_rows(cfg)
 
 
+_KSZ_BRUTE = ExperimentConfig(
+    family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 4),
+    norm_method="brute", draws=2,
+)
+
+
 @pytest.mark.parametrize("cap", [None, 1, 16, 40])
 def test_stacked_brute_ties_go_to_the_first_draw(monkeypatch, cap):
     if cap is not None:
         monkeypatch.setattr(growth_module, "_STACK_ENTRIES", cap)
-    draws = [ksz_random_form(2, 4, (INF, INF), seed=s)[0] for s in range(6)]
-    values = [brute_force_norm(f).value for f in draws]
-    top = values.index(max(values))
-    low = values.index(min(values))
-
-    def copy(k):
-        return MultilinearForm(coefficients=draws[k].coefficients.copy(), p=(INF, INF))
-
-    # copies of the winner and the loser, before and after the winner
-    forms = draws[:top] + [copy(low)] + draws[top:] + [copy(top), copy(low)] * 3
-    value, kind, form = growth_module._brute_best(forms)
-    assert (value, kind) == (max(values), "exact")
-    assert form is draws[top]
+    seeds = list(range(40))
+    values = [brute_force_norm(make_form("ksz", 2, 4, (INF, INF), s)).value for s in seeds]
+    top = [s for s, v in zip(seeds, values) if v == max(values)]
+    low = seeds[values.index(min(values))]
+    assert len(top) >= 2  # distinct draws that tie for the largest norm
+    losers = [s for s, v in zip(seeds, values) if v < max(values)][:5]
+    for first, *rest in (top, top[::-1]):
+        # copies of the winner and the loser, before and after the winner,
+        # then the other draws of the same value last
+        row = losers[:2] + [low, first, low] + losers[2:] + [first, low] * 3 + rest
+        value, kind, form = growth_module._brute_best(_KSZ_BRUTE, 4, row)
+        assert (value, kind) == (max(values), "exact")
+        assert form.seed == first
 
 
 def test_stacked_brute_scans_each_row_once(monkeypatch):
@@ -242,6 +259,40 @@ def test_stacked_brute_checks_the_scan_against_the_witness(monkeypatch):
     )
     with pytest.raises(ArithmeticError, match="differs from its witness"):
         run_growth(cfg)
+
+
+@pytest.mark.parametrize("family", ["ksz", "product_extension"])
+def test_stacked_brute_checks_the_winner_against_numpy(monkeypatch, family):
+    sign_stack = growth_module._rng.sign_stack
+
+    def flipped(shape, seeds):
+        # negating the winner's first row leaves its norm, so it still wins
+        stack = sign_stack(shape, seeds)
+        d, _, _ = growth_module.brute_force_scan(stack)
+        stack[d, 0] *= -1.0
+        return stack
+
+    monkeypatch.setattr(growth_module._rng, "sign_stack", flipped)
+    m, k = (2, None) if family == "ksz" else (3, 2)
+    cfg = ExperimentConfig(
+        family=family, m=m, k=k, p=(INF,) * m, r=(1.0,) * m, n_values=(2, 3, 4),
+        norm_method="brute", draws=3,
+    )
+    with pytest.raises(ArithmeticError, match="differ from numpy's"):
+        run_growth(cfg)
+
+
+def test_stacked_brute_builds_only_the_winners(monkeypatch):
+    built, real = [], growth_module.make_form
+
+    def counting(family, m, n, *args, **kwargs):
+        built.append(n)
+        return real(family, m, n, *args, **kwargs)
+
+    monkeypatch.setattr(growth_module, "make_form", counting)
+    cfg, _ = bundled_suite()[8]  # ksz, 50 draws at n = 2..10
+    run_growth(cfg)
+    assert built == list(cfg.n_values)
 
 
 def test_product_extension_lhs_growth():

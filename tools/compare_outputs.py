@@ -23,7 +23,10 @@ float64), and on forms with fractional entries. Through
 m = 1; ascent also at p_j = 1, at m = 1 and m = 3, at n = 64 and with a
 cap of two sweeps), of inline-flag ``experiment`` runs (brute, ascent with
 three draws, ``paper_bound`` on ksz, diagonal, row and product_extension,
-and the custom-file family on a list file and on a single-object file),
+and the custom-file family on a list file and on a single-object file;
+at seeds 2**32, -3 and 2**63 + 5, whose seed keys hold more words than
+SeedSequence's pool, brute ksz with 20 draws and brute product_extension
+with k = 1 and 6 draws, plus ascent ksz with three draws at seed -3),
 of ``exponent --format json`` over a grid of (m, p, r) with m <= 3, and
 of ``verify-holder``. Last, it hashes
 ``tensors.fiber_norms`` and ``mixed_norm`` on seeded tensors whose Sum2
@@ -109,6 +112,18 @@ EXPERIMENTS = [
     "--family custom-file --m 2 --p inf,inf --r 1,1 --norm-method ascent --restarts 3 --form-file {tmp}/forms.json",
     "--family custom-file --m 2 --p inf,inf --r 1,1 --norm-method brute --form-file {tmp}/ksz.json",
 ]
+# seeds whose keys (seed, n, d, 0) hold more words than SeedSequence's pool
+# of four: 2**32, -3 (masked to 2**64 - 3) and 2**63 + 5 take two words each
+for _seed in (4294967296, -3, 9223372036854775813):
+    EXPERIMENTS += [
+        "--family ksz --m 2 --p inf,inf --r 1,1 --n-values 2,3,4,5,6 "
+        f"--norm-method brute --draws 20 --seed {_seed}",
+        "--family product_extension --m 3 --k 1 --p inf,inf,inf --r 1,1,2 --n-values 2,4,6,8 "
+        f"--norm-method brute --draws 6 --seed {_seed}",
+    ]
+EXPERIMENTS.append(
+    "--family ksz --m 2 --p 4,4 --r 1,2 --n-values 2,3,4 --draws 3 --restarts 4 --seed -3"
+)
 # exponent grid: every m, a p common to all slots or with the last slot
 # 3/2 (the anisotropic regime), and r common to all slots or r_1 then 2s
 EXPONENT_P = ("inf", "6", "4", "2", "3/2")
