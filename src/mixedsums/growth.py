@@ -16,15 +16,21 @@ method a row's draws are built as sign stacks in one batch each and
 enumerated by one brute_force_scan, in chunks of at most _STACK_ENTRIES
 coefficients, with the budget counted per draw; only the winner becomes a
 form, and its coefficients are checked against the stack. The closed
-families (diagonal, row) and the paper_bound method take one draw and
-report draws_used = 0. The custom-file family gives one row
-per form in its file, with n the form's first dimension and draws_used = 0.
+families (diagonal, row) build one form per n, paper_bound rows of the
+random families draw none (below), and both report draws_used = 0. The
+custom-file family gives one row per form in its file, with n the form's
+first dimension and draws_used = 0.
 
 paper_bound fills the norm column with a closed form instead of an
 estimate: the analytic norm for diagonal and row, and
 n^{ksz_bound_exponent(p[:k])} for ksz (k = m) and product_extension (its
 base arity k), the unit-constant norm bound of a k-linear sign form. A fit
-over such rows is bound_relative.
+over such rows is bound_relative. Every sign draw of a family has the same
+modulus (ones, on the base block for product_extension), and neither that
+bound nor lhs, which reads only |coefficients|, depends on the signs. So
+paper_bound rows of ksz and product_extension derive no seeds and draw no
+signs: lhs is the mixed norm of the shared modulus, bit for bit the value
+a draw gives, and the rows are the same for every seed.
 
 All randomness derives from (seed, n, draw_index) and rows are computed
 one after another in one thread, so output is reproducible bit-for-bit.
@@ -235,8 +241,12 @@ def estimate_norm(
     raise ValueError(f"unknown norm method {method!r}")
 
 
-def _estimate(config: ExperimentConfig, form: MultilinearForm, n: int, d: int):
-    """(value, kind) of draw d at size n under the configured method."""
+def _estimate(config: ExperimentConfig, form: MultilinearForm | None, n: int, d: int):
+    """(value, kind) of draw d at size n under the configured method.
+
+    paper_bound on ksz and product_extension does not read the form, which
+    may then be None.
+    """
     if config.norm_method != "paper_bound":
         # only ascent draws from the seed, and deriving one costs ~20 us
         seed = _rng.derive_seed(config.seed, n, d, 1) if config.norm_method == "ascent" else 0
@@ -245,8 +255,12 @@ def _estimate(config: ExperimentConfig, form: MultilinearForm, n: int, d: int):
     if config.family in _CLOSED:
         return analytic_norm(form).value, "paper_bound"
     # norm bound of the base k-linear sign form
-    k = config.m if config.family == "ksz" else config.k
-    return float(n) ** ksz_bound_exponent(config.p[:k]), "paper_bound"
+    return float(n) ** ksz_bound_exponent(config.p[: _base_arity(config)]), "paper_bound"
+
+
+def _base_arity(config: ExperimentConfig) -> int:
+    """The arity k of a random family's sign draws: m for ksz."""
+    return config.m if config.family == "ksz" else config.k
 
 
 def _best(config: ExperimentConfig, n: int, forms) -> tuple[float, str, MultilinearForm]:
@@ -262,13 +276,27 @@ def _best(config: ExperimentConfig, n: int, forms) -> tuple[float, str, Multilin
 
 def _draw_stack(config: ExperimentConfig, n: int, seeds) -> np.ndarray:
     """The coefficients of the draws make_form builds from `seeds`, stacked."""
-    k = config.m if config.family == "ksz" else config.k
-    base = _rng.sign_stack((n,) * k, seeds)
-    if k == config.m:
+    return _extend(config, n, _rng.sign_stack((n,) * _base_arity(config), seeds))
+
+
+def _modulus(config: ExperimentConfig, n: int) -> np.ndarray:
+    """|coefficients| of every draw of a random family at size n.
+
+    For ksz, and product_extension with k = m, a read-only broadcast of 1.0
+    that allocates nothing of size n^m.
+    """
+    return _extend(config, n, np.broadcast_to(1.0, (n,) * _base_arity(config)))
+
+
+def _extend(config: ExperimentConfig, n: int, base: np.ndarray) -> np.ndarray:
+    """`base`, whose last k axes are slots of the base sign form, placed as
+    product_extension places it: the m - k new indices pinned to 0."""
+    tail = config.m - _base_arity(config)
+    if tail == 0:
         return base
-    stack = np.zeros(base.shape + (n,) * (config.m - k))
-    stack[(...,) + (0,) * (config.m - k)] = base
-    return stack
+    out = np.zeros(base.shape + (n,) * tail)
+    out[(...,) + (0,) * tail] = base
+    return out
 
 
 def _brute_best(config: ExperimentConfig, n: int, seeds) -> tuple[float, str, MultilinearForm]:
@@ -301,11 +329,12 @@ def _brute_best(config: ExperimentConfig, n: int, seeds) -> tuple[float, str, Mu
     return est.value, est.kind, form
 
 
-def _row(config: ExperimentConfig, n: int, best, draws_used: int) -> GrowthRow:
-    """The row at size n of the winning (value, kind, form); the form's
-    coefficients give lhs."""
-    value, kind, form = best
-    lhs = mixed_norm(form.coefficients, config.r).value
+def _row(
+    config: ExperimentConfig, n: int, coefficients, value: float, kind: str, draws_used: int
+) -> GrowthRow:
+    """The row at size n of a norm (value, kind); lhs is the mixed norm of
+    `coefficients`, or of their modulus, which gives the same bits."""
+    lhs = mixed_norm(coefficients, config.r).value
     if value == 0.0:
         raise ValueError(f"the norm is 0 at n={n}, so the ratio is undefined")
     return GrowthRow(n, lhs, value, kind, lhs / value, draws_used)
@@ -326,15 +355,17 @@ def run_growth(config: ExperimentConfig) -> GrowthSeries:
         if not payload:
             raise ValueError(f"form file {config.form_file} holds no forms")
         rows = tuple(
-            _row(config, form.shape[0], _best(config, form.shape[0], [form]), 0)
-            for form in map(form_from_obj, payload)
+            _row(config, f.shape[0], f.coefficients, *_estimate(config, f, f.shape[0], 0), 0)
+            for f in map(form_from_obj, payload)
         )
         return GrowthSeries(config=config, rows=rows)
-    used = 0 if config.family in _CLOSED or config.norm_method == "paper_bound" else config.draws
+    # the closed families have no random signs and paper_bound reads none,
+    # so neither derives seeds
+    unseeded = config.family in _CLOSED or config.norm_method == "paper_bound"
+    used = 0 if unseeded else config.draws
     count = used or 1
     keys = [(n, d, 0) for n in config.n_values for d in range(count)]
-    # the closed families have no random signs, so no seeds
-    seeds = [0] * len(keys) if config.family in _CLOSED else _rng.derive_seeds(config.seed, keys)
+    seeds = [0] * len(keys) if unseeded else _rng.derive_seeds(config.seed, keys)
     rows = tuple(
         _generated_row(config, n, seeds[i * count : (i + 1) * count], used)
         for i, n in enumerate(config.n_values)
@@ -344,10 +375,14 @@ def run_growth(config: ExperimentConfig) -> GrowthSeries:
 
 def _generated_row(config: ExperimentConfig, n: int, seeds, draws_used: int) -> GrowthRow:
     """The row at size n of a generated family, of the draws `seeds` give."""
+    if config.norm_method == "paper_bound" and config.family not in _CLOSED:
+        return _row(config, n, _modulus(config, n), *_estimate(config, None, n, 0), draws_used)
     if config.norm_method == "brute" and draws_used > 1:
-        return _row(config, n, _brute_best(config, n, seeds), draws_used)
-    forms = (make_form(config.family, config.m, n, config.p, s, config.k) for s in seeds)
-    return _row(config, n, _best(config, n, forms), draws_used)
+        value, kind, form = _brute_best(config, n, seeds)
+    else:
+        forms = (make_form(config.family, config.m, n, config.p, s, config.k) for s in seeds)
+        value, kind, form = _best(config, n, forms)
+    return _row(config, n, form.coefficients, value, kind, draws_used)
 
 
 def _verdict(slope, r2, n_points, s, tol, mode) -> str:

@@ -1,5 +1,6 @@
 """Growth experiment tests: frozen rows, fits, serialization, determinism."""
 
+import dataclasses
 import json
 import math
 
@@ -30,6 +31,7 @@ from mixedsums import (
     series_to_csv,
 )
 from mixedsums._rng import derive_seed
+from mixedsums.forms import ksz_bound_exponent
 
 
 def _cfg(**kw):
@@ -411,25 +413,69 @@ def test_paper_bound_method():
         assert row.norm == float(row.n) ** 1.5
 
 
-@pytest.mark.parametrize("family", ["ksz", "diagonal", "row"])
-def test_paper_bound_builds_one_form_per_n(monkeypatch, family):
-    import mixedsums.growth as growth_module
+@pytest.mark.parametrize("family", ["ksz", "product_extension", "diagonal", "row"])
+def test_paper_bound_builds_forms_only_for_closed_families(monkeypatch, family):
+    # the closed families build the one form analytic_norm reads; the sign
+    # families build none and draw nothing
+    calls = []
 
-    built = []
-    real = growth_module.make_form
+    def counting(module, name):
+        real = getattr(module, name)
 
-    def counting(family, m, n, *args, **kwargs):
-        built.append(n)
-        return real(family, m, n, *args, **kwargs)
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[2] if name == "make_form" else None))
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(growth_module, "make_form", counting)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(growth_module, "make_form")
+    for name in ("sign_array", "sign_stack", "derive_seed", "derive_seeds"):
+        counting(growth_module._rng, name)
     cfg = ExperimentConfig(
-        family=family, m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 4),
+        family=family, m=2, k=1, p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 4),
         norm_method="paper_bound", draws=5,
     )
     rows = run_growth(cfg).rows
-    assert built == [2, 3, 4]
+    if family in ("diagonal", "row"):
+        assert calls == [("make_form", 2), ("make_form", 3), ("make_form", 4)]
+    else:
+        assert calls == []
     assert [row.draws_used for row in rows] == [0, 0, 0]
+
+
+_R_ENTRIES = (0.7, 1.0, 4 / 3, 2.0, 3.0, 600.0, INF)
+_SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def _sign_family_configs(draw):
+    m = draw(st.integers(1, 3))
+    family = draw(st.sampled_from(["ksz", "product_extension"]))
+    k = draw(st.integers(1, m)) if family == "product_extension" else None
+    def vector(values):
+        return draw(st.tuples(*[st.sampled_from(values)] * m))
+
+    return ExperimentConfig(
+        family=family, m=m, k=k, p=vector((1.0, 2.0, 4.0, INF)),
+        r=vector(_R_ENTRIES), n_values=(1, 2, 5, 9),
+        norm_method="paper_bound", draws=draw(st.integers(1, 4)), seed=draw(_SEEDS),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_sign_family_configs(), other_seed=_SEEDS)
+def test_paper_bound_rows_equal_rows_of_a_real_draw(cfg, other_seed):
+    # the reference: draw 0 built through numpy, lhs from its coefficients
+    rows = []
+    for n in cfg.n_values:
+        lhs = mixed_norm(_draw(cfg, n, 0).coefficients, cfg.r).value
+        k = cfg.m if cfg.family == "ksz" else cfg.k
+        norm = float(n) ** ksz_bound_exponent(cfg.p[:k])
+        rows.append(GrowthRow(n, lhs, norm, "paper_bound", lhs / norm, 0))
+    got = run_growth(cfg).rows
+    assert [row.lhs.hex() for row in got] == [row.lhs.hex() for row in rows]
+    assert got == tuple(rows)
+    assert run_growth(dataclasses.replace(cfg, seed=other_seed)).rows == got
 
 
 def test_csv_round_trip():

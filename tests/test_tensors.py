@@ -272,6 +272,34 @@ def test_fiber_norms_sum2_for_fractions_and_other_exponents(sum2_calls):
         assert got.tobytes() == _reference_fiber_norms(a, r).tobytes()
 
 
+# c = 1 and 3 at r = 1 and 2 take the plain sum; 0.3 and the other
+# exponents take Sum2, the supremum or the scale by the largest modulus.
+# (40, 3000) spans four blocks of fibers, (2, 40000) one fiber a block
+@pytest.mark.parametrize("shape", [(40, 3000), (2, 40000), (5, 30, 300)])
+@pytest.mark.parametrize("c", [1.0, -1.0, 3.0, 0.3])
+def test_zero_stride_input_gives_the_bits_of_a_full_array(sum2_calls, shape, c):
+    base = np.array(c)
+    a = np.broadcast_to(base, shape)  # read-only, every stride 0
+    full = np.full(shape, c)
+    plain = False
+    for r in (0.7, 1.0, 4 / 3, 2.0, 3.0, 600.0, INF):
+        sum2_calls.clear()
+        got = fiber_norms(a, r)
+        plain |= r in (1.0, 2.0) and not sum2_calls
+        assert got.tobytes() == fiber_norms(full, r).tobytes(), r
+        rs = (2.0, 3.0, r)[-len(shape) :]
+        assert mixed_norm(a, rs).value.hex() == mixed_norm(full, rs).value.hex(), r
+    assert plain == float(c).is_integer()
+    assert base == c and not a.flags.writeable
+
+
+def test_mixed_norm_reads_only_the_modulus():
+    g = np.random.Generator(np.random.PCG64(21))
+    signs = np.where(g.random((30, 40)) < 0.5, -1.0, 1.0)
+    for r in ((1.0, 1.0), (4 / 3, 3.0), (INF, 0.7), (2.0, 600.0)):
+        assert mixed_norm(signs, r).value == mixed_norm(np.ones((30, 40)), r).value, r
+
+
 def test_compensated_sum_matches_unbuffered_sum2():
     g = np.random.Generator(np.random.PCG64(20))
     for shape in ((1,), (9,), (3, 1000), (2, 3, 50)):

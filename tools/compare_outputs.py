@@ -9,7 +9,11 @@ script runs, in a fresh interpreter, the ten ``bundled_suite()``
 experiments, the ``bound_growth`` benchmark experiments and three
 multi-draw brute experiments at seeds 0 and 5 (ksz at m = 3 with 20
 draws, product_extension with k = 1 and 6 draws, and ksz at m = 2 with
-300 draws, more than one stacked scan holds), and hashes
+300 draws, more than one stacked scan holds), four ``paper_bound``
+experiments at the same seeds whose r leaves {1, 2} (ksz at m = 1 and
+m = 3 with r = inf and 600 among them, product_extension at m = 3 with
+k = 1 and r = (4/3, 3, inf), and ksz at m = 2 with r = (4/3, 3) up to
+n = 2048), and hashes
 ``series_to_csv`` plus ``report_obj`` of each. It also runs
 ``brute_force_norm`` on the ``brute_exact`` benchmark forms at the same
 seeds and hashes ``repr(value)`` plus the witness bytes; the same goes
@@ -143,6 +147,16 @@ STACKED = [
     dict(family="product_extension", m=3, k=1, p=(INF,) * 3, r=(1.0, 1.0, 2.0),
          n_values=(2, 4, 6, 8), draws=6),
     dict(family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(8, 12, 16), draws=300),
+]
+# paper_bound experiments whose lhs leaves the plain-sum path: Sum2, the
+# scale by the largest modulus at r > 512, and the supremum; the last puts
+# an n = 2048 modulus through Sum2 in many blocks
+PAPER_BOUND = [
+    dict(family="ksz", m=1, p=(4.0,), r=(3.0,), n_values=(3, 10, 100, 1000)),
+    dict(family="ksz", m=3, p=(INF, 4.0, 2.0), r=(4 / 3, INF, 600.0), n_values=(2, 5, 9, 16)),
+    dict(family="product_extension", m=3, k=1, p=(INF,) * 3, r=(4 / 3, 3.0, INF),
+         n_values=(2, 4, 8, 16)),
+    dict(family="ksz", m=2, p=(INF, INF), r=(4 / 3, 3.0), n_values=(64, 256, 1024, 2048)),
 ]
 # shapes of the integer tensors that fiber_norms adds without Sum2
 EXACT_SHAPES = [(6, 1), (25, 3000), (2, 40000), (3, 7, 300), (64, 64)]
@@ -321,6 +335,11 @@ def digests() -> dict[str, str]:
             fit = growth.loglog_fit(series, mode="upper_bound")
             name = f"seed{seed}:stacked{idx}:{cfg.family}:m{cfg.m}:draws{cfg.draws}"
             out[name] = payload(series, fit)
+        for idx, kw in enumerate(PAPER_BOUND):
+            cfg = growth.ExperimentConfig(norm_method="paper_bound", seed=seed, **kw)
+            series = growth.run_growth(cfg)
+            fit = growth.loglog_fit(series, mode="upper_bound")
+            out[f"seed{seed}:paper_bound{idx}:{cfg.family}:m{cfg.m}"] = payload(series, fit)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             for item in workloads.setup_bound_growth(seed, "full", Path(tmp)):
