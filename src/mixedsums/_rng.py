@@ -6,12 +6,11 @@ draw index, restart index, ...). Identical keys give identical streams on
 every platform, which is what makes experiment output reproducible
 bit-for-bit.
 
-derive_seeds and sign_stack are the batched forms of derive_seed and
-sign_array for many keys at once. They run numpy's SeedSequence algorithm
-as uint32 array operations over all keys and reproduce it word for word;
-the 128-bit PCG64 seeding and the draws stay in numpy. A one-key batch is
-slower than numpy's own SeedSequence, so single keys go through stream.
-Every multi-draw brute growth row checks its winner against numpy.
+derive_seeds and pcg_states run numpy's SeedSequence algorithm over many
+keys at once as uint32 array operations and reproduce it word for word:
+the sub-seeds of derive_seed, and the states numpy seeds a PCG64 with.
+sign_stack then only draws. Every random growth row checks its winner
+against numpy's own seeding.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ import math
 
 import numpy as np
 
-__all__ = ["stream", "derive_seed", "derive_seeds", "sign_array", "sign_stack", "phase_array"]
+__all__ = ["stream", "derive_seed", "derive_seeds", "pcg_states", "sign_array", "sign_stack",
+           "phase_array"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MASK32 = 0xFFFFFFFF
@@ -187,14 +187,17 @@ def _seeded_type() -> type:
     return Seeded
 
 
-def sign_stack(shape: tuple[int, ...], seeds) -> np.ndarray:
-    """np.stack([sign_array(shape, s) for s in seeds]), seeded in one batch.
+def pcg_states(seeds) -> np.ndarray:
+    """(K, 4) uint64: row i is the state numpy's SeedSequence(seeds[i])
+    gives a PCG64, the input of sign_stack."""
+    return _uint64(_states([(s,) for s in seeds], 8))
 
-    Each PCG64 takes the four 64-bit words numpy's SeedSequence would give
-    it; random_raw yields the words Generator.integers(0, 2**64) draws.
-    """
+
+def sign_stack(shape: tuple[int, ...], states) -> np.ndarray:
+    """np.stack([sign_array(shape, s) for s in seeds]) for
+    states = pcg_states(seeds); random_raw yields the words
+    Generator.integers(0, 2**64) draws."""
     size = math.prod(shape)
-    states = _uint64(_states([(s,) for s in seeds], 8))
     seeded = _seeded_type()
     bits = np.empty((len(states), size), dtype=np.uint64)
     for row, state in zip(bits, states):

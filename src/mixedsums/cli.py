@@ -10,7 +10,8 @@ Subcommands:
 
 Exponent tokens are decimals, fractions like 4/3, or inf; vectors are
 comma-separated. Exit codes: 0 success, 1 domain error (regime violation,
-bad file, violated inequality), 2 usage error. Honors NO_COLOR.
+bad file, violated inequality, a norm not finite in float64), 2 usage
+error. Honors NO_COLOR.
 """
 
 from __future__ import annotations
@@ -357,7 +358,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -10,27 +10,26 @@ slope <= s + tol).
 Random families (ksz, product_extension) evaluate `draws` independent sign
 draws per n and keep the draw with the largest operator norm (smallest
 draw index on ties); the norm denominator of the reported ratio belongs to
-that draw, and the row reports draws_used = draws. An experiment derives
-all of its form seeds in one batch before the first row. Under the brute
-method a row's draws are built as sign stacks in one batch each and
-enumerated by one brute_force_scan, in chunks of at most _STACK_ENTRIES
-coefficients, with the budget counted per draw; only the winner becomes a
-form, and its coefficients are checked against the stack. The closed
-families (diagonal, row) build one form per n, paper_bound rows of the
-random families draw none (below), and both report draws_used = 0. The
-custom-file family gives one row per form in its file, with n the form's
-first dimension and draws_used = 0.
+that draw, and the row reports draws_used = draws. Under brute and ascent
+all such rows take one path: an experiment seeds all of its draws in one
+batch, and a row's draws are built as sign stacks of at most
+_STACK_ENTRIES coefficients. brute enumerates each stack in one
+brute_force_scan, with the budget counted per draw; ascent runs on each
+draw of it. Only the winner becomes a form, and its coefficients are
+checked against the stack. The closed families (diagonal, row) build one
+form per n, paper_bound rows of the random families draw none (below),
+and both report draws_used = 0, as does the custom-file family, which
+gives one row per form in its file, with n the form's first dimension.
 
 paper_bound fills the norm column with a closed form instead of an
 estimate: the analytic norm for diagonal and row, and
 n^{ksz_bound_exponent(p[:k])} for ksz (k = m) and product_extension (its
 base arity k), the unit-constant norm bound of a k-linear sign form. A fit
 over such rows is bound_relative. Every sign draw of a family has the same
-modulus (ones, on the base block for product_extension), and neither that
-bound nor lhs, which reads only |coefficients|, depends on the signs. So
-paper_bound rows of ksz and product_extension derive no seeds and draw no
-signs: lhs is the mixed norm of the shared modulus, bit for bit the value
-a draw gives, and the rows are the same for every seed.
+modulus (ones, on the base block for product_extension), and lhs reads
+only |coefficients|, so these rows draw no signs: lhs is the mixed norm
+of the shared modulus, bit for bit the value a draw gives, and the rows
+are the same for every seed.
 
 All randomness derives from (seed, n, draw_index) and rows are computed
 one after another in one thread, so output is reproducible bit-for-bit.
@@ -90,8 +89,7 @@ DEFAULT_FIT_TOLERANCE = 0.15
 CSV_HEADER = "n,lhs,norm,norm_kind,ratio,draws_used"
 # families with a closed-form norm: one draw per n, no random sign
 _CLOSED = ("diagonal", "row")
-# coefficients in one stacked brute-force scan, so memory does not grow
-# with draws
+# coefficients in one stack of sign draws, so memory does not grow with draws
 _STACK_ENTRIES = 2**16
 
 
@@ -241,42 +239,20 @@ def estimate_norm(
     raise ValueError(f"unknown norm method {method!r}")
 
 
-def _estimate(config: ExperimentConfig, form: MultilinearForm | None, n: int, d: int):
-    """(value, kind) of draw d at size n under the configured method.
-
-    paper_bound on ksz and product_extension does not read the form, which
-    may then be None.
-    """
-    if config.norm_method != "paper_bound":
-        # only ascent draws from the seed, and deriving one costs ~20 us
-        seed = _rng.derive_seed(config.seed, n, d, 1) if config.norm_method == "ascent" else 0
-        est = estimate_norm(form, config.norm_method, config.restarts, seed, config.tol)
-        return est.value, est.kind
-    if config.family in _CLOSED:
+def _estimate(config: ExperimentConfig, form: MultilinearForm, n: int, d: int = 0):
+    """(value, kind) of `form`, draw d at size n, under the configured
+    method; paper_bound reaches here only for the closed families."""
+    if config.norm_method == "paper_bound":
         return analytic_norm(form).value, "paper_bound"
-    # norm bound of the base k-linear sign form
-    return float(n) ** ksz_bound_exponent(config.p[: _base_arity(config)]), "paper_bound"
+    # only ascent draws from the seed, and deriving one costs ~20 us
+    seed = _rng.derive_seed(config.seed, n, d, 1) if config.norm_method == "ascent" else 0
+    est = estimate_norm(form, config.norm_method, config.restarts, seed, config.tol)
+    return est.value, est.kind
 
 
 def _base_arity(config: ExperimentConfig) -> int:
     """The arity k of a random family's sign draws: m for ksz."""
     return config.m if config.family == "ksz" else config.k
-
-
-def _best(config: ExperimentConfig, n: int, forms) -> tuple[float, str, MultilinearForm]:
-    """(value, kind, form) of the draw in `forms` with the largest norm
-    estimate, the first on ties."""
-    best = None
-    for d, form in enumerate(forms):
-        value, kind = _estimate(config, form, n, d)
-        if best is None or value > best[0]:
-            best = (value, kind, form)
-    return best
-
-
-def _draw_stack(config: ExperimentConfig, n: int, seeds) -> np.ndarray:
-    """The coefficients of the draws make_form builds from `seeds`, stacked."""
-    return _extend(config, n, _rng.sign_stack((n,) * _base_arity(config), seeds))
 
 
 def _modulus(config: ExperimentConfig, n: int) -> np.ndarray:
@@ -299,36 +275,6 @@ def _extend(config: ExperimentConfig, n: int, base: np.ndarray) -> np.ndarray:
     return out
 
 
-def _brute_best(config: ExperimentConfig, n: int, seeds) -> tuple[float, str, MultilinearForm]:
-    """(value, kind, form) of the draw with the largest exact norm among
-    the forms seeded by `seeds`, the first on ties.
-
-    The draws' signs are built and scanned as stacks of at most
-    _STACK_ENTRIES coefficients; a later chunk wins only with a strictly
-    larger value. Only the winner becomes a form, through make_form, and
-    its coefficients must equal its slice of the stack. On these integer
-    draws the scan is exact, so the value recomputed from the winner's
-    witness must equal the scan's.
-    """
-    per_chunk = max(1, _STACK_ENTRIES // n**config.m)
-    best = None
-    for start in range(0, len(seeds), per_chunk):
-        stack = _draw_stack(config, n, seeds[start : start + per_chunk])
-        d, idx, value = brute_force_scan(stack)
-        if best is None or value > best[0]:
-            best = (value, seeds[start + d], idx, stack[d].copy())
-    value, seed, idx, coefficients = best
-    form = make_form(config.family, config.m, n, config.p, seed, config.k)
-    if form.coefficients.tobytes() != coefficients.tobytes():
-        raise ArithmeticError(f"batched signs of seed {seed} differ from numpy's")
-    est = brute_force_estimate(form, idx)
-    if est.value != value:
-        raise ArithmeticError(
-            f"brute force scan value {value!r} differs from its witness's {est.value!r}"
-        )
-    return est.value, est.kind, form
-
-
 def _row(
     config: ExperimentConfig, n: int, coefficients, value: float, kind: str, draws_used: int
 ) -> GrowthRow:
@@ -340,8 +286,56 @@ def _row(
     return GrowthRow(n, lhs, value, kind, lhs / value, draws_used)
 
 
+def _form_row(config: ExperimentConfig, n: int, form: MultilinearForm) -> GrowthRow:
+    """The row at size n of one given form, which is no draw."""
+    return _row(config, n, form.coefficients, *_estimate(config, form, n), 0)
+
+
+def _drawn_row(config: ExperimentConfig, n: int, seeds, states) -> GrowthRow:
+    """The row at size n of a random family under brute or ascent: the
+    draw of `seeds` with the largest norm, the first on ties.
+
+    states = _rng.pcg_states(seeds). The draws' signs are built as stacks
+    of at most _STACK_ENTRIES coefficients; brute scans each stack in one
+    brute_force_scan, ascent runs on each draw of it. A later stack wins
+    only with a strictly larger value. Only the winner becomes a form,
+    through make_form, and its coefficients must equal its slice of the
+    stack. On these integer draws the brute scan is exact, so the value
+    recomputed from the winner's witness must equal the scan's.
+    """
+    per_stack = max(1, _STACK_ENTRIES // n**config.m)
+    shape = (n,) * _base_arity(config)
+    best = None
+    for start in range(0, len(seeds), per_stack):
+        stack = _extend(config, n, _rng.sign_stack(shape, states[start : start + per_stack]))
+        if config.norm_method == "brute":
+            d, idx, value = brute_force_scan(stack)
+            kind = "exact"
+        else:
+            ests = [
+                _estimate(config, MultilinearForm(c, config.p), n, start + i)
+                for i, c in enumerate(stack)
+            ]
+            d = max(range(len(ests)), key=lambda i: ests[i][0])  # the first on ties
+            idx, (value, kind) = None, ests[d]
+        if best is None or value > best[0]:
+            best = (value, kind, start + d, idx, stack[d].copy())
+    value, kind, d, idx, coefficients = best
+    form = make_form(config.family, config.m, n, config.p, seeds[d], config.k)
+    if form.coefficients.tobytes() != coefficients.tobytes():
+        raise ArithmeticError(f"batched signs of seed {seeds[d]} differ from numpy's")
+    if idx is not None:
+        est = brute_force_estimate(form, idx)
+        if est.value != value:
+            raise ArithmeticError(
+                f"brute force scan value {value!r} differs from its witness's {est.value!r}"
+            )
+    return _row(config, n, form.coefficients, value, kind, len(seeds))
+
+
 def run_growth(config: ExperimentConfig) -> GrowthSeries:
     """Run one experiment; rows are computed in n order in the calling thread."""
+    ns = config.n_values
     if config.family == "custom-file":
         with open(config.form_file) as f:
             payload = json.load(f)
@@ -354,35 +348,26 @@ def run_growth(config: ExperimentConfig) -> GrowthSeries:
             )
         if not payload:
             raise ValueError(f"form file {config.form_file} holds no forms")
-        rows = tuple(
-            _row(config, f.shape[0], f.coefficients, *_estimate(config, f, f.shape[0], 0), 0)
-            for f in map(form_from_obj, payload)
-        )
-        return GrowthSeries(config=config, rows=rows)
-    # the closed families have no random signs and paper_bound reads none,
-    # so neither derives seeds
-    unseeded = config.family in _CLOSED or config.norm_method == "paper_bound"
-    used = 0 if unseeded else config.draws
-    count = used or 1
-    keys = [(n, d, 0) for n in config.n_values for d in range(count)]
-    seeds = [0] * len(keys) if unseeded else _rng.derive_seeds(config.seed, keys)
-    rows = tuple(
-        _generated_row(config, n, seeds[i * count : (i + 1) * count], used)
-        for i, n in enumerate(config.n_values)
-    )
-    return GrowthSeries(config=config, rows=rows)
-
-
-def _generated_row(config: ExperimentConfig, n: int, seeds, draws_used: int) -> GrowthRow:
-    """The row at size n of a generated family, of the draws `seeds` give."""
-    if config.norm_method == "paper_bound" and config.family not in _CLOSED:
-        return _row(config, n, _modulus(config, n), *_estimate(config, None, n, 0), draws_used)
-    if config.norm_method == "brute" and draws_used > 1:
-        value, kind, form = _brute_best(config, n, seeds)
+        rows = [_form_row(config, f.shape[0], f) for f in map(form_from_obj, payload)]
+    elif config.family in _CLOSED:
+        forms = (make_form(config.family, config.m, n, config.p, 0) for n in ns)
+        rows = [_form_row(config, n, form) for n, form in zip(ns, forms)]
+    elif config.norm_method == "paper_bound":
+        # the unit-constant norm bound of the base k-linear sign form
+        exponent = ksz_bound_exponent(config.p[: _base_arity(config)])
+        rows = [
+            _row(config, n, _modulus(config, n), float(n) ** exponent, "paper_bound", 0)
+            for n in ns
+        ]
     else:
-        forms = (make_form(config.family, config.m, n, config.p, s, config.k) for s in seeds)
-        value, kind, form = _best(config, n, forms)
-    return _row(config, n, form.coefficients, value, kind, draws_used)
+        keys = [(n, d, 0) for n in ns for d in range(config.draws)]
+        seeds = _rng.derive_seeds(config.seed, keys)
+        states = _rng.pcg_states(seeds)
+        rows = [
+            _drawn_row(config, n, seeds[lo : lo + config.draws], states[lo : lo + config.draws])
+            for n, lo in zip(ns, range(0, len(seeds), config.draws))
+        ]
+    return GrowthSeries(config=config, rows=tuple(rows))
 
 
 def _verdict(slope, r2, n_points, s, tol, mode) -> str:

@@ -324,7 +324,8 @@ def brute_force_estimate(form: MultilinearForm, idx: int) -> NormEstimate:
 
     Rebuilds the witness from idx and recomputes its value in float64 with
     partial_contract and dual_maximizer, so `evaluate(form, witness)`
-    reproduces it.
+    reproduces it. Raises ArithmeticError when that value is not finite,
+    which happens when the sums overflow float64.
     """
     witness = []
     for n in reversed(form.shape[:-1]):
@@ -332,6 +333,8 @@ def brute_force_estimate(form: MultilinearForm, idx: int) -> NormEstimate:
         witness.insert(0, 1.0 - 2.0 * (2 * k >> np.arange(n) & 1))
     c_last = partial_contract(form, witness + [None], form.arity - 1)
     x_last, val = dual_maximizer(c_last, INF)
+    if not math.isfinite(val):
+        raise ArithmeticError(f"brute force value {val!r} is not finite: the sums overflow")
     witness.append(x_last)
     return NormEstimate(
         value=val, kind="exact", witness=witness, restarts_used=0, converged=True

@@ -156,7 +156,9 @@ def mixed_norm(a, r) -> MixedNormResult:
     """Mixed ell_r (quasi-)norm of a dense tensor.
 
     r must have one entry per tensor axis; entries lie in (0, inf]. The
-    innermost exponent r_m applies to the last axis.
+    innermost exponent r_m applies to the last axis. Raises
+    ArithmeticError when the value is not finite: an entry is, or the norm
+    overflows float64. Only the value is checked, not every entry.
     """
     a = np.atleast_1d(a)
     if a.size == 0:
@@ -164,7 +166,12 @@ def mixed_norm(a, r) -> MixedNormResult:
     r = as_exponent_vector(r, a.ndim, "r")
     for rj in reversed(r):
         a = fiber_norms(a, rj)
-    return MixedNormResult(value=float(a), exponents_used=r)
+    value = float(a)
+    if not math.isfinite(value):
+        raise ArithmeticError(
+            f"mixed norm is {value!r}: an entry is not finite or the norm overflows"
+        )
+    return MixedNormResult(value=value, exponents_used=r)
 
 
 def coordinate_product(tensors) -> np.ndarray:

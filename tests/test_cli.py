@@ -116,6 +116,30 @@ def test_generate_and_norm_methods(tmp_path, capsys):
     assert "analytic" in err
 
 
+@pytest.mark.parametrize("method, message", [("brute", "not finite"), ("ascent", "overflowed")])
+def test_norm_overflow_is_an_error_not_a_traceback(tmp_path, capsys, method, message):
+    # the norm of this form overflows float64: neither a NaN printed as
+    # "exact" nor a traceback
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"shape": [2, 2], "data": [1e308] * 4, "p": ["inf", "inf"]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run(capsys, "norm", "--input", str(path), "--method", method)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_mixed_norm_overflow_is_an_error(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"shape": [2, 2], "data": [1e308] * 4}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run(capsys, "mixed-norm", "--input", str(path), "--r", "1,1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "not finite" in err
+
+
 def test_generate_row_and_product_extension(tmp_path, capsys):
     row_path = tmp_path / "row.json"
     code, _, _ = run(

@@ -24,7 +24,9 @@ from mixedsums import (
     row_form,
 )
 from mixedsums import _rng
-from mixedsums._rng import derive_seed, derive_seeds, phase_array, sign_array, sign_stack, stream
+from mixedsums._rng import (
+    derive_seed, derive_seeds, pcg_states, phase_array, sign_array, sign_stack, stream,
+)
 
 # key entries at the edges of SeedSequence's word split: 0 is one word,
 # 2**32 - 1 the largest one-word entry, 2**64 - 1 the largest two-word one;
@@ -94,7 +96,12 @@ def test_derive_seeds_is_derive_seed_per_key(seed, keys):
     seeds=st.lists(_KEY_ENTRY, max_size=6),
 )
 def test_sign_stack_is_stacked_sign_arrays(shape, seeds):
-    got = sign_stack(shape, seeds)
+    states = pcg_states(seeds)
+    assert states.dtype == np.uint64 and states.shape == (len(seeds), 4)
+    for s, state in zip(seeds, states):
+        want = np.random.SeedSequence(s & 0xFFFFFFFFFFFFFFFF).generate_state(4, np.uint64)
+        assert state.tobytes() == want.tobytes()
+    got = sign_stack(shape, states)
     want = np.stack([sign_array(shape, s) for s in seeds]) if seeds else np.empty((0, *shape))
     assert got.dtype == np.float64 and got.shape == (len(seeds), *shape)
     assert got.tobytes() == want.tobytes()

@@ -16,6 +16,7 @@ from mixedsums import (
     GrowthRow,
     GrowthSeries,
     MultilinearForm,
+    alternating_ascent,
     brute_force_norm,
     bundled_suite,
     compare,
@@ -30,6 +31,7 @@ from mixedsums import (
     run_growth,
     series_to_csv,
 )
+from mixedsums import _rng
 from mixedsums._rng import derive_seed
 from mixedsums.forms import ksz_bound_exponent
 
@@ -151,38 +153,50 @@ def _draw(cfg, n, d):
     return make_form(cfg.family, cfg.m, n, cfg.p, derive_seed(cfg.seed, n, d, 0), cfg.k)
 
 
+def _per_draw_norm(cfg, n, d, form):
+    """The norm of draw d at size n, estimated on its own."""
+    if cfg.norm_method == "brute":
+        return brute_force_norm(form).value
+    return alternating_ascent(form, cfg.restarts, derive_seed(cfg.seed, n, d, 1), cfg.tol).value
+
+
 def _per_draw_rows(cfg):
-    """The rows of a brute experiment built one brute_force_norm call per
-    draw: the largest value wins, the first draw on ties."""
+    """The rows of a brute or ascent experiment built one form and one norm
+    call per draw: the largest value wins, the first draw on ties."""
     rows = []
     for n in cfg.n_values:
         best = None
         for d in range(cfg.draws):
             form = _draw(cfg, n, d)
-            value = brute_force_norm(form).value
+            value = _per_draw_norm(cfg, n, d, form)
             if best is None or value > best[0]:
                 best = (value, form)
         value, form = best
         lhs = mixed_norm(form.coefficients, cfg.r).value
-        rows.append(GrowthRow(n, lhs, value, "exact", lhs / value, cfg.draws))
+        kind = "exact" if cfg.norm_method == "brute" else "lower_bound"
+        rows.append(GrowthRow(n, lhs, value, kind, lhs / value, cfg.draws))
     return tuple(rows)
+
+
+_SHAPES = st.sampled_from(
+    [("ksz", 1, None), ("ksz", 2, None), ("ksz", 3, None),
+     ("product_extension", 2, 1), ("product_extension", 3, 1),
+     ("product_extension", 3, 2)]
+)
+# keys of one to three words a seed: 2**32 and the masked negatives take
+# two, so (seed, n, d, 0) has more words than the pool holds
+_DRAW_SEEDS = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 2**32, 2**63 + 5, -3]),
+    st.integers(-(2**70), 2**70),
+)
 
 
 @settings(max_examples=20, deadline=None)
 @given(
-    shape=st.sampled_from(
-        [("ksz", 1, None), ("ksz", 2, None), ("ksz", 3, None),
-         ("product_extension", 2, 1), ("product_extension", 3, 1),
-         ("product_extension", 3, 2)]
-    ),
-    draws=st.integers(2, 12),
-    # keys of one to three words a seed: 2**32 and the masked negatives
-    # take two, so (seed, n, d, 0) has more words than the pool holds
-    seed=st.one_of(
-        st.integers(0, 2**32 - 1),
-        st.sampled_from([0, 2**32, 2**63 + 5, -3]),
-        st.integers(-(2**70), 2**70),
-    ),
+    shape=_SHAPES,
+    draws=st.integers(1, 12),
+    seed=_DRAW_SEEDS,
     cap=st.sampled_from([None, 1, 40]),
 )
 def test_stacked_brute_rows_match_per_draw_rows(shape, draws, seed, cap):
@@ -198,18 +212,49 @@ def test_stacked_brute_rows_match_per_draw_rows(shape, draws, seed, cap):
     assert rows == _per_draw_rows(cfg)
 
 
-_KSZ_BRUTE = ExperimentConfig(
-    family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 4),
-    norm_method="brute", draws=2,
+@settings(max_examples=15, deadline=None)
+@given(
+    shape=_SHAPES,
+    p=st.sampled_from([1.0, 4.0, INF]),
+    draws=st.integers(1, 5),
+    seed=_DRAW_SEEDS,
+    cap=st.sampled_from([None, 1, 40]),
 )
+def test_stacked_ascent_rows_match_per_draw_rows(shape, p, draws, seed, cap):
+    family, m, k = shape
+    cfg = ExperimentConfig(
+        family=family, m=m, k=k, p=(p,) + (4.0,) * (m - 1), r=(1.0,) + (2.0,) * (m - 1),
+        n_values=(2, 3, 5), norm_method="ascent", restarts=3, draws=draws, seed=seed,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:  # several chunks a row
+            mp.setattr(growth_module, "_STACK_ENTRIES", cap)
+        rows = run_growth(cfg).rows
+    assert rows == _per_draw_rows(cfg)
 
 
-@pytest.mark.parametrize("cap", [None, 1, 16, 40])
-def test_stacked_brute_ties_go_to_the_first_draw(monkeypatch, cap):
+_KSZ_TIES = {
+    method: ExperimentConfig(
+        family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 4),
+        norm_method=method, restarts=4, draws=2,
+    )
+    for method in ("brute", "ascent")
+}
+
+
+def _check_ties_go_to_the_first_draw(monkeypatch, method, cap):
+    cfg = _KSZ_TIES[method]
     if cap is not None:
         monkeypatch.setattr(growth_module, "_STACK_ENTRIES", cap)
+    built, real = [], growth_module.make_form
+
+    def recording(family, m, n, p, seed, k=None):
+        built.append(seed)
+        return real(family, m, n, p, seed, k)
+
+    monkeypatch.setattr(growth_module, "make_form", recording)
     seeds = list(range(40))
-    values = [brute_force_norm(make_form("ksz", 2, 4, (INF, INF), s)).value for s in seeds]
+    values = [brute_force_norm(real("ksz", 2, 4, (INF, INF), s)).value for s in seeds]
     top = [s for s, v in zip(seeds, values) if v == max(values)]
     low = seeds[values.index(min(values))]
     assert len(top) >= 2  # distinct draws that tie for the largest norm
@@ -218,9 +263,25 @@ def test_stacked_brute_ties_go_to_the_first_draw(monkeypatch, cap):
         # copies of the winner and the loser, before and after the winner,
         # then the other draws of the same value last
         row = losers[:2] + [low, first, low] + losers[2:] + [first, low] * 3 + rest
-        value, kind, form = growth_module._brute_best(_KSZ_BRUTE, 4, row)
-        assert (value, kind) == (max(values), "exact")
-        assert form.seed == first
+        # every draw estimated on its own: ascent ties where brute does
+        estimates = [_per_draw_norm(cfg, 4, d, real("ksz", 2, 4, (INF, INF), s))
+                     for d, s in enumerate(row)]
+        assert max(estimates) == max(values) and estimates.count(max(values)) >= 2
+        built.clear()
+        got = growth_module._drawn_row(cfg, 4, row, _rng.pcg_states(row))
+        kind = "exact" if method == "brute" else "lower_bound"
+        assert (got.norm, got.norm_kind, got.draws_used) == (max(values), kind, len(row))
+        assert built == [first]
+
+
+@pytest.mark.parametrize("cap", [None, 1, 16, 40])
+def test_stacked_brute_ties_go_to_the_first_draw(monkeypatch, cap):
+    _check_ties_go_to_the_first_draw(monkeypatch, "brute", cap)
+
+
+@pytest.mark.parametrize("cap", [None, 1, 16, 40])
+def test_stacked_ascent_ties_go_to_the_first_draw(monkeypatch, cap):
+    _check_ties_go_to_the_first_draw(monkeypatch, "ascent", cap)
 
 
 def test_stacked_brute_scans_each_row_once(monkeypatch):
@@ -263,28 +324,58 @@ def test_stacked_brute_checks_the_scan_against_the_witness(monkeypatch):
         run_growth(cfg)
 
 
-@pytest.mark.parametrize("family", ["ksz", "product_extension"])
-def test_stacked_brute_checks_the_winner_against_numpy(monkeypatch, family):
+def _check_the_winner_against_numpy(monkeypatch, family, method):
     sign_stack = growth_module._rng.sign_stack
 
-    def flipped(shape, seeds):
-        # negating the winner's first row leaves its norm, so it still wins
-        stack = sign_stack(shape, seeds)
-        d, _, _ = growth_module.brute_force_scan(stack)
-        stack[d, 0] *= -1.0
+    def flipped(shape, states):
+        stack = sign_stack(shape, states)
+        if method == "brute":
+            # negating the winner's first row leaves its norm, so it still wins
+            d, _, _ = growth_module.brute_force_scan(stack)
+            stack[d, 0] *= -1.0
+        else:  # every draw differs from numpy's, whichever wins
+            stack[:, 0] *= -1.0
         return stack
 
     monkeypatch.setattr(growth_module._rng, "sign_stack", flipped)
     m, k = (2, None) if family == "ksz" else (3, 2)
-    cfg = ExperimentConfig(
-        family=family, m=m, k=k, p=(INF,) * m, r=(1.0,) * m, n_values=(2, 3, 4),
-        norm_method="brute", draws=3,
-    )
-    with pytest.raises(ArithmeticError, match="differ from numpy's"):
-        run_growth(cfg)
+    for draws in (1, 3):
+        cfg = ExperimentConfig(
+            family=family, m=m, k=k, p=(INF,) * m, r=(1.0,) * m, n_values=(2, 3, 4),
+            norm_method=method, restarts=3, draws=draws,
+        )
+        with pytest.raises(ArithmeticError, match="differ from numpy's"):
+            run_growth(cfg)
 
 
-def test_stacked_brute_builds_only_the_winners(monkeypatch):
+@pytest.mark.parametrize("family", ["ksz", "product_extension"])
+def test_stacked_brute_checks_the_winner_against_numpy(monkeypatch, family):
+    _check_the_winner_against_numpy(monkeypatch, family, "brute")
+
+
+@pytest.mark.parametrize("family", ["ksz", "product_extension"])
+def test_stacked_ascent_checks_the_winner_against_numpy(monkeypatch, family):
+    _check_the_winner_against_numpy(monkeypatch, family, "ascent")
+
+
+_DRAWN_CONFIGS = [
+    bundled_suite()[8][0],  # ksz, 50 draws at n = 2..10
+    ExperimentConfig(
+        family="product_extension", m=3, k=1, p=(4.0, INF, 2.0), r=(1.0, 2.0, 2.0),
+        n_values=(2, 3, 4), norm_method="ascent", restarts=3, draws=4,
+    ),
+    ExperimentConfig(
+        family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 4),
+        norm_method="brute", draws=1,
+    ),
+    ExperimentConfig(
+        family="ksz", m=2, p=(4.0, 4.0), r=(1.0, 2.0), n_values=(2, 3, 4),
+        norm_method="ascent", restarts=3, draws=1,
+    ),
+]
+
+
+def _check_builds_only_the_winners(monkeypatch, method):
     built, real = [], growth_module.make_form
 
     def counting(family, m, n, *args, **kwargs):
@@ -292,9 +383,39 @@ def test_stacked_brute_builds_only_the_winners(monkeypatch):
         return real(family, m, n, *args, **kwargs)
 
     monkeypatch.setattr(growth_module, "make_form", counting)
-    cfg, _ = bundled_suite()[8]  # ksz, 50 draws at n = 2..10
+    for cfg in _DRAWN_CONFIGS:
+        if cfg.norm_method == method:
+            built.clear()
+            run_growth(cfg)
+            assert built == list(cfg.n_values)
+
+
+def test_stacked_brute_builds_only_the_winners(monkeypatch):
+    _check_builds_only_the_winners(monkeypatch, "brute")
+
+
+def test_stacked_ascent_builds_only_the_winners(monkeypatch):
+    _check_builds_only_the_winners(monkeypatch, "ascent")
+
+
+@pytest.mark.parametrize("cfg", _DRAWN_CONFIGS, ids=lambda c: f"{c.norm_method}-draws{c.draws}")
+def test_drawn_rows_seed_in_one_batch_per_experiment(monkeypatch, cfg):
+    calls = []
+
+    def counting(name):
+        real = getattr(growth_module._rng, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(growth_module._rng, name, wrapper)
+
+    for name in ("derive_seeds", "pcg_states", "sign_stack"):
+        counting(name)
     run_growth(cfg)
-    assert built == list(cfg.n_values)
+    # one stack a row: every row here fits in _STACK_ENTRIES
+    assert calls == ["derive_seeds", "pcg_states"] + ["sign_stack"] * len(cfg.n_values)
 
 
 def test_product_extension_lhs_growth():
@@ -429,7 +550,7 @@ def test_paper_bound_builds_forms_only_for_closed_families(monkeypatch, family):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(growth_module, "make_form")
-    for name in ("sign_array", "sign_stack", "derive_seed", "derive_seeds"):
+    for name in ("sign_array", "sign_stack", "derive_seed", "derive_seeds", "pcg_states"):
         counting(growth_module._rng, name)
     cfg = ExperimentConfig(
         family=family, m=2, k=1, p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 4),

@@ -292,6 +292,18 @@ def test_ascent_raises_when_the_norm_overflows():
         alternating_ascent(form, restarts=2)
 
 
+def test_brute_force_raises_when_the_value_is_not_finite():
+    # the sign sums overflow to inf and meet as inf - inf = nan, which must
+    # not be reported as an exact value
+    form = MultilinearForm(coefficients=[[1e308, 1e308], [1e308, 1e308]], p=(INF, INF))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ArithmeticError, match="not finite"):
+            brute_force_norm(form)
+        with pytest.raises(ArithmeticError, match="not finite"):
+            norms_module.brute_force_estimate(form, 0)
+
+
 def test_dual_maximizer_subnormal_complex_moduli():
     # numpy's complex division by a subnormal modulus overflows to inf+nanj
     c = np.array([1e-310 * (1 + 1j), 3e-320j, 0.0, 2e-308 - 1e-309j])

@@ -129,6 +129,33 @@ def test_mixed_norm_extreme_magnitudes():
     assert tiny == 2e-200
 
 
+@pytest.mark.parametrize(
+    "a, r",
+    [
+        # the outer level sees inf and Sum2 forms inf - inf
+        ([[1e308] * 2] * 2, (1.0, 1.0)),
+        # inf, not nan: the ell_2 norm of two 1.4e308 rows is 2e308
+        ([[1e308] * 2] * 2, (2.0, 2.0)),
+        ([math.inf, 1.0], (1.0,)),
+        ([math.nan, 1.0], (INF,)),
+    ],
+)
+def test_mixed_norm_raises_when_the_value_is_not_finite(a, r):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ArithmeticError, match="not finite"):
+            mixed_norm(a, r)
+
+
+def test_holder_verify_raises_on_a_non_finite_side():
+    # a nan lhs would read as holds=False
+    a = np.full((2, 2), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ArithmeticError, match="not finite"):
+            holder_verify([a], (1.0, 1.0), [(1.0,), (1.0,)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),

@@ -9,7 +9,11 @@ script runs, in a fresh interpreter, the ten ``bundled_suite()``
 experiments, the ``bound_growth`` benchmark experiments and three
 multi-draw brute experiments at seeds 0 and 5 (ksz at m = 3 with 20
 draws, product_extension with k = 1 and 6 draws, and ksz at m = 2 with
-300 draws, more than one stacked scan holds), four ``paper_bound``
+300 draws, more than one stacked scan holds), five brute and ascent
+experiments at the same seeds that those leave out (ksz brute and ascent
+with one draw, product_extension brute with k = 2 and one draw,
+product_extension ascent with k = 1 and 4 draws, and ksz ascent with 2
+draws at n = 200..300, where a stack holds one draw), four ``paper_bound``
 experiments at the same seeds whose r leaves {1, 2} (ksz at m = 1 and
 m = 3 with r = inf and 600 among them, product_extension at m = 3 with
 k = 1 and r = (4/3, 3, inf), and ksz at m = 2 with r = (4/3, 3) up to
@@ -147,6 +151,21 @@ STACKED = [
     dict(family="product_extension", m=3, k=1, p=(INF,) * 3, r=(1.0, 1.0, 2.0),
          n_values=(2, 4, 6, 8), draws=6),
     dict(family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(8, 12, 16), draws=300),
+]
+# brute and ascent experiments that STACKED leaves out: one draw, ascent,
+# and ascent at n = 200..300, where a stack of 2**16 coefficients holds
+# one draw
+DRAWN = [
+    dict(family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 4, 5, 6),
+         norm_method="brute"),
+    dict(family="product_extension", m=3, k=2, p=(INF,) * 3, r=(1.0, 2.0, 2.0),
+         n_values=(2, 3, 4), norm_method="brute"),
+    dict(family="ksz", m=2, p=(4.0, 4.0), r=(1.0, 2.0), n_values=(2, 4, 8),
+         norm_method="ascent", restarts=4),
+    dict(family="product_extension", m=3, k=1, p=(4.0, INF, 2.0), r=(1.0, 2.0, 2.0),
+         n_values=(2, 4, 8), norm_method="ascent", restarts=4, draws=4),
+    dict(family="ksz", m=2, p=(4.0, 4.0), r=(1.0, 2.0), n_values=(200, 250, 300),
+         norm_method="ascent", restarts=2, draws=2),
 ]
 # paper_bound experiments whose lhs leaves the plain-sum path: Sum2, the
 # scale by the largest modulus at r > 512, and the supremum; the last puts
@@ -334,6 +353,12 @@ def digests() -> dict[str, str]:
             series = growth.run_growth(cfg)
             fit = growth.loglog_fit(series, mode="upper_bound")
             name = f"seed{seed}:stacked{idx}:{cfg.family}:m{cfg.m}:draws{cfg.draws}"
+            out[name] = payload(series, fit)
+        for idx, kw in enumerate(DRAWN):
+            cfg = growth.ExperimentConfig(seed=seed, **kw)
+            series = growth.run_growth(cfg)
+            fit = growth.loglog_fit(series, mode="upper_bound")
+            name = f"seed{seed}:drawn{idx}:{cfg.family}:{cfg.norm_method}:draws{cfg.draws}"
             out[name] = payload(series, fit)
         for idx, kw in enumerate(PAPER_BOUND):
             cfg = growth.ExperimentConfig(norm_method="paper_bound", seed=seed, **kw)
