@@ -73,6 +73,7 @@ from .norms import (
 from .tensors import (
     HolderCheck,
     MixedNormResult,
+    NumericalError,
     compensated_sum,
     coordinate_product,
     holder_verify,

@@ -88,11 +88,12 @@ def _hash_steps(start: int, mult: int):
         start = after
 
 
-def _hashmix(value: np.ndarray, steps) -> np.ndarray:
-    # SeedSequence's hashmix: the xor takes the multiplier before its step,
-    # the product the one after
-    before, after = next(steps)
-    value = (value ^ np.uint32(before)) * np.uint32(after)
+def _hashmix(value: np.ndarray, steps, count: int) -> np.ndarray:
+    # SeedSequence's hashmix, the next `count` steps applied to the columns
+    # of `value` in turn: the xor takes the multiplier before its step, the
+    # product the one after
+    before, after = np.array([next(steps) for _ in range(count)], dtype=np.uint32).T
+    value = (value ^ before) * after
     return value ^ (value >> _XSHIFT)
 
 
@@ -102,30 +103,29 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _pools(words: np.ndarray) -> np.ndarray:
-    """(K, 4) SeedSequence pools of K keys of L uint32 entropy words each."""
+    """(K, 4) SeedSequence pools of K keys of L uint32 entropy words each.
+
+    The pool words that one source word mixes into do not feed each other,
+    so each source is one array step."""
     count, length = words.shape
     steps = _hash_steps(_INIT_A, _MULT_A)
-    zero = np.zeros(count, dtype=np.uint32)
-    pool = [_hashmix(words[:, i] if i < length else zero, steps) for i in range(_POOL_SIZE)]
+    pool = np.zeros((count, _POOL_SIZE), dtype=np.uint32)
+    pool[:, :length] = words[:, :_POOL_SIZE]
+    pool = _hashmix(pool, steps, _POOL_SIZE)
     # mix all bits together so late words can affect earlier ones
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src]], steps, len(dst)))
     # entropy past the pool is mixed into every pool word
     for src in range(_POOL_SIZE, length):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(words[:, src], steps))
-    return np.stack(pool, axis=1)
+        pool = _mix(pool, _hashmix(words[:, [src]], steps, _POOL_SIZE))
+    return pool
 
 
 def _generate(pools: np.ndarray, n_words: int) -> np.ndarray:
     """(K, n_words) uint32 output of SeedSequence.generate_state per pool."""
-    state = np.empty((len(pools), n_words), dtype=np.uint32)
-    for i, (before, after) in zip(range(n_words), _hash_steps(_INIT_B, _MULT_B)):
-        value = (pools[:, i % _POOL_SIZE] ^ np.uint32(before)) * np.uint32(after)
-        state[:, i] = value ^ (value >> _XSHIFT)
-    return state
+    columns = pools[:, np.arange(n_words) % _POOL_SIZE]
+    return _hashmix(columns, _hash_steps(_INIT_B, _MULT_B), n_words)
 
 
 def _words(entropy: tuple[int, ...]) -> list[int]:
@@ -196,10 +196,9 @@ def pcg_states(seeds) -> np.ndarray:
 def sign_stack(shape: tuple[int, ...], states) -> np.ndarray:
     """np.stack([sign_array(shape, s) for s in seeds]) for
     states = pcg_states(seeds); random_raw yields the words
-    Generator.integers(0, 2**64) draws."""
+    Generator.integers(0, 2**64) draws. A single draw is not copied."""
     size = math.prod(shape)
     seeded = _seeded_type()
-    bits = np.empty((len(states), size), dtype=np.uint64)
-    for row, state in zip(bits, states):
-        row[:] = np.random.PCG64(seeded(state)).random_raw(size)
+    raws = [np.random.PCG64(seeded(state)).random_raw(size) for state in states]
+    bits = raws[0] if len(raws) == 1 else np.array(raws, dtype=np.uint64)
     return _signs(bits).reshape((len(states), *shape))

@@ -39,6 +39,7 @@ from .growth import (
 )
 from .norms import DEFAULT_BUDGET, DEFAULT_MAX_ITERS, DEFAULT_TOL, estimate_to_obj
 from .tensors import (
+    NumericalError,
     check_splitting,
     holder_verify,
     mixed_norm,
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, ArithmeticError) as e:
+    except (ValueError, OSError, NumericalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

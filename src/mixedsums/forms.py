@@ -48,9 +48,10 @@ KINDS = ("ksz", "diagonal", "row", "product_extension", "custom")
 
 
 class _Fresh:
-    """An array a factory of this module built and hands over to one form.
+    """An array handed over to a form that nothing writes afterwards.
 
-    No caller holds it, so MultilinearForm takes it without a copy.
+    The factories of this module build them, and growth's sign stacks, so
+    MultilinearForm takes it without a copy.
     """
 
     __slots__ = ("array",)

@@ -16,10 +16,11 @@ batch, and a row's draws are built as sign stacks of at most
 _STACK_ENTRIES coefficients. brute enumerates each stack in one
 brute_force_scan, with the budget counted per draw; ascent runs on each
 draw of it. Only the winner becomes a form, and its coefficients are
-checked against the stack. The closed families (diagonal, row) build one
-form per n, paper_bound rows of the random families draw none (below),
-and both report draws_used = 0, as does the custom-file family, which
-gives one row per form in its file, with n the form's first dimension.
+checked against the CRC-32 of its slice: no stack is alive beside it. The
+closed families (diagonal, row) build one form per n, paper_bound rows of
+the random families draw none (below), and both report draws_used = 0,
+as does the custom-file family, which gives one row per form in its
+file, with n the form's first dimension.
 
 paper_bound fills the norm column with a closed form instead of an
 estimate: the analytic norm for diagonal and row, and
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -47,6 +49,7 @@ from . import _rng
 from .exponents import INF, ExponentReport, as_exponent_vector, exponent_to_json, predict
 from .forms import (
     MultilinearForm,
+    _Fresh,
     diagonal_form,
     form_from_obj,
     ksz_bound_exponent,
@@ -291,38 +294,47 @@ def _form_row(config: ExperimentConfig, n: int, form: MultilinearForm) -> Growth
     return _row(config, n, form.coefficients, *_estimate(config, form, n), 0)
 
 
+def _stack_best(config: ExperimentConfig, n: int, states, start: int):
+    """(value, kind, d, idx, crc) of the best draw, the first on ties, in
+    the sign stack of `states`, draws start, start + 1, ...: brute scans
+    the stack once (idx: the witness pattern), ascent runs on each draw
+    (idx: None). crc, the CRC-32 of the winner's coefficients, is all of
+    the stack that outlives the call.
+    """
+    stack = _extend(config, n, _rng.sign_stack((n,) * _base_arity(config), states))
+    if config.norm_method == "brute":
+        d, idx, value = brute_force_scan(stack)
+        kind = "exact"
+    else:
+        # the forms share the stack, which nothing writes
+        ests = [
+            _estimate(config, MultilinearForm(_Fresh(c), config.p), n, start + i)
+            for i, c in enumerate(stack)
+        ]
+        d = max(range(len(ests)), key=lambda i: ests[i][0])  # the first on ties
+        idx, (value, kind) = None, ests[d]
+    return value, kind, start + d, idx, zlib.crc32(stack[d])
+
+
 def _drawn_row(config: ExperimentConfig, n: int, seeds, states) -> GrowthRow:
     """The row at size n of a random family under brute or ascent: the
     draw of `seeds` with the largest norm, the first on ties.
 
-    states = _rng.pcg_states(seeds). The draws' signs are built as stacks
-    of at most _STACK_ENTRIES coefficients; brute scans each stack in one
-    brute_force_scan, ascent runs on each draw of it. A later stack wins
-    only with a strictly larger value. Only the winner becomes a form,
-    through make_form, and its coefficients must equal its slice of the
-    stack. On these integer draws the brute scan is exact, so the value
-    recomputed from the winner's witness must equal the scan's.
+    states = _rng.pcg_states(seeds). The draws are built in stacks of at
+    most _STACK_ENTRIES coefficients, and a later stack wins only with a
+    strictly larger value. Only the winner becomes a form, through
+    make_form, whose coefficients must have the slice's CRC-32. The brute
+    scan is exact on these integer draws, so the witness must give its value.
     """
     per_stack = max(1, _STACK_ENTRIES // n**config.m)
-    shape = (n,) * _base_arity(config)
     best = None
     for start in range(0, len(seeds), per_stack):
-        stack = _extend(config, n, _rng.sign_stack(shape, states[start : start + per_stack]))
-        if config.norm_method == "brute":
-            d, idx, value = brute_force_scan(stack)
-            kind = "exact"
-        else:
-            ests = [
-                _estimate(config, MultilinearForm(c, config.p), n, start + i)
-                for i, c in enumerate(stack)
-            ]
-            d = max(range(len(ests)), key=lambda i: ests[i][0])  # the first on ties
-            idx, (value, kind) = None, ests[d]
-        if best is None or value > best[0]:
-            best = (value, kind, start + d, idx, stack[d].copy())
-    value, kind, d, idx, coefficients = best
+        draw = _stack_best(config, n, states[start : start + per_stack], start)
+        if best is None or draw[0] > best[0]:
+            best = draw
+    value, kind, d, idx, crc = best
     form = make_form(config.family, config.m, n, config.p, seeds[d], config.k)
-    if form.coefficients.tobytes() != coefficients.tobytes():
+    if zlib.crc32(form.coefficients) != crc:
         raise ArithmeticError(f"batched signs of seed {seeds[d]} differ from numpy's")
     if idx is not None:
         est = brute_force_estimate(form, idx)

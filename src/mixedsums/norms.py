@@ -35,7 +35,7 @@ import numpy as np
 from . import _rng
 from .exponents import INF, as_exponent, conjugate, harmonic_sum
 from .forms import MultilinearForm, partial_contract
-from .tensors import fiber_norms, tensor_to_obj
+from .tensors import NumericalError, fiber_norms, tensor_to_obj
 
 __all__ = [
     "NormEstimate",
@@ -165,7 +165,7 @@ def alternating_ascent(
             # finite; NaN counts as a fall, and so does an overflow to inf
             fell = np.flatnonzero(~(val >= last * (1.0 - 1e-9) - 1e-300) | (val == INF))
             if fell.size:
-                raise ArithmeticError(
+                raise NumericalError(
                     f"ascent objective fell or overflowed at slot {j} in restarts "
                     f"{active[fell].tolist()}"
                 )
@@ -324,7 +324,7 @@ def brute_force_estimate(form: MultilinearForm, idx: int) -> NormEstimate:
 
     Rebuilds the witness from idx and recomputes its value in float64 with
     partial_contract and dual_maximizer, so `evaluate(form, witness)`
-    reproduces it. Raises ArithmeticError when that value is not finite,
+    reproduces it. Raises NumericalError when that value is not finite,
     which happens when the sums overflow float64.
     """
     witness = []
@@ -334,7 +334,7 @@ def brute_force_estimate(form: MultilinearForm, idx: int) -> NormEstimate:
     c_last = partial_contract(form, witness + [None], form.arity - 1)
     x_last, val = dual_maximizer(c_last, INF)
     if not math.isfinite(val):
-        raise ArithmeticError(f"brute force value {val!r} is not finite: the sums overflow")
+        raise NumericalError(f"brute force value {val!r} is not finite: the sums overflow")
     witness.append(x_last)
     return NormEstimate(
         value=val, kind="exact", witness=witness, restarts_used=0, converged=True

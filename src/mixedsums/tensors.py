@@ -25,6 +25,7 @@ import numpy as np
 from .exponents import INF, as_exponent_vector
 
 __all__ = [
+    "NumericalError",
     "compensated_sum",
     "fiber_norms",
     "MixedNormResult",
@@ -46,6 +47,12 @@ HOLDER_TOL = 1e-9
 # temporaries stay small whatever the size of the tensor
 _BLOCK = 2**15
 _POW2_SCALING_MAX_R = 512.0
+
+
+class NumericalError(ArithmeticError):
+    """float64 gave no usable value for this input: a norm that is not
+    finite, or an ascent objective that fell. A domain error, unlike the
+    other ArithmeticErrors, which are faults of the code."""
 
 
 def _sum2(x: np.ndarray, s: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -157,7 +164,7 @@ def mixed_norm(a, r) -> MixedNormResult:
 
     r must have one entry per tensor axis; entries lie in (0, inf]. The
     innermost exponent r_m applies to the last axis. Raises
-    ArithmeticError when the value is not finite: an entry is, or the norm
+    NumericalError when the value is not finite: an entry is, or the norm
     overflows float64. Only the value is checked, not every entry.
     """
     a = np.atleast_1d(a)
@@ -168,7 +175,7 @@ def mixed_norm(a, r) -> MixedNormResult:
         a = fiber_norms(a, rj)
     value = float(a)
     if not math.isfinite(value):
-        raise ArithmeticError(
+        raise NumericalError(
             f"mixed norm is {value!r}: an entry is not finite or the norm overflows"
         )
     return MixedNormResult(value=value, exponents_used=r)

@@ -140,6 +140,22 @@ def test_mixed_norm_overflow_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and "not finite" in err
 
 
+@pytest.mark.parametrize("fault", [ZeroDivisionError, ArithmeticError])
+def test_other_arithmetic_errors_are_not_domain_errors(tmp_path, monkeypatch, fault):
+    # a fault of the code keeps its traceback; only NumericalError means
+    # that float64 has no value for this input
+    import mixedsums.cli as cli
+
+    def broken(a, r):
+        raise fault("a fault of the code")
+
+    monkeypatch.setattr(cli, "mixed_norm", broken)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"shape": [2], "data": [1.0, 2.0]}))
+    with pytest.raises(fault):
+        main(["mixed-norm", "--input", str(path), "--r", "1"])
+
+
 def test_generate_row_and_product_extension(tmp_path, capsys):
     row_path = tmp_path / "row.json"
     code, _, _ = run(

@@ -355,6 +355,19 @@ def test_ksz_random_form_makes_no_second_array():
     assert peak <= 1.25 * form.coefficients.nbytes
 
 
+def test_sign_stack_of_one_draw_makes_no_second_array():
+    states = pcg_states([5])
+    sign_stack((1,), states)  # lazy imports on first use would count
+    tracemalloc.start()
+    try:
+        stack = sign_stack((512, 512), states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the draws become the stack in place, as sign_array's become its array
+    assert peak <= 1.05 * stack.nbytes
+
+
 def test_form_validation():
     with pytest.raises(ValueError):
         MultilinearForm(coefficients=np.ones((2, 2)), p=(0.5, 2))

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,6 +357,30 @@ def test_stacked_brute_checks_the_winner_against_numpy(monkeypatch, family):
 @pytest.mark.parametrize("family", ["ksz", "product_extension"])
 def test_stacked_ascent_checks_the_winner_against_numpy(monkeypatch, family):
     _check_the_winner_against_numpy(monkeypatch, family, "ascent")
+
+
+@pytest.mark.parametrize("draws", [1, 3])
+def test_drawn_rows_hold_no_stack_while_the_winner_is_built(monkeypatch, draws):
+    # at n >= 257 one draw fills a stack; once the draws are ranked, none of
+    # them is held while make_form rebuilds the winner
+    held, real = [], growth_module.make_form
+
+    def measuring(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(*args, **kwargs)
+
+    cfg = ExperimentConfig(
+        family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(280, 290, 300),
+        norm_method="ascent", restarts=1, draws=draws,
+    )
+    run_growth(cfg)  # lazy imports on first use would count as held
+    monkeypatch.setattr(growth_module, "make_form", measuring)
+    tracemalloc.start()
+    try:
+        run_growth(cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 3 and max(held) < 0.25 * 8 * 280**2
 
 
 _DRAWN_CONFIGS = [

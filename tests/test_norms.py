@@ -16,6 +16,7 @@ from mixedsums import _rng
 from mixedsums import (
     INF,
     MultilinearForm,
+    NumericalError,
     alternating_ascent,
     analytic_norm,
     brute_force_norm,
@@ -280,7 +281,7 @@ def test_ascent_raises_instead_of_returning_nan(monkeypatch):
 
     monkeypatch.setattr(norms_module, "dual_maximizer", nan_value)
     form, _ = ksz_random_form(2, 3, (2.0, 2.0), seed=0)
-    with pytest.raises(ArithmeticError, match="fell"):
+    with pytest.raises(NumericalError, match="fell"):
         alternating_ascent(form, restarts=2)
 
 
@@ -288,7 +289,7 @@ def test_ascent_raises_when_the_norm_overflows():
     # the norm is 2e308, beyond float64: an infinite "lower bound" would be
     # no bound at all
     form = MultilinearForm(coefficients=[[1e308, 1e308], [1e308, 1e308]], p=(2.0, 2.0))
-    with pytest.raises(ArithmeticError, match="overflowed"):
+    with pytest.raises(NumericalError, match="overflowed"):
         alternating_ascent(form, restarts=2)
 
 
@@ -298,9 +299,9 @@ def test_brute_force_raises_when_the_value_is_not_finite():
     form = MultilinearForm(coefficients=[[1e308, 1e308], [1e308, 1e308]], p=(INF, INF))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(ArithmeticError, match="not finite"):
+        with pytest.raises(NumericalError, match="not finite"):
             brute_force_norm(form)
-        with pytest.raises(ArithmeticError, match="not finite"):
+        with pytest.raises(NumericalError, match="not finite"):
             norms_module.brute_force_estimate(form, 0)
 
 
