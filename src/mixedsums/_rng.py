@@ -6,11 +6,11 @@ draw index, restart index, ...). Identical keys give identical streams on
 every platform, which is what makes experiment output reproducible
 bit-for-bit.
 
-derive_seeds and pcg_states run numpy's SeedSequence algorithm over many
-keys at once as uint32 array operations and reproduce it word for word:
-the sub-seeds of derive_seed, and the states numpy seeds a PCG64 with.
-sign_stack then only draws. Every random growth row checks its winner
-against numpy's own seeding.
+derive_seeds, pcg_states and streams run numpy's SeedSequence algorithm
+over many keys at once as uint32 array operations and reproduce it word
+for word: the sub-seeds of derive_seed, and the states numpy seeds a
+PCG64 with. sign_stack then only draws. Every random growth row checks
+its winner against numpy's own seeding.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-__all__ = ["stream", "derive_seed", "derive_seeds", "pcg_states", "sign_array", "sign_stack",
-           "phase_array"]
+__all__ = ["stream", "streams", "derive_seed", "derive_seeds", "pcg_states", "sign_array",
+           "sign_stack", "phase_array"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MASK32 = 0xFFFFFFFF
@@ -46,6 +46,14 @@ def _key(seed: int, key: tuple[int, ...]) -> tuple[int, ...]:
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Generator for the stream identified by (seed, *key)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_key(seed, key))))
+
+
+def streams(seed: int, keys) -> list[np.random.Generator]:
+    """[stream(seed, *key) for key in keys], seeded in one batch: no
+    SeedSequence is built, which would cost more than short draws do."""
+    seeded = _seeded_type()
+    states = _uint64(_states([(seed, *key) for key in keys], 8))
+    return [np.random.Generator(np.random.PCG64(seeded(state))) for state in states]
 
 
 def derive_seed(seed: int, *key: int) -> int:
@@ -79,20 +87,39 @@ def phase_array(shape: tuple[int, ...], seed: int, *key: int) -> np.ndarray:
     return np.exp(2j * np.pi * u)
 
 
-def _hash_steps(start: int, mult: int):
-    """SeedSequence's hash multiplier, step by step, as (before, after)
-    pairs: each step multiplies by `mult`, the same for every key."""
-    while True:
-        after = (start * mult) & _MASK32
-        yield start, after
-        start = after
+@functools.cache
+def _hash_constants(start: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's hash multiplier over its first `count` steps, as
+    read-only uint32 arrays (before, after): each step multiplies by
+    `mult`, the same for every key."""
+    words = [start]
+    for _ in range(count):
+        words.append((words[-1] * mult) & _MASK32)
+    table = np.array(words, dtype=np.uint32)
+    table.flags.writeable = False
+    return table[:-1], table[1:]
 
 
-def _hashmix(value: np.ndarray, steps, count: int) -> np.ndarray:
-    # SeedSequence's hashmix, the next `count` steps applied to the columns
-    # of `value` in turn: the xor takes the multiplier before its step, the
-    # product the one after
-    before, after = np.array([next(steps) for _ in range(count)], dtype=np.uint32).T
+@functools.cache
+def _cross_constants() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per source word of the pool, the (before, after) multipliers of the
+    steps that mix it into the other three words, in their order; the
+    source's own column gets 0, so its hashmix is 0."""
+    before, after = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2)
+    out = []
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        steps = slice(_POOL_SIZE + len(dst) * src, _POOL_SIZE + len(dst) * (src + 1))
+        pair = np.zeros((2, _POOL_SIZE), dtype=np.uint32)
+        pair[:, dst] = before[steps], after[steps]
+        pair.flags.writeable = False
+        out.append((pair[0], pair[1]))
+    return tuple(out)
+
+
+def _hashmix(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    # SeedSequence's hashmix, one step per column of `value`: the xor takes
+    # the multiplier before its step, the product the one after
     value = (value ^ before) * after
     return value ^ (value >> _XSHIFT)
 
@@ -108,24 +135,28 @@ def _pools(words: np.ndarray) -> np.ndarray:
     The pool words that one source word mixes into do not feed each other,
     so each source is one array step."""
     count, length = words.shape
-    steps = _hash_steps(_INIT_A, _MULT_A)
+    extra = max(0, length - _POOL_SIZE)
+    before, after = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
     pool = np.zeros((count, _POOL_SIZE), dtype=np.uint32)
     pool[:, :length] = words[:, :_POOL_SIZE]
-    pool = _hashmix(pool, steps, _POOL_SIZE)
-    # mix all bits together so late words can affect earlier ones
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src]], steps, len(dst)))
+    pool = _hashmix(pool, before[:_POOL_SIZE], after[:_POOL_SIZE])
+    # mix all bits together so late words can affect earlier ones; the
+    # source word itself keeps its value, read from the previous array
+    for src, (b, a) in enumerate(_cross_constants()):
+        word = pool[:, src]
+        pool = _mix(pool, _hashmix(word[:, None], b, a))
+        pool[:, src] = word
     # entropy past the pool is mixed into every pool word
-    for src in range(_POOL_SIZE, length):
-        pool = _mix(pool, _hashmix(words[:, [src]], steps, _POOL_SIZE))
+    for i in range(extra):
+        steps = slice(_POOL_SIZE * (_POOL_SIZE + i), _POOL_SIZE * (_POOL_SIZE + i + 1))
+        pool = _mix(pool, _hashmix(words[:, _POOL_SIZE + i, None], before[steps], after[steps]))
     return pool
 
 
 def _generate(pools: np.ndarray, n_words: int) -> np.ndarray:
     """(K, n_words) uint32 output of SeedSequence.generate_state per pool."""
     columns = pools[:, np.arange(n_words) % _POOL_SIZE]
-    return _hashmix(columns, _hash_steps(_INIT_B, _MULT_B), n_words)
+    return _hashmix(columns, *_hash_constants(_INIT_B, _MULT_B, n_words))
 
 
 def _words(entropy: tuple[int, ...]) -> list[int]:

@@ -24,6 +24,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import _rng
 from .exponents import INF, exponent_to_json, predict
 from .forms import form_from_obj, form_to_obj, ksz_bound_exponent
@@ -355,7 +357,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a sum that overflows or turns NaN ends in a NumericalError, which
+        # is the one report; numpy's warnings on the way would only precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

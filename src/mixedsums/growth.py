@@ -30,7 +30,10 @@ over such rows is bound_relative. Every sign draw of a family has the same
 modulus (ones, on the base block for product_extension), and lhs reads
 only |coefficients|, so these rows draw no signs: lhs is the mixed norm
 of the shared modulus, bit for bit the value a draw gives, and the rows
-are the same for every seed.
+are the same for every seed. For ksz, and product_extension with k = m,
+that modulus is a stride-0 broadcast, which mixed_norm reduces once per
+level, so a row costs O(m * n); product_extension with k < m still
+builds its n^m extension in _extend.
 
 All randomness derives from (seed, n, draw_index) and rows are computed
 one after another in one thread, so output is reproducible bit-for-bit.

@@ -11,7 +11,10 @@ near its largest modulus, so that its powers stay in floating-point range,
 and the powers are added by a compensated sum (Ogita-Rump-Oishi Sum2) in
 fixed index order in one thread, so results are bit-identical run to run.
 Integer fibers at r = 1 or 2 whose sums stay below 2**53 are added plainly:
-there Sum2 cannot change a bit.
+there Sum2 cannot change a bit. A leading axis that a broadcast repeats
+(stride 0) is reduced once, and the level's result is a read-only
+broadcast, which the next level again reduces once: the mixed norm of
+np.broadcast_to(1.0, (n,) * m) reads m * n entries, not n**m.
 """
 
 from __future__ import annotations
@@ -101,9 +104,19 @@ def fiber_norms(a, r: float) -> np.ndarray:
     power of two the squares were scaled by. Large tensors go a block of
     fibers at a time, and the scratch for one block (|x|, running totals,
     TwoSum terms) is allocated once per call and reused by every block.
-    r is not validated.
+    A leading axis of stride 0 and length > 1 repeats the same fibers, and
+    each fiber's norm depends on that fiber alone (the scale is per fiber,
+    and the plain sum and Sum2 agree wherever the plain sum is taken), so
+    such axes are reduced once, at length 1, and the result is a read-only
+    broadcast of shape a.shape[:-1] with the bits a contiguous copy gives.
+    The fiber (last) axis is always summed in full, stride 0 or not: n
+    copies of x added up are not n * x in floating point. r is not
+    validated.
     """
     a = np.asarray(a)
+    lead = a.shape[:-1]
+    if 0 in a.strides[:-1]:  # one test, so contiguous calls pay ~100 ns
+        a = a[tuple(slice(0, 1) if s == 0 else slice(None) for s in a.strides[:-1])]
     n = a.shape[-1]
     rows = a.reshape(-1, n)
     out = np.empty(len(rows))
@@ -134,7 +147,8 @@ def fiber_norms(a, r: float) -> np.ndarray:
             out[lo : lo + k] = x.sum(axis=-1) ** (1.0 / r)
         else:
             out[lo : lo + k] = _sum2(x, sbuf[:k], bbuf[:k], tbuf[:k]) ** (1.0 / r) * scale
-    return out.reshape(a.shape[:-1])
+    out = out.reshape(a.shape[:-1])
+    return out if out.shape == lead else np.broadcast_to(out, lead)
 
 
 def _integer_powers_fit(x: np.ndarray, top: np.ndarray, r: float, scratch: np.ndarray) -> bool:

@@ -116,28 +116,47 @@ def test_generate_and_norm_methods(tmp_path, capsys):
     assert "analytic" in err
 
 
+def _overflow_run(capsys, *argv):
+    # numpy warnings are errors here, so one that escapes the CLI fails the
+    # test: the error line must be all that stderr holds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
 @pytest.mark.parametrize("method, message", [("brute", "not finite"), ("ascent", "overflowed")])
 def test_norm_overflow_is_an_error_not_a_traceback(tmp_path, capsys, method, message):
-    # the norm of this form overflows float64: neither a NaN printed as
+    # the norm of these forms overflows float64: neither a NaN printed as
     # "exact" nor a traceback
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps({"shape": [2, 2], "data": [1e308] * 4, "p": ["inf", "inf"]}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, out, err = run(capsys, "norm", "--input", str(path), "--method", method)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and message in err
+    cases = [("inf", 2), ("inf", 3)] + ([("4", 3)] if method == "ascent" else [])
+    for p, n in cases:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"shape": [n, n], "data": [1e308] * n**2, "p": [p, p]}))
+        err = _overflow_run(capsys, "norm", "--input", str(path), "--method", method)
+        assert message in err
 
 
 def test_mixed_norm_overflow_is_an_error(tmp_path, capsys):
     path = tmp_path / "big.json"
-    path.write_text(json.dumps({"shape": [2, 2], "data": [1e308] * 4}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, out, err = run(capsys, "mixed-norm", "--input", str(path), "--r", "1,1")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and "not finite" in err
+    path.write_text(json.dumps({"shape": [3, 3], "data": [1e308] * 9}))
+    for r in ("1,1", "2,3"):
+        err = _overflow_run(capsys, "mixed-norm", "--input", str(path), "--r", r)
+        assert "not finite" in err
+
+
+@pytest.mark.parametrize("method, message", [("brute", "not finite"), ("ascent", "overflowed")])
+def test_experiment_overflow_is_an_error(tmp_path, capsys, method, message):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"shape": [3, 3], "data": [1e308] * 9, "p": ["inf", "inf"]}))
+    err = _overflow_run(
+        capsys, "experiment", "--family", "custom-file", "--m", "2", "--p", "inf,inf",
+        "--r", "1,1", "--norm-method", method, "--form-file", str(path),
+        "--out", str(tmp_path / "e.csv"),
+    )
+    assert message in err
 
 
 @pytest.mark.parametrize("fault", [ZeroDivisionError, ArithmeticError])

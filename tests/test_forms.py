@@ -25,7 +25,7 @@ from mixedsums import (
 )
 from mixedsums import _rng
 from mixedsums._rng import (
-    derive_seed, derive_seeds, pcg_states, phase_array, sign_array, sign_stack, stream,
+    derive_seed, derive_seeds, pcg_states, phase_array, sign_array, sign_stack, stream, streams,
 )
 
 # key entries at the edges of SeedSequence's word split: 0 is one word,
@@ -88,6 +88,21 @@ def test_batched_states_are_seed_sequence_words(keys, n_words):
 )
 def test_derive_seeds_is_derive_seed_per_key(seed, keys):
     assert derive_seeds(seed, keys) == [derive_seed(seed, *key) for key in keys]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=_KEY_ENTRY,
+    keys=st.lists(st.lists(_KEY_ENTRY, max_size=5).map(tuple), max_size=8),
+)
+def test_streams_are_stream_per_key(seed, keys):
+    # the batch-seeded generators draw what numpy's SeedSequence seeding does
+    got = [g.standard_normal(5).tobytes() + g.random(3).tobytes() for g in streams(seed, keys)]
+    want = [
+        g.standard_normal(5).tobytes() + g.random(3).tobytes()
+        for g in (stream(seed, *key) for key in keys)
+    ]
+    assert got == want
 
 
 @settings(max_examples=30, deadline=None)

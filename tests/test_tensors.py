@@ -321,6 +321,77 @@ def test_zero_stride_input_gives_the_bits_of_a_full_array(sum2_calls, shape, c):
     assert base == c and not a.flags.writeable
 
 
+_KERNEL_R = (0.5, 1.0, 4 / 3, 2.0, 3.0, 600.0, INF)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 40), min_size=2, max_size=4),
+    # which axes the broadcast repeats; the last one only in some examples
+    repeated=st.lists(st.booleans(), min_size=4, max_size=4),
+    data=st.sampled_from(["normal", "mixed", "int3", "int_big", "complex"]),
+    layout=st.sampled_from(["C", "F"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_broadcast_axes_give_the_bits_of_a_contiguous_copy(shape, repeated, data, layout, seed):
+    # leading, middle and mixed stride-0 axes are reduced once; a stride-0
+    # fiber axis is summed in full. Either way the bits are the copy's
+    g = np.random.Generator(np.random.PCG64(seed))
+    repeated = repeated[: len(shape)]
+    base_shape = tuple(1 if rep else n for n, rep in zip(shape, repeated))
+    if data == "int3":  # plain sums at r = 1 and 2
+        base = g.integers(-3, 4, base_shape)
+    elif data == "int_big":  # blocks on either side of the plain-sum threshold
+        base = g.integers(-(2**50), 2**50, base_shape) >> g.integers(0, 50, base_shape)
+    else:
+        base = _grid_tensor(base_shape, data, "C", seed)
+    if layout == "F":
+        base = np.asfortranarray(base)
+    a = np.broadcast_to(base, shape)
+    copy = np.ascontiguousarray(a)
+    collapsed = any(rep and n > 1 for n, rep in zip(shape[:-1], repeated))
+    for r in _KERNEL_R:
+        got = fiber_norms(a, r)
+        assert got.shape == tuple(shape[:-1])
+        assert got.tobytes() == fiber_norms(copy, r).tobytes(), r
+        assert got.flags.writeable != collapsed
+        rs = (r, 3.0, 2.0, r)[-len(shape) :]
+        assert mixed_norm(a, rs).value.hex() == mixed_norm(copy, rs).value.hex(), r
+
+
+@pytest.mark.parametrize("n", [1, 5, 3000])
+@pytest.mark.parametrize("c", [1.0, 0.3])
+def test_stride_zero_fiber_axis_is_summed_in_full(n, c):
+    # n copies of 0.3 added up are not n * 0.3: the fiber axis is never collapsed
+    col = np.array([[c], [2.0 * c], [-c]])
+    a = np.broadcast_to(col, (3, n))
+    assert a.strides[-1] == 0
+    for r in _KERNEL_R:
+        assert fiber_norms(a, r).tobytes() == fiber_norms(np.ascontiguousarray(a), r).tobytes()
+
+
+def test_broadcast_axes_are_reduced_once(monkeypatch):
+    # 4096 * 4096 repeated fibers take one block per level; a regression
+    # fails at the fourth block instead of running through thousands
+    calls = []
+    real = tensors._integer_powers_fit
+
+    def spy(x, *args):
+        calls.append(len(x))
+        assert len(calls) <= 3, "a broadcast axis was reduced fiber by fiber"
+        return real(x, *args)
+
+    monkeypatch.setattr(tensors, "_integer_powers_fit", spy)
+    x = np.array([3.0, -1.0, 0.0, 2.0, 5.0])
+    a = np.broadcast_to(x, (4096, 4096, 5))
+    got = fiber_norms(a, 1.0)
+    assert calls == [1] and got.shape == (4096, 4096) and got.strides == (0, 0)
+    assert np.all(got == 11.0) and not got.flags.writeable
+    calls.clear()
+    assert mixed_norm(a, (1.0, 2.0, 1.0)).value == 4096 * 64 * 11.0  # sqrt(4096) = 64
+    assert calls == [1, 1, 1]
+
+
 def test_mixed_norm_reads_only_the_modulus():
     g = np.random.Generator(np.random.PCG64(21))
     signs = np.where(g.random((30, 40)) < 0.5, -1.0, 1.0)

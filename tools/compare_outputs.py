@@ -13,11 +13,11 @@ draws, product_extension with k = 1 and 6 draws, and ksz at m = 2 with
 experiments at the same seeds that those leave out (ksz brute and ascent
 with one draw, product_extension brute with k = 2 and one draw,
 product_extension ascent with k = 1 and 4 draws, and ksz ascent with 2
-draws at n = 200..300, where a stack holds one draw), four ``paper_bound``
+draws at n = 200..300, where a stack holds one draw), five ``paper_bound``
 experiments at the same seeds whose r leaves {1, 2} (ksz at m = 1 and
 m = 3 with r = inf and 600 among them, product_extension at m = 3 with
-k = 1 and r = (4/3, 3, inf), and ksz at m = 2 with r = (4/3, 3) up to
-n = 2048), and hashes
+k = 1 and r = (4/3, 3, inf), ksz at m = 2 with r = (4/3, 3) up to
+n = 2048, and ksz at m = 3 with r = (1, 2, 3/2) up to n = 256), and hashes
 ``series_to_csv`` plus ``report_obj`` of each. It also runs
 ``brute_force_norm`` on the ``brute_exact`` benchmark forms at the same
 seeds and hashes ``repr(value)`` plus the witness bytes; the same goes
@@ -28,10 +28,12 @@ float64), and on forms with fractional entries. Through
 ``cli.main`` it hashes the exit code, stdout, stderr and written files of
 ``generate`` for every family (plus ``--complex`` and ``--n2``), of
 ``norm --method brute|ascent|analytic`` on generated forms (brute also at
-m = 1; ascent also at p_j = 1, at m = 1 and m = 3, at n = 64 and with a
-cap of two sweeps), of inline-flag ``experiment`` runs (brute, ascent with
-three draws, ``paper_bound`` on ksz, diagonal, row and product_extension,
-and the custom-file family on a list file and on a single-object file;
+m = 1; ascent also at p_j = 1, at m = 1 and m = 3, at n = 64, with a
+cap of two sweeps, and at seeds -3 and 2**32, whose restart keys
+SeedSequence masks or splits), of inline-flag ``experiment`` runs (brute,
+ascent with three draws, ``paper_bound`` on ksz, diagonal, row and
+product_extension, and the custom-file family on a list file and on a
+single-object file;
 at seeds 2**32, -3 and 2**63 + 5, whose seed keys hold more words than
 SeedSequence's pool, brute ksz with 20 draws and brute product_extension
 with k = 1 and 6 draws, plus ascent ksz with three draws at seed -3),
@@ -47,8 +49,11 @@ seeded integer tensors with entries in -3..3 (float, int, Fortran-order
 and complex with integer moduli), which are added without Sum2, on
 tensors with one row on either side of 8 * top**r = 2**53, where the
 plain sum stops, on a row beyond it whose plain sum is inexact, and on
-normal data whose largest moduli are integers. It
-prints one line per payload and exits 1 if any payload differs.
+normal data whose largest moduli are integers. And it hashes
+``fiber_norms`` and ``mixed_norm`` at the same seven r on broadcast views
+with stride-0 leading, middle, fiber (last) and mixed axes, over normal,
+integer and complex bases. It prints one line per payload and exits 1 if
+any payload differs.
 """
 
 from __future__ import annotations
@@ -105,6 +110,9 @@ NORMS = [
     ("ksz_n64", "--method ascent"),
     ("ksz_p4", "--method ascent --max-iters 2"),
     ("ksz_m1_inf", "--method brute"),
+    # restart seeds whose keys SeedSequence masks to 64 bits or splits in two words
+    ("ksz_p4", "--method ascent --seed -3"),
+    ("ksz_m3_finite", "--method ascent --seed 4294967296"),
 ]
 # generated forms listed in one custom-file form file, forms.json
 FORM_LIST = ("ksz", "ksz_p4", "row", "ksz_complex")
@@ -176,6 +184,16 @@ PAPER_BOUND = [
     dict(family="product_extension", m=3, k=1, p=(INF,) * 3, r=(4 / 3, 3.0, INF),
          n_values=(2, 4, 8, 16)),
     dict(family="ksz", m=2, p=(INF, INF), r=(4 / 3, 3.0), n_values=(64, 256, 1024, 2048)),
+    dict(family="ksz", m=3, p=(INF,) * 3, r=(1.0, 2.0, 1.5), n_values=(16, 64, 128, 256)),
+]
+# broadcast views as (name, base shape, view shape): the base's axes of
+# length 1 are repeated with stride 0, leading, in the middle, on the fiber
+# axis and mixed
+BROADCAST = [
+    ("leading", (1, 1, 300), (40, 7, 300)),
+    ("middle", (6, 1, 300), (6, 9, 300)),
+    ("last", (25, 1), (25, 3000)),
+    ("mixed", (1, 5, 1, 40), (3, 5, 4, 40)),
 ]
 # shapes of the integer tensors that fiber_norms adds without Sum2
 EXACT_SHAPES = [(6, 1), (25, 3000), (2, 40000), (3, 7, 300), (64, 64)]
@@ -248,6 +266,34 @@ def kernel_payloads() -> dict[str, str]:
             out[f"kernel:{kind}:{'x'.join(map(str, shape))}"] = " ".join(parts)
     form, _ = forms.ksz_random_form(2, 2048, (2.0, 2.0), seed=0)
     out["kernel:ksz_random_form(2, 2048)"] = hashlib.sha256(form.coefficients.tobytes()).hexdigest()
+    return out
+
+
+def broadcast_payloads() -> dict[str, str]:
+    """fiber_norms and mixed_norm bits on stride-0 views of seeded bases.
+
+    Normal, integer (entries in -3..3, added without Sum2 at r = 1 and 2)
+    and complex bases, at every r of KERNEL_R.
+    """
+    import numpy as np
+    from mixedsums import tensors
+
+    out = {}
+    for idx, (name, base_shape, shape) in enumerate(BROADCAST):
+        g = np.random.Generator(np.random.PCG64(300 + idx))
+        bases = {
+            "normal": g.standard_normal(base_shape),
+            "int3": g.integers(-3, 4, base_shape),
+            "complex": g.standard_normal(base_shape) + 1j * g.standard_normal(base_shape),
+        }
+        for kind, base in bases.items():
+            a = np.broadcast_to(base, shape)
+            parts = []
+            for r in KERNEL_R:
+                parts.append(tensors.fiber_norms(a, r).tobytes().hex())
+                rs = (r, 2.0, 3.0, r)[-a.ndim :]
+                parts.append(repr(tensors.mixed_norm(a, rs).value))
+            out[f"broadcast:{name}:{kind}"] = " ".join(parts)
     return out
 
 
@@ -375,6 +421,7 @@ def digests() -> dict[str, str]:
                 out[f"seed{seed}:{item.name}"] = repr(est.value) + witness.hex()
         out.update(cli_payloads(Path(tmp)))
     out.update(kernel_payloads())
+    out.update(broadcast_payloads())
     out.update(exact_payloads())
     out.update(brute_payloads())
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}
