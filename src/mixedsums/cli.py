@@ -28,13 +28,14 @@ import numpy as np
 
 from . import _rng
 from .exponents import INF, exponent_to_json, predict
-from .forms import form_from_obj, form_to_obj, ksz_bound_exponent
+from .forms import form_from_obj, form_to_obj
 from .growth import (
     DEFAULT_FIT_TOLERANCE,
     config_from_obj,
     estimate_norm,
     loglog_fit,
     make_form,
+    paper_bound_exponent,
     report_obj,
     run_growth,
     series_to_csv,
@@ -148,10 +149,9 @@ def cmd_generate(args) -> int:
         args.family, args.m, args.n, args.p, args.seed, args.k,
         n2=args.n2, complex_phases=args.complex,
     )
-    if args.family == "ksz":
-        note = f"bound exponent {ksz_bound_exponent(args.p)!r}"
-    elif args.family == "product_extension":
-        note = f"base bound exponent {ksz_bound_exponent(args.p[: args.k])!r}"
+    if args.family in ("ksz", "product_extension"):
+        base = "base " if args.family == "product_extension" else ""
+        note = f"{base}bound exponent {paper_bound_exponent(args.family, args.p, args.k)!r}"
     else:
         note = "closed-form norm available"
     with open(args.out, "w") as f:

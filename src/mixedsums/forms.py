@@ -48,10 +48,11 @@ KINDS = ("ksz", "diagonal", "row", "product_extension", "custom")
 
 
 class _Fresh:
-    """An array handed over to a form that nothing writes afterwards.
+    """A finite array handed over to a form that nothing writes afterwards.
 
-    The factories of this module build them, and growth's sign stacks, so
-    MultilinearForm takes it without a copy.
+    The factories of this module build them, growth's sign stacks and
+    tensor_from_obj's checked arrays, so MultilinearForm takes it without a
+    copy or a second finiteness check.
     """
 
     __slots__ = ("array",)
@@ -79,7 +80,9 @@ class MultilinearForm:
             coeffs = coeffs.reshape(1)
         if coeffs.size == 0:
             raise ValueError(f"coefficients of shape {coeffs.shape} have no entries")
-        if not np.all(np.isfinite(coeffs)):
+        # a fresh array holds signs, phases, 0/1 or checked entries, so only
+        # arrays from outside pay for the n^m mask
+        if not isinstance(self.coefficients, _Fresh) and not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
@@ -178,39 +181,35 @@ def row_form(n1: int, n2: int, p) -> MultilinearForm:
     return MultilinearForm(coefficients=_Fresh(coeffs), p=p, kind="row")
 
 
-def product_extension(
-    base: MultilinearForm, m: int, p_tail, tail_dims=None
-) -> MultilinearForm:
+def _pin_tail(coefficients: np.ndarray, tail: int) -> np.ndarray:
+    """`coefficients` with `tail` new trailing axes of its last length, the
+    new indices pinned to 0: the layout of product_extension, also for a
+    stack of base forms along leading axes. tail = 0 returns the input.
+    """
+    if tail == 0:
+        return coefficients
+    out = np.zeros(coefficients.shape + coefficients.shape[-1:] * tail, coefficients.dtype)
+    out[(...,) + (0,) * tail] = coefficients
+    return out
+
+
+def product_extension(base: MultilinearForm, m: int, p_tail) -> MultilinearForm:
     """Extend a k-linear form to m slots, pinning the new indices to 1.
 
     The extension B satisfies B(x^(1), ..., x^(m)) =
     base(x^(1), ..., x^(k)) * x^(k+1)_1 * ... * x^(m)_1, so its operator
     norm equals the base norm, while only the first k axes carry more than
-    one index value.
+    one index value. Each new slot has the length of the base's last slot.
     """
     k = base.arity
     if m < k:
         raise ValueError(f"m = {m} must be >= base arity {k}")
-    if m == k:
-        if tuple(p_tail):
-            raise ValueError("p_tail must be empty when m equals the base arity")
-        # the base's array is read-only and never written, so both forms share it
-        return MultilinearForm(
-            coefficients=_Fresh(base.coefficients),
-            p=base.p,
-            kind="product_extension",
-            seed=base.seed,
-        )
-    p_tail = as_exponent_vector(p_tail, m - k, "p_tail")
-    if tail_dims is None:
-        tail_dims = (base.shape[-1],) * (m - k)
-    tail_dims = tuple(int(n) for n in tail_dims)
-    if len(tail_dims) != m - k or any(n < 1 for n in tail_dims):
-        raise ValueError(f"tail_dims must be {m - k} positive integers")
-    coeffs = np.zeros(base.shape + tail_dims, dtype=base.coefficients.dtype)
-    coeffs[(...,) + (0,) * (m - k)] = base.coefficients
+    if m == k and tuple(p_tail):
+        raise ValueError("p_tail must be empty when m equals the base arity")
+    p_tail = as_exponent_vector(p_tail, m - k, "p_tail") if m > k else ()
+    # at m = k the base's read-only array is shared, which nothing writes
     return MultilinearForm(
-        coefficients=_Fresh(coeffs),
+        coefficients=_Fresh(_pin_tail(base.coefficients, m - k)),
         p=base.p + p_tail,
         kind="product_extension",
         seed=base.seed,
@@ -280,7 +279,7 @@ def form_to_obj(form: MultilinearForm) -> dict:
 
 def form_from_obj(obj) -> MultilinearForm:
     """Inverse of form_to_obj."""
-    coeffs = tensor_from_obj(obj)
+    coeffs = _Fresh(tensor_from_obj(obj))
     p = _read_field(obj, "p", _vector(float), "form")
     seed = None if obj.get("seed") is None else _read_field(obj, "seed", _integer, "form")
     return MultilinearForm(

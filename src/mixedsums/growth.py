@@ -24,16 +24,18 @@ file, with n the form's first dimension.
 
 paper_bound fills the norm column with a closed form instead of an
 estimate: the analytic norm for diagonal and row, and
-n^{ksz_bound_exponent(p[:k])} for ksz (k = m) and product_extension (its
-base arity k), the unit-constant norm bound of a k-linear sign form. A fit
-over such rows is bound_relative. Every sign draw of a family has the same
-modulus (ones, on the base block for product_extension), and lhs reads
-only |coefficients|, so these rows draw no signs: lhs is the mixed norm
-of the shared modulus, bit for bit the value a draw gives, and the rows
-are the same for every seed. For ksz, and product_extension with k = m,
-that modulus is a stride-0 broadcast, which mixed_norm reduces once per
-level, so a row costs O(m * n); product_extension with k < m still
-builds its n^m extension in _extend.
+n^{paper_bound_exponent} for the random families, the unit-constant norm
+bound of their base: the k-linear sign form, k = m for ksz and k for
+product_extension. A fit over such rows is bound_relative.
+
+The base also gives every random-family row its lhs, under every method:
+the extension pins the m - k new indices, whose fibers (+-1, 0, ..., 0)
+and (0, ..., 0) reduce to exactly 1.0 and 0.0 at every r, so a draw's
+mixed norm is that of ones((n,) * k) at r_1..r_k, bit for bit. That is a
+stride-0 broadcast, which mixed_norm reduces in O(k * n), once per row:
+no row reduces n^m coefficients, and paper_bound rows draw no signs and
+are the same for every seed. brute and ascent still scan the m-linear
+extension of each draw.
 
 All randomness derives from (seed, n, draw_index) and rows are computed
 one after another in one thread, so output is reproducible bit-for-bit.
@@ -53,6 +55,7 @@ from .exponents import INF, ExponentReport, as_exponent_vector, exponent_to_json
 from .forms import (
     MultilinearForm,
     _Fresh,
+    _pin_tail,
     diagonal_form,
     form_from_obj,
     ksz_bound_exponent,
@@ -78,6 +81,7 @@ __all__ = [
     "GrowthSeries",
     "FitResult",
     "make_form",
+    "paper_bound_exponent",
     "estimate_norm",
     "run_growth",
     "loglog_fit",
@@ -220,7 +224,7 @@ def make_form(
         if k is None or not 1 <= k <= m:
             raise ValueError("product_extension requires k in [1, m]")
         base, _ = ksz_random_form(k, n, p[:k], seed)
-        return product_extension(base, m, p[k:], tail_dims=(n,) * (m - k))
+        return product_extension(base, m, p[k:])
     raise ValueError(f"no generated family {family!r}")
 
 
@@ -256,37 +260,28 @@ def _estimate(config: ExperimentConfig, form: MultilinearForm, n: int, d: int = 
     return est.value, est.kind
 
 
-def _base_arity(config: ExperimentConfig) -> int:
+def _base_arity(family: str, m: int, k: int | None) -> int:
     """The arity k of a random family's sign draws: m for ksz."""
-    return config.m if config.family == "ksz" else config.k
+    return m if family == "ksz" else k
 
 
-def _modulus(config: ExperimentConfig, n: int) -> np.ndarray:
-    """|coefficients| of every draw of a random family at size n.
-
-    For ksz, and product_extension with k = m, a read-only broadcast of 1.0
-    that allocates nothing of size n^m.
-    """
-    return _extend(config, n, np.broadcast_to(1.0, (n,) * _base_arity(config)))
+def paper_bound_exponent(family: str, p, k: int | None = None) -> float:
+    """The power of n in the unit-constant norm bound of a random family's
+    base sign form: ksz_bound_exponent of its first k exponents, all of p
+    for ksz."""
+    return ksz_bound_exponent(p[: _base_arity(family, len(p), k)])
 
 
-def _extend(config: ExperimentConfig, n: int, base: np.ndarray) -> np.ndarray:
-    """`base`, whose last k axes are slots of the base sign form, placed as
-    product_extension places it: the m - k new indices pinned to 0."""
-    tail = config.m - _base_arity(config)
-    if tail == 0:
-        return base
-    out = np.zeros(base.shape + (n,) * tail)
-    out[(...,) + (0,) * tail] = base
-    return out
+def _base_lhs(config: ExperimentConfig, n: int) -> float:
+    """lhs of every draw of a random family at size n: the mixed norm of
+    its base's modulus, ones, at r_1..r_k (see the module docstring)."""
+    k = _base_arity(config.family, config.m, config.k)
+    return mixed_norm(np.broadcast_to(1.0, (n,) * k), config.r[:k]).value
 
 
-def _row(
-    config: ExperimentConfig, n: int, coefficients, value: float, kind: str, draws_used: int
-) -> GrowthRow:
+def _row(n: int, lhs: float, value: float, kind: str, draws_used: int) -> GrowthRow:
     """The row at size n of a norm (value, kind); lhs is the mixed norm of
-    `coefficients`, or of their modulus, which gives the same bits."""
-    lhs = mixed_norm(coefficients, config.r).value
+    a given form's coefficients, or _base_lhs for a random family."""
     if value == 0.0:
         raise ValueError(f"the norm is 0 at n={n}, so the ratio is undefined")
     return GrowthRow(n, lhs, value, kind, lhs / value, draws_used)
@@ -294,7 +289,8 @@ def _row(
 
 def _form_row(config: ExperimentConfig, n: int, form: MultilinearForm) -> GrowthRow:
     """The row at size n of one given form, which is no draw."""
-    return _row(config, n, form.coefficients, *_estimate(config, form, n), 0)
+    value, kind = _estimate(config, form, n)
+    return _row(n, mixed_norm(form.coefficients, config.r).value, value, kind, 0)
 
 
 def _stack_best(config: ExperimentConfig, n: int, states, start: int):
@@ -304,7 +300,8 @@ def _stack_best(config: ExperimentConfig, n: int, states, start: int):
     (idx: None). crc, the CRC-32 of the winner's coefficients, is all of
     the stack that outlives the call.
     """
-    stack = _extend(config, n, _rng.sign_stack((n,) * _base_arity(config), states))
+    k = _base_arity(config.family, config.m, config.k)
+    stack = _pin_tail(_rng.sign_stack((n,) * k, states), config.m - k)
     if config.norm_method == "brute":
         d, idx, value = brute_force_scan(stack)
         kind = "exact"
@@ -345,7 +342,7 @@ def _drawn_row(config: ExperimentConfig, n: int, seeds, states) -> GrowthRow:
             raise ArithmeticError(
                 f"brute force scan value {value!r} differs from its witness's {est.value!r}"
             )
-    return _row(config, n, form.coefficients, value, kind, len(seeds))
+    return _row(n, _base_lhs(config, n), value, kind, len(seeds))
 
 
 def run_growth(config: ExperimentConfig) -> GrowthSeries:
@@ -368,12 +365,8 @@ def run_growth(config: ExperimentConfig) -> GrowthSeries:
         forms = (make_form(config.family, config.m, n, config.p, 0) for n in ns)
         rows = [_form_row(config, n, form) for n, form in zip(ns, forms)]
     elif config.norm_method == "paper_bound":
-        # the unit-constant norm bound of the base k-linear sign form
-        exponent = ksz_bound_exponent(config.p[: _base_arity(config)])
-        rows = [
-            _row(config, n, _modulus(config, n), float(n) ** exponent, "paper_bound", 0)
-            for n in ns
-        ]
+        exponent = paper_bound_exponent(config.family, config.p, config.k)
+        rows = [_row(n, _base_lhs(config, n), float(n) ** exponent, "paper_bound", 0) for n in ns]
     else:
         keys = [(n, d, 0) for n in ns for d in range(config.draws)]
         seeds = _rng.derive_seeds(config.seed, keys)

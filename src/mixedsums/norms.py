@@ -154,32 +154,35 @@ def alternating_ascent(
     converged = np.zeros(total, dtype=bool)
     active = np.arange(total)
     prev = None
-    for _ in range(max_iters):
-        rows = [x[active] for x in xs]
-        last = value[active]
-        for j, pj in enumerate(form.p):
-            # at m = 1 c is the coefficient vector, shared by every row
-            c = partial_contract(form, rows, j)
-            rows[j], val = dual_maximizer(np.broadcast_to(c, rows[j].shape), pj)
-            # each exact slot update can only raise the objective, which is
-            # finite; NaN counts as a fall, and so does an overflow to inf
-            fell = np.flatnonzero(~(val >= last * (1.0 - 1e-9) - 1e-300) | (val == INF))
-            if fell.size:
-                raise NumericalError(
-                    f"ascent objective fell or overflowed at slot {j} in restarts "
-                    f"{active[fell].tolist()}"
-                )
-            last = val
-        for x, row in zip(xs, rows):
-            x[active] = row
-        value[active] = val
-        if prev is not None:
-            done = val - prev <= tol * np.maximum(prev, 1e-300)
-            converged[active[done]] = True
-            active, val = active[~done], val[~done]
-            if not active.size:
-                break
-        prev = val
+    # the objective check below turns an overflow or a NaN into the one
+    # report, a NumericalError; numpy's warnings on the way would only precede it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iters):
+            rows = [x[active] for x in xs]
+            last = value[active]
+            for j, pj in enumerate(form.p):
+                # at m = 1 c is the coefficient vector, shared by every row
+                c = partial_contract(form, rows, j)
+                rows[j], val = dual_maximizer(np.broadcast_to(c, rows[j].shape), pj)
+                # each exact slot update can only raise the objective, which is
+                # finite; NaN counts as a fall, and so does an overflow to inf
+                fell = np.flatnonzero(~(val >= last * (1.0 - 1e-9) - 1e-300) | (val == INF))
+                if fell.size:
+                    raise NumericalError(
+                        f"ascent objective fell or overflowed at slot {j} in restarts "
+                        f"{active[fell].tolist()}"
+                    )
+                last = val
+            for x, row in zip(xs, rows):
+                x[active] = row
+            value[active] = val
+            if prev is not None:
+                done = val - prev <= tol * np.maximum(prev, 1e-300)
+                converged[active[done]] = True
+                active, val = active[~done], val[~done]
+                if not active.size:
+                    break
+            prev = val
 
     best = int(np.argmax(value))
     return NormEstimate(

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -589,13 +590,13 @@ def test_paper_bound_builds_forms_only_for_closed_families(monkeypatch, family):
     assert [row.draws_used for row in rows] == [0, 0, 0]
 
 
-_R_ENTRIES = (0.7, 1.0, 4 / 3, 2.0, 3.0, 600.0, INF)
+_R_ENTRIES = (0.4, 0.7, 1.0, 4 / 3, 2.0, 3.0, 600.0, 2000.0, INF)
 _SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(-(2**70), 2**70))
 
 
 @st.composite
 def _sign_family_configs(draw):
-    m = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
     family = draw(st.sampled_from(["ksz", "product_extension"]))
     k = draw(st.integers(1, m)) if family == "product_extension" else None
     def vector(values):
@@ -612,16 +613,44 @@ def _sign_family_configs(draw):
 @given(cfg=_sign_family_configs(), other_seed=_SEEDS)
 def test_paper_bound_rows_equal_rows_of_a_real_draw(cfg, other_seed):
     # the reference: draw 0 built through numpy, lhs from its coefficients
+    lhs = [mixed_norm(_draw(cfg, n, 0).coefficients, cfg.r).value for n in cfg.n_values]
+    k = cfg.m if cfg.family == "ksz" else cfg.k
     rows = []
-    for n in cfg.n_values:
-        lhs = mixed_norm(_draw(cfg, n, 0).coefficients, cfg.r).value
-        k = cfg.m if cfg.family == "ksz" else cfg.k
+    for n, value in zip(cfg.n_values, lhs):
         norm = float(n) ** ksz_bound_exponent(cfg.p[:k])
-        rows.append(GrowthRow(n, lhs, norm, "paper_bound", lhs / norm, 0))
+        rows.append(GrowthRow(n, value, norm, "paper_bound", value / norm, 0))
     got = run_growth(cfg).rows
     assert [row.lhs.hex() for row in got] == [row.lhs.hex() for row in rows]
     assert got == tuple(rows)
     assert run_growth(dataclasses.replace(cfg, seed=other_seed)).rows == got
+    # brute and ascent rows have the same lhs, whichever draw wins
+    for method, p in (("brute", (INF,) * cfg.m), ("ascent", cfg.p)):
+        drawn = dataclasses.replace(
+            cfg, p=p, n_values=cfg.n_values[:3], norm_method=method, restarts=1
+        )
+        assert [row.lhs.hex() for row in run_growth(drawn).rows] == [x.hex() for x in lhs[:3]]
+
+
+def test_product_extension_paper_bound_builds_no_extension():
+    # an n^3 extension would take 512 GiB at n = 4096; the lhs of the base
+    # reads n entries
+    cfg = ExperimentConfig(
+        family="product_extension", m=3, k=1, p=(INF,) * 3, r=(4 / 3, 3.0, INF),
+        n_values=(1024, 2048, 4096), norm_method="paper_bound",
+    )
+    run_growth(cfg)  # lazy imports on first use would count
+    start = time.perf_counter()
+    rows = run_growth(cfg).rows
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        run_growth(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = [mixed_norm(np.ones(n), cfg.r[:1]).value for n in cfg.n_values]
+    assert [row.lhs for row in rows] == want
+    assert elapsed < 0.05 and peak < 2**20
 
 
 def test_csv_round_trip():
@@ -791,7 +820,7 @@ def test_make_form_matches_family_builders():
         (make_form("row", 2, 3, (2.0, 2.0), 0, n2=7), row_form(3, 7, (2.0, 2.0))),
         (
             make_form("product_extension", 3, 4, p3, 12, k=2),
-            product_extension(base, 3, p3[2:], tail_dims=(4,)),
+            product_extension(base, 3, p3[2:]),
         ),
     ]
     for got, want in cases:

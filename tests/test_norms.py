@@ -289,8 +289,11 @@ def test_ascent_raises_when_the_norm_overflows():
     # the norm is 2e308, beyond float64: an infinite "lower bound" would be
     # no bound at all
     form = MultilinearForm(coefficients=[[1e308, 1e308], [1e308, 1e308]], p=(2.0, 2.0))
-    with pytest.raises(NumericalError, match="overflowed"):
-        alternating_ascent(form, restarts=2)
+    # the error is the one report: no numpy warning precedes it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match="overflowed"):
+            alternating_ascent(form, restarts=2)
 
 
 def test_brute_force_raises_when_the_value_is_not_finite():

@@ -5,55 +5,16 @@ Usage:
 
 Each SRC is a directory that contains the ``mixedsums`` package (a tree's
 ``src``); NEW_SRC defaults to this checkout's ``src``. For every tree the
-script runs, in a fresh interpreter, the ten ``bundled_suite()``
-experiments, the ``bound_growth`` benchmark experiments and three
-multi-draw brute experiments at seeds 0 and 5 (ksz at m = 3 with 20
-draws, product_extension with k = 1 and 6 draws, and ksz at m = 2 with
-300 draws, more than one stacked scan holds), five brute and ascent
-experiments at the same seeds that those leave out (ksz brute and ascent
-with one draw, product_extension brute with k = 2 and one draw,
-product_extension ascent with k = 1 and 4 draws, and ksz ascent with 2
-draws at n = 200..300, where a stack holds one draw), five ``paper_bound``
-experiments at the same seeds whose r leaves {1, 2} (ksz at m = 1 and
-m = 3 with r = inf and 600 among them, product_extension at m = 3 with
-k = 1 and r = (4/3, 3, inf), ksz at m = 2 with r = (4/3, 3) up to
-n = 2048, and ksz at m = 3 with r = (1, 2, 3/2) up to n = 256), and hashes
-``series_to_csv`` plus ``report_obj`` of each. It also runs
-``brute_force_norm`` on the ``brute_exact`` benchmark forms at the same
-seeds and hashes ``repr(value)`` plus the witness bytes; the same goes
-for ``brute_force_norm`` on seeded integer forms with entries in -3..3
-(m = 2 and 3), on integer forms whose sum of |entries| is 2**15 - 1 (the
-largest the int16 scan takes) or 2**15 (the smallest it leaves to
-float64), and on forms with fractional entries. Through
-``cli.main`` it hashes the exit code, stdout, stderr and written files of
-``generate`` for every family (plus ``--complex`` and ``--n2``), of
-``norm --method brute|ascent|analytic`` on generated forms (brute also at
-m = 1; ascent also at p_j = 1, at m = 1 and m = 3, at n = 64, with a
-cap of two sweeps, and at seeds -3 and 2**32, whose restart keys
-SeedSequence masks or splits), of inline-flag ``experiment`` runs (brute,
-ascent with three draws, ``paper_bound`` on ksz, diagonal, row and
-product_extension, and the custom-file family on a list file and on a
-single-object file;
-at seeds 2**32, -3 and 2**63 + 5, whose seed keys hold more words than
-SeedSequence's pool, brute ksz with 20 draws and brute product_extension
-with k = 1 and 6 draws, plus ascent ksz with three draws at seed -3),
-of ``exponent --format json`` over a grid of (m, p, r) with m <= 3, and
-of ``verify-holder``. Last, it hashes
-``tensors.fiber_norms`` and ``mixed_norm`` on seeded tensors whose Sum2
-error terms are not zero (standard normal, and magnitudes from 1e-150 to
-1e150; n = 1, n = 3000 and n = 40000; C and Fortran order, int and
-complex entries) at r in {0.5, 1, 4/3, 2, 3, 600, inf}, and the
-coefficient bytes of ``ksz_random_form(2, 2048)``. It also hashes
-``fiber_norms`` and ``mixed_norm`` at r in {1, 2, (1, 2), (1, 2, 2)} on
-seeded integer tensors with entries in -3..3 (float, int, Fortran-order
-and complex with integer moduli), which are added without Sum2, on
-tensors with one row on either side of 8 * top**r = 2**53, where the
-plain sum stops, on a row beyond it whose plain sum is inexact, and on
-normal data whose largest moduli are integers. And it hashes
-``fiber_norms`` and ``mixed_norm`` at the same seven r on broadcast views
-with stride-0 leading, middle, fiber (last) and mixed axes, over normal,
-integer and complex bases. It prints one line per payload and exits 1 if
-any payload differs.
+script computes, in a fresh interpreter, the payloads of ``digests``:
+``series_to_csv`` plus ``report_obj`` of growth experiments (the
+``bundled_suite()`` battery, the ``bound_growth`` benchmark experiments,
+and STACKED, DRAWN and PAPER_BOUND at each seed of SEEDS), the value and
+witness bytes of ``brute_force_norm`` (the ``brute_exact`` benchmark forms
+and ``brute_payloads``), the exit code, output and written files of
+``cli.main`` runs (``cli_payloads``), and the bits of ``fiber_norms`` and
+``mixed_norm`` (``kernel_payloads``, ``broadcast_payloads`` and
+``exact_payloads``). It prints the sha256 of each payload on one line and
+exits 1 if any payload differs.
 """
 
 from __future__ import annotations
@@ -144,6 +105,7 @@ EXPERIMENTS.append(
 # 3/2 (the anisotropic regime), and r common to all slots or r_1 then 2s
 EXPONENT_P = ("inf", "6", "4", "2", "3/2")
 EXPONENT_R = ("1", "4/3", "2", "3")
+# verify-holder flags
 HOLDER = ["--trials 40", "--trials 40 --m 3 --N 4 --seed 9"]
 # fiber lengths: one entry, one that does not divide the 2**15-entry
 # block, and more than one block per fiber
@@ -161,8 +123,9 @@ STACKED = [
     dict(family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(8, 12, 16), draws=300),
 ]
 # brute and ascent experiments that STACKED leaves out: one draw, ascent,
-# and ascent at n = 200..300, where a stack of 2**16 coefficients holds
-# one draw
+# ascent at n = 200..300, where a stack of 2**16 coefficients holds one
+# draw, and product_extension rows whose r leaves {1, 2}, which read lhs
+# off the base
 DRAWN = [
     dict(family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 4, 5, 6),
          norm_method="brute"),
@@ -174,10 +137,17 @@ DRAWN = [
          n_values=(2, 4, 8), norm_method="ascent", restarts=4, draws=4),
     dict(family="ksz", m=2, p=(4.0, 4.0), r=(1.0, 2.0), n_values=(200, 250, 300),
          norm_method="ascent", restarts=2, draws=2),
+    dict(family="product_extension", m=3, k=1, p=(INF,) * 3, r=(4 / 3, 3.0, 0.5),
+         n_values=(2, 4, 6, 8), norm_method="brute", draws=3),
+    dict(family="product_extension", m=4, k=2, p=(INF,) * 4, r=(1.0, 4 / 3, 600.0, INF),
+         n_values=(2, 3, 4), norm_method="brute", draws=2),
+    dict(family="product_extension", m=3, k=2, p=(4.0, INF, 2.0), r=(1.5, 3.0, 4 / 3),
+         n_values=(2, 4, 8), norm_method="ascent", restarts=4, draws=2),
 ]
 # paper_bound experiments whose lhs leaves the plain-sum path: Sum2, the
-# scale by the largest modulus at r > 512, and the supremum; the last puts
-# an n = 2048 modulus through Sum2 in many blocks
+# scale by the largest modulus at r > 512, and the supremum; the fourth
+# puts an n = 2048 modulus through Sum2 in many blocks, and the last has
+# r < 1 on a base of two slots in four
 PAPER_BOUND = [
     dict(family="ksz", m=1, p=(4.0,), r=(3.0,), n_values=(3, 10, 100, 1000)),
     dict(family="ksz", m=3, p=(INF, 4.0, 2.0), r=(4 / 3, INF, 600.0), n_values=(2, 5, 9, 16)),
@@ -185,6 +155,8 @@ PAPER_BOUND = [
          n_values=(2, 4, 8, 16)),
     dict(family="ksz", m=2, p=(INF, INF), r=(4 / 3, 3.0), n_values=(64, 256, 1024, 2048)),
     dict(family="ksz", m=3, p=(INF,) * 3, r=(1.0, 2.0, 1.5), n_values=(16, 64, 128, 256)),
+    dict(family="product_extension", m=4, k=2, p=(INF,) * 4, r=(0.5, 3.0, 4 / 3, INF),
+         n_values=(2, 4, 8, 16)),
 ]
 # broadcast views as (name, base shape, view shape): the base's axes of
 # length 1 are repeated with stride 0, leading, in the middle, on the fiber
