@@ -181,25 +181,16 @@ def row_form(n1: int, n2: int, p) -> MultilinearForm:
     return MultilinearForm(coefficients=_Fresh(coeffs), p=p, kind="row")
 
 
-def _pin_tail(coefficients: np.ndarray, tail: int) -> np.ndarray:
-    """`coefficients` with `tail` new trailing axes of its last length, the
-    new indices pinned to 0: the layout of product_extension, also for a
-    stack of base forms along leading axes. tail = 0 returns the input.
-    """
-    if tail == 0:
-        return coefficients
-    out = np.zeros(coefficients.shape + coefficients.shape[-1:] * tail, coefficients.dtype)
-    out[(...,) + (0,) * tail] = coefficients
-    return out
-
-
 def product_extension(base: MultilinearForm, m: int, p_tail) -> MultilinearForm:
     """Extend a k-linear form to m slots, pinning the new indices to 1.
 
     The extension B satisfies B(x^(1), ..., x^(m)) =
     base(x^(1), ..., x^(k)) * x^(k+1)_1 * ... * x^(m)_1, so its operator
-    norm equals the base norm, while only the first k axes carry more than
-    one index value. Each new slot has the length of the base's last slot.
+    norm equals the base norm (e_1 attains |x^(j)_1| <= 1 in a new slot),
+    while only the first k axes carry more than one index value. Each new
+    slot has the length of the base's last slot. No other code builds this
+    layout: growth draws, scans and checks bases, and extends each draw here
+    only to run ascent on it.
     """
     k = base.arity
     if m < k:
@@ -207,9 +198,12 @@ def product_extension(base: MultilinearForm, m: int, p_tail) -> MultilinearForm:
     if m == k and tuple(p_tail):
         raise ValueError("p_tail must be empty when m equals the base arity")
     p_tail = as_exponent_vector(p_tail, m - k, "p_tail") if m > k else ()
-    # at m = k the base's read-only array is shared, which nothing writes
+    coeffs = base.coefficients  # at m = k it is shared, read-only
+    if m > k:
+        coeffs = np.zeros(base.shape + base.shape[-1:] * (m - k), coeffs.dtype)
+        coeffs[(...,) + (0,) * (m - k)] = base.coefficients
     return MultilinearForm(
-        coefficients=_Fresh(_pin_tail(base.coefficients, m - k)),
+        coefficients=_Fresh(coeffs),
         p=base.p + p_tail,
         kind="product_extension",
         seed=base.seed,

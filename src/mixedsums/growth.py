@@ -10,32 +10,31 @@ slope <= s + tol).
 Random families (ksz, product_extension) evaluate `draws` independent sign
 draws per n and keep the draw with the largest operator norm (smallest
 draw index on ties); the norm denominator of the reported ratio belongs to
-that draw, and the row reports draws_used = draws. Under brute and ascent
-all such rows take one path: an experiment seeds all of its draws in one
-batch, and a row's draws are built as sign stacks of at most
-_STACK_ENTRIES coefficients. brute enumerates each stack in one
-brute_force_scan, with the budget counted per draw; ascent runs on each
-draw of it. Only the winner becomes a form, and its coefficients are
-checked against the CRC-32 of its slice: no stack is alive beside it. The
-closed families (diagonal, row) build one form per n, paper_bound rows of
-the random families draw none (below), and both report draws_used = 0,
-as does the custom-file family, which gives one row per form in its
-file, with n the form's first dimension.
+that draw, and the row reports draws_used = draws. The closed families
+(diagonal, row) build one form per n, paper_bound rows of the random
+families draw none (below), and both report draws_used = 0, as does the
+custom-file family, which gives one row per form in its file, with n the
+form's first dimension.
 
-paper_bound fills the norm column with a closed form instead of an
-estimate: the analytic norm for diagonal and row, and
-n^{paper_bound_exponent} for the random families, the unit-constant norm
-bound of their base: the k-linear sign form, k = m for ksz and k for
-product_extension. A fit over such rows is bound_relative.
+A random family's draw is its base, the k-linear sign form (k = m for ksz
+and k for product_extension), which forms.product_extension extends to m
+slots by pinning the m - k new indices to 1. That keeps the operator norm
+(a pinned slot contributes |x_j[0]| <= 1, which e_1 attains), and the
+pinned fibers (+-1, 0, ..., 0) and (0, ..., 0) reduce to exactly 1.0 and
+0.0 at every r. So every random-family row reads its lhs off the base, the
+mixed norm of a stride-0 ones((n,) * k) at r_1..r_k (O(k * n), bit for bit
+a draw's), and paper_bound gives n^{paper_bound_exponent}, the base's
+unit-constant norm bound: those rows draw no signs, do not depend on the
+seed, and fit bound_relative. For diagonal and row it is the analytic norm.
 
-The base also gives every random-family row its lhs, under every method:
-the extension pins the m - k new indices, whose fibers (+-1, 0, ..., 0)
-and (0, ..., 0) reduce to exactly 1.0 and 0.0 at every r, so a draw's
-mixed norm is that of ones((n,) * k) at r_1..r_k, bit for bit. That is a
-stride-0 broadcast, which mixed_norm reduces in O(k * n), once per row:
-no row reduces n^m coefficients, and paper_bound rows draw no signs and
-are the same for every seed. brute and ascent still scan the m-linear
-extension of each draw.
+Under brute and ascent an experiment seeds all of its draws in one batch,
+and a row's bases are drawn as sign stacks of at most _STACK_ENTRIES
+coefficients; no m-linear stack is built. brute scans each stack in one
+brute_force_scan, whose exact integer sums are the extensions' norms and
+whose budget counts one base's patterns. ascent runs on each draw's
+extension, built one at a time, since its iterates depend on the pinned
+slots' start vectors. Only the winner's base becomes a form, checked
+against its slice's CRC-32 once no stack is alive.
 
 All randomness derives from (seed, n, draw_index) and rows are computed
 one after another in one thread, so output is reproducible bit-for-bit.
@@ -55,7 +54,6 @@ from .exponents import INF, ExponentReport, as_exponent_vector, exponent_to_json
 from .forms import (
     MultilinearForm,
     _Fresh,
-    _pin_tail,
     diagonal_form,
     form_from_obj,
     ksz_bound_exponent,
@@ -162,8 +160,9 @@ class ExperimentConfig:
         if self.norm_method == "paper_bound" and self.family == "custom-file":
             raise ValueError("paper_bound has no closed form for custom files")
         if self.norm_method == "brute" and self.family != "custom-file":
-            if any(pj != INF for pj in self.p):
-                raise ValueError("brute norms require every p_j = inf")
+            k = _base_arity(self.family, self.m, self.k)  # the slots brute enumerates
+            if any(pj != INF for pj in self.p[:k]):
+                raise ValueError(f"brute norms require p_j = inf for j <= {k}")
 
 
 @dataclass(frozen=True)
@@ -242,7 +241,8 @@ def estimate_norm(
     if method == "analytic":
         est = analytic_norm(form)
         if est is None:
-            raise ValueError(f"no analytic norm for form kind {form.kind!r}")
+            family = ", whose coefficients are not that family's" if form.kind in _CLOSED else ""
+            raise ValueError(f"no analytic norm for form kind {form.kind!r}{family}")
         return est
     if method == "ascent":
         return alternating_ascent(form, restarts, seed, tol, max_iters)
@@ -261,8 +261,9 @@ def _estimate(config: ExperimentConfig, form: MultilinearForm, n: int, d: int = 
 
 
 def _base_arity(family: str, m: int, k: int | None) -> int:
-    """The arity k of a random family's sign draws: m for ksz."""
-    return m if family == "ksz" else k
+    """The arity of a family's base: k for product_extension, whose sign
+    draws are k-linear, and m for every other family."""
+    return k if family == "product_extension" else m
 
 
 def paper_bound_exponent(family: str, p, k: int | None = None) -> float:
@@ -293,23 +294,23 @@ def _form_row(config: ExperimentConfig, n: int, form: MultilinearForm) -> Growth
     return _row(n, mixed_norm(form.coefficients, config.r).value, value, kind, 0)
 
 
-def _stack_best(config: ExperimentConfig, n: int, states, start: int):
+def _stack_best(config: ExperimentConfig, stack, n: int, start: int):
     """(value, kind, d, idx, crc) of the best draw, the first on ties, in
-    the sign stack of `states`, draws start, start + 1, ...: brute scans
-    the stack once (idx: the witness pattern), ascent runs on each draw
-    (idx: None). crc, the CRC-32 of the winner's coefficients, is all of
-    the stack that outlives the call.
+    a sign stack of bases, draws start, start + 1, ...: brute scans the
+    stack once (idx: the base's witness pattern), ascent runs on each
+    draw's extension (idx: None). crc, the CRC-32 of the winner's base, is
+    all of the stack that outlives the call.
     """
-    k = _base_arity(config.family, config.m, config.k)
-    stack = _pin_tail(_rng.sign_stack((n,) * k, states), config.m - k)
+    k = stack.ndim - 1
     if config.norm_method == "brute":
         d, idx, value = brute_force_scan(stack)
         kind = "exact"
     else:
         # the forms share the stack, which nothing writes
+        bases = (MultilinearForm(_Fresh(c), config.p[:k]) for c in stack)
         ests = [
-            _estimate(config, MultilinearForm(_Fresh(c), config.p), n, start + i)
-            for i, c in enumerate(stack)
+            _estimate(config, product_extension(b, config.m, config.p[k:]), n, start + i)
+            for i, b in enumerate(bases)
         ]
         d = max(range(len(ests)), key=lambda i: ests[i][0])  # the first on ties
         idx, (value, kind) = None, ests[d]
@@ -320,24 +321,27 @@ def _drawn_row(config: ExperimentConfig, n: int, seeds, states) -> GrowthRow:
     """The row at size n of a random family under brute or ascent: the
     draw of `seeds` with the largest norm, the first on ties.
 
-    states = _rng.pcg_states(seeds). The draws are built in stacks of at
-    most _STACK_ENTRIES coefficients, and a later stack wins only with a
-    strictly larger value. Only the winner becomes a form, through
-    make_form, whose coefficients must have the slice's CRC-32. The brute
-    scan is exact on these integer draws, so the witness must give its value.
+    states = _rng.pcg_states(seeds). The draws' bases are built in stacks
+    of at most _STACK_ENTRIES coefficients, and a later stack wins only
+    with a strictly larger value. Only the winner's base becomes a form,
+    through make_form, whose coefficients must have the slice's CRC-32.
+    The brute scan is exact on these integer draws, so the base's witness
+    must give its value.
     """
-    per_stack = max(1, _STACK_ENTRIES // n**config.m)
+    k = _base_arity(config.family, config.m, config.k)
+    per_stack = max(1, _STACK_ENTRIES // n**k)
     best = None
-    for start in range(0, len(seeds), per_stack):
-        draw = _stack_best(config, n, states[start : start + per_stack], start)
+    for lo in range(0, len(seeds), per_stack):
+        # no name holds the stack, so it is freed before the winner is rebuilt
+        draw = _stack_best(config, _rng.sign_stack((n,) * k, states[lo : lo + per_stack]), n, lo)
         if best is None or draw[0] > best[0]:
             best = draw
     value, kind, d, idx, crc = best
-    form = make_form(config.family, config.m, n, config.p, seeds[d], config.k)
-    if zlib.crc32(form.coefficients) != crc:
+    base = make_form("ksz", k, n, config.p[:k], seeds[d])
+    if zlib.crc32(base.coefficients) != crc:
         raise ArithmeticError(f"batched signs of seed {seeds[d]} differ from numpy's")
     if idx is not None:
-        est = brute_force_estimate(form, idx)
+        est = brute_force_estimate(base, idx)
         if est.value != value:
             raise ArithmeticError(
                 f"brute force scan value {value!r} differs from its witness's {est.value!r}"

@@ -378,13 +378,17 @@ def brute_force_norm(
 def analytic_norm(form: MultilinearForm) -> NormEstimate | None:
     """Closed-form norm for the diagonal and row families; None otherwise.
 
-    Row: value n_2^{1 - 1/p_2} is attained (kind=exact, witness x = e_1 and
-    the dual maximizer of the all-ones vector). Diagonal: value
+    The kind alone does not qualify a form: the coefficients must be the
+    family's, a first row of ones and zeros elsewhere for row, equal sizes
+    and ones exactly on the diagonal for diagonal. Row: value
+    n_2^{1 - 1/p_2} is attained (kind=exact, witness x = e_1 and the dual
+    maximizer of the all-ones vector). Diagonal: value
     n^{max(1 - |1/p|, 0)} is the closed-form upper bound (kind=analytic)
     with the uniform witness attaining it when |1/p| <= 1, the basis witness
     otherwise.
     """
-    if form.kind == "row":
+    c = form.coefficients
+    if form.kind == "row" and c.ndim == 2 and (c[0] == 1).all() and not c[1:].any():
         n1, n2 = form.shape
         y, val = dual_maximizer(np.ones(n2), form.p[1])
         x = np.zeros(n1)
@@ -392,25 +396,19 @@ def analytic_norm(form: MultilinearForm) -> NormEstimate | None:
         return NormEstimate(
             value=val, kind="exact", witness=[x, y], restarts_used=0, converged=True
         )
-    if form.kind == "diagonal":
-        m = form.arity
-        n = form.shape[0]
+    n = c.shape[0]
+    if (
+        form.kind == "diagonal" and c.shape == (n,) * c.ndim
+        and np.count_nonzero(c) == n and (c[(np.arange(n),) * c.ndim] == 1).all()
+    ):
         h = harmonic_sum(form.p)
-        expo = max(1.0 - h, 0.0)
-        value = float(n) ** expo
         if h <= 1.0:
-            witness = [
-                np.full(n, float(n) ** (-1.0 / pj))
-                for pj in form.p
-            ]
+            witness = [np.full(n, float(n) ** (-1.0 / pj)) for pj in form.p]
         else:
-            witness = [np.eye(n)[0] for _ in range(m)]
+            witness = [np.eye(n)[0] for _ in form.p]
         return NormEstimate(
-            value=value,
-            kind="analytic",
-            witness=witness,
-            restarts_used=0,
-            converged=True,
+            value=float(n) ** max(1.0 - h, 0.0), kind="analytic", witness=witness,
+            restarts_used=0, converged=True,
         )
     return None
 

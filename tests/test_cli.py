@@ -590,3 +590,20 @@ def test_experiment_inline_defaults_are_the_config_defaults(tmp_path, capsys):
         family="row", m=2, p=(INF, 2.0), r=(1.0, 1.0), n_values=(2, 4, 8)
     )
     assert json.loads(csv.with_suffix(".json").read_text())["config"] == config_to_obj(want)
+
+
+@pytest.mark.parametrize("kind", ["row", "diagonal"])
+def test_analytic_norm_of_a_mislabelled_form_exits_1(tmp_path, capsys, kind):
+    # the coefficients are neither family's: brute gives 18, the row rule 2
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(
+        {"shape": [2, 2], "data": [5, -7, 3, 9], "p": ["inf", "inf"], "kind": kind}
+    ))
+    code, out, err = run(capsys, "norm", "--input", str(path), "--method", "analytic")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: no analytic norm for form kind {kind!r}, whose coefficients are not "
+        "that family's\n"
+    )
+    code, out, _ = run(capsys, "norm", "--input", str(path), "--method", "brute")
+    assert code == 0 and json.loads(out)["value"] == 18.0

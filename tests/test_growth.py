@@ -29,6 +29,8 @@ from mixedsums import (
     loglog_fit,
     make_form,
     mixed_norm,
+    predict,
+    product_extension,
     report_obj,
     run_growth,
     series_to_csv,
@@ -897,3 +899,74 @@ def test_config_from_obj_accepts_tuples_and_integral_floats():
         family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 4),
         restarts=8, seed=3, draws=2,
     )
+
+
+def test_product_extension_brute_scans_the_base_within_the_default_budget():
+    # the m-linear extension at n = 14 has 2**26 sign patterns, past the
+    # default budget of 2**24; its base has 2**13
+    cfg = ExperimentConfig(
+        family="product_extension", m=3, k=2, p=(INF,) * 3, r=(1.0, 2.0, 2.0),
+        n_values=(14, 20, 24), norm_method="brute",
+    )
+    for row in run_growth(cfg).rows:
+        base = make_form("ksz", 2, row.n, (INF, INF), derive_seed(cfg.seed, row.n, 0, 0))
+        assert (row.norm, row.norm_kind) == (brute_force_norm(base).value, "exact")
+
+
+@pytest.mark.parametrize(
+    "family, m, k",
+    [("ksz", 2, None), ("ksz", 3, None), ("product_extension", 3, 1),
+     ("product_extension", 3, 2), ("product_extension", 4, 2)],
+)
+def test_stacked_brute_scans_only_k_linear_bases(monkeypatch, family, m, k):
+    shapes, scan = [], growth_module.brute_force_scan
+
+    def recording(stack):
+        shapes.append(stack.shape)
+        return scan(stack)
+
+    monkeypatch.setattr(growth_module, "brute_force_scan", recording)
+    cfg = ExperimentConfig(
+        family=family, m=m, k=k, p=(INF,) * m, r=(1.0,) * m, n_values=(2, 3, 4),
+        norm_method="brute", draws=3,
+    )
+    run_growth(cfg)
+    base = m if k is None else k
+    assert shapes == [(3,) + (n,) * base for n in cfg.n_values]  # k + 1 axes each
+
+
+_MIXED_TAIL = dict(
+    family="product_extension", m=3, k=2, p=(INF, INF, 4.0), r=(1.0, 2.0, 2.0),
+    n_values=(2, 4, 6, 8, 10), draws=3, seed=5,
+)
+
+
+def test_product_extension_brute_with_a_finite_tail_p_is_the_base_row():
+    # brute enumerates slots 1..k only; a pinned slot of any p leaves the
+    # norm, and its fibers leave lhs, so every row is the ksz m = 2 row
+    got = run_growth(ExperimentConfig(norm_method="brute", **_MIXED_TAIL)).rows
+    ksz = ExperimentConfig(
+        family="ksz", m=2, p=(INF, INF), r=(1.0, 2.0), n_values=_MIXED_TAIL["n_values"],
+        norm_method="brute", draws=3, seed=5,
+    )
+    assert got == run_growth(ksz).rows
+    # the first exact rows in a mixed-exponent regime
+    report = predict(3, _MIXED_TAIL["p"], _MIXED_TAIL["r"])
+    assert report.flags.case2_applies and report.optimality_open
+    assert report.s_case2 == pytest.approx(5 / 12) and report.best_exponent() == 0.25
+    with pytest.raises(ValueError, match=r"^brute norms require p_j = inf for j <= 2$"):
+        ExperimentConfig(norm_method="brute", **dict(_MIXED_TAIL, p=(INF, 4.0, INF)))
+
+
+def test_ascent_on_a_finite_tail_p_extension_never_exceeds_brute():
+    brute = run_growth(ExperimentConfig(norm_method="brute", **_MIXED_TAIL)).rows
+    ascent = run_growth(ExperimentConfig(norm_method="ascent", **_MIXED_TAIL)).rows
+    for a, b in zip(ascent, brute):
+        # ascent's value passes through a power at p' = 4/3, so allow rounding
+        assert a.norm_kind == "lower_bound" and a.norm <= b.norm * (1.0 + 1e-12)
+    for n in _MIXED_TAIL["n_values"]:
+        for d in range(_MIXED_TAIL["draws"]):
+            base = make_form("ksz", 2, n, (INF, INF), derive_seed(5, n, d, 0))
+            ext = product_extension(base, 3, (4.0,))
+            est = alternating_ascent(ext, 8, derive_seed(5, n, d, 1))
+            assert est.value <= brute_force_norm(base).value * (1.0 + 1e-12)

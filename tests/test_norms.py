@@ -817,3 +817,33 @@ def test_ascent_witness_is_valid_property(dims, ps, seed):
     for x, pj in zip(est.witness, form.p):
         assert lp_norm(x, pj) <= 1.0 + 1e-12
     assert evaluate(form, est.witness) == pytest.approx(est.value, rel=1e-9)
+
+
+_ROW = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "kind, coeffs",
+    [
+        ("row", [[5.0, -7.0], [3.0, 9.0]]),
+        ("row", _ROW + [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),  # a second row
+        ("row", _ROW * [[1.0, 2.0, 1.0], [1.0, 1.0, 1.0]]),  # not all ones
+        ("row", np.ones((2, 2, 2)) * [[[1.0]], [[0.0]]]),  # not bilinear
+        ("diagonal", [[5.0, -7.0], [3.0, 9.0]]),
+        ("diagonal", np.eye(3) + np.eye(3, k=1)),  # off the diagonal
+        ("diagonal", 2.0 * np.eye(3)),  # not ones
+        ("diagonal", np.eye(2, 3)),  # unequal sizes
+    ],
+)
+def test_analytic_norm_reads_the_coefficients_not_the_kind(kind, coeffs):
+    form = MultilinearForm(coefficients=np.asarray(coeffs), p=(INF,) * np.ndim(coeffs), kind=kind)
+    assert analytic_norm(form) is None
+
+
+def test_analytic_norm_keeps_the_families_it_recognises():
+    for form in (row_form(1, 4, (2.0, 3.0)), row_form(3, 1, (INF, 4.0)),
+                 diagonal_form(1, 5, (3.0,)), diagonal_form(3, 4, (INF, 2.0, 4.0))):
+        # a file's copy of the family's coefficients, with the family's kind
+        copy = MultilinearForm(np.array(form.coefficients), form.p, kind=form.kind)
+        assert estimate_to_obj(analytic_norm(copy)) == estimate_to_obj(analytic_norm(form))
+        assert analytic_norm(MultilinearForm(form.coefficients, form.p)) is None

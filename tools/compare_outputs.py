@@ -101,6 +101,15 @@ for _seed in (4294967296, -3, 9223372036854775813):
 EXPERIMENTS.append(
     "--family ksz --m 2 --p 4,4 --r 1,2 --n-values 2,3,4 --draws 3 --restarts 4 --seed -3"
 )
+# brute scans product_extension bases: at n = 14 and 16 the m = 3
+# extensions would need 2**26 and 2**30 sign patterns, and a pinned slot
+# may have a finite p, since brute does not enumerate it
+EXPERIMENTS += [
+    "--family product_extension --m 3 --k 2 --p inf,inf,inf --r 1,2,2 --n-values 12,14,16 "
+    "--norm-method brute",
+    "--family product_extension --m 3 --k 2 --p inf,inf,4 --r 1,2,2 --n-values 2,4,6,8,10 "
+    "--norm-method brute --draws 3",
+]
 # exponent grid: every m, a p common to all slots or with the last slot
 # 3/2 (the anisotropic regime), and r common to all slots or r_1 then 2s
 EXPONENT_P = ("inf", "6", "4", "2", "3/2")
