@@ -40,7 +40,8 @@ from .growth import (
     run_growth,
     series_to_csv,
 )
-from .norms import DEFAULT_BUDGET, DEFAULT_MAX_ITERS, DEFAULT_TOL, estimate_to_obj
+from .norms import DEFAULT_BUDGET, DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL
+from .norms import estimate_to_obj
 from .tensors import (
     NumericalError,
     check_splitting,
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="operator-norm estimate of a form file")
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=("ascent", "brute", "analytic"), default="ascent")
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)

@@ -189,8 +189,8 @@ def product_extension(base: MultilinearForm, m: int, p_tail) -> MultilinearForm:
     norm equals the base norm (e_1 attains |x^(j)_1| <= 1 in a new slot),
     while only the first k axes carry more than one index value. Each new
     slot has the length of the base's last slot. No other code builds this
-    layout: growth draws, scans and checks bases, and extends each draw here
-    only to run ascent on it.
+    layout, and growth builds it only for make_form: a product_extension
+    experiment's rows are those of its k-linear base experiment.
     """
     k = base.arity
     if m < k:

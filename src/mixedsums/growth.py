@@ -7,34 +7,30 @@ exponent, compared against the predicted exponent in one of two modes:
 match (optimality: |slope - s| <= tol) or upper_bound (validity:
 slope <= s + tol).
 
-Random families (ksz, product_extension) evaluate `draws` independent sign
-draws per n and keep the draw with the largest operator norm (smallest
-draw index on ties); the norm denominator of the reported ratio belongs to
-that draw, and the row reports draws_used = draws. The closed families
-(diagonal, row) build one form per n, paper_bound rows of the random
-families draw none (below), and both report draws_used = 0, as does the
-custom-file family, which gives one row per form in its file, with n the
-form's first dimension.
+ksz keeps, of `draws` sign draws per n, the one with the largest operator
+norm (the first on ties), whose norm is the ratio's denominator, and
+reports draws_used = draws. diagonal and row build one form per n, ksz
+paper_bound rows draw none, and both report draws_used = 0, as does
+custom-file: one row per form in its file, n the form's first dimension.
 
-A random family's draw is its base, the k-linear sign form (k = m for ksz
-and k for product_extension), which forms.product_extension extends to m
-slots by pinning the m - k new indices to 1. That keeps the operator norm
-(a pinned slot contributes |x_j[0]| <= 1, which e_1 attains), and the
-pinned fibers (+-1, 0, ..., 0) and (0, ..., 0) reduce to exactly 1.0 and
-0.0 at every r. So every random-family row reads its lhs off the base, the
-mixed norm of a stride-0 ones((n,) * k) at r_1..r_k (O(k * n), bit for bit
-a draw's), and paper_bound gives n^{paper_bound_exponent}, the base's
-unit-constant norm bound: those rows draw no signs, do not depend on the
-seed, and fit bound_relative. For diagonal and row it is the analytic norm.
+A product_extension experiment's rows are those of its base config
+(_base_config), ksz on its first k slots at the same seed, draws and
+method. Pinning the m - k new indices to 1 keeps the operator norm (a
+pinned slot contributes |x_j[0]| <= 1, which e_1 attains), and the pinned
+fibers reduce to exactly 1.0 and 0.0 at every r; only the fit and the
+prediction see all m slots.
 
-Under brute and ascent an experiment seeds all of its draws in one batch,
-and a row's bases are drawn as sign stacks of at most _STACK_ENTRIES
-coefficients; no m-linear stack is built. brute scans each stack in one
-brute_force_scan, whose exact integer sums are the extensions' norms and
-whose budget counts one base's patterns. ascent runs on each draw's
-extension, built one at a time, since its iterates depend on the pinned
-slots' start vectors. Only the winner's base becomes a form, checked
-against its slice's CRC-32 once no stack is alive.
+Every ksz draw has modulus ones((n,) * m), so lhs is the mixed norm of a
+stride-0 broadcast (O(m * n), bit for bit a draw's), and paper_bound gives
+n^{ksz_bound_exponent(p)}, the unit-constant norm bound: those rows draw
+no signs, do not depend on the seed, and fit bound_relative. For diagonal
+and row it is the analytic norm.
+
+Under brute and ascent an experiment seeds all of its draws in one batch
+and builds a row's draws as sign stacks of at most _STACK_ENTRIES
+coefficients; brute scans each stack once, ascent runs on each draw. Only
+the winner becomes a form, checked against its slice's CRC-32 once no
+stack is alive.
 
 All randomness derives from (seed, n, draw_index) and rows are computed
 one after another in one thread, so output is reproducible bit-for-bit.
@@ -45,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -61,7 +57,7 @@ from .forms import (
     product_extension,
     row_form,
 )
-from .norms import DEFAULT_BUDGET, DEFAULT_MAX_ITERS, DEFAULT_TOL, NormEstimate
+from .norms import DEFAULT_BUDGET, DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL, NormEstimate
 from .norms import (
     alternating_ascent,
     analytic_norm,
@@ -105,12 +101,12 @@ _STACK_ENTRIES = 2**16
 class ExperimentConfig:
     """One growth experiment.
 
-    k is the base arity for the product_extension family (k = m collapses
-    to a plain sign form); form_file names a JSON file with a list of forms,
-    or one form object, for the custom-file family, whose rows replace the
-    generated ones (n_values is then ignored). For the custom-file family
-    the declared (m, p) describe the file's forms for prediction purposes;
-    each form's own p drives the norm estimate.
+    k is the base arity for the product_extension family, whose rows are
+    those of _base_config (k = m is a plain sign form); form_file names a
+    JSON file with a list of forms, or one form object, for the custom-file
+    family, whose rows replace the generated ones (n_values is then
+    ignored) and whose declared (m, p) describe the file's forms for
+    prediction purposes; each form's own p drives the norm estimate.
     """
 
     family: str
@@ -119,9 +115,9 @@ class ExperimentConfig:
     r: tuple[float, ...]
     n_values: tuple[int, ...] = ()
     norm_method: str = "ascent"
-    restarts: int = 32
+    restarts: int = DEFAULT_RESTARTS
     seed: int = 0
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     draws: int = 1
     k: int | None = None
     form_file: str | None = None
@@ -160,9 +156,9 @@ class ExperimentConfig:
         if self.norm_method == "paper_bound" and self.family == "custom-file":
             raise ValueError("paper_bound has no closed form for custom files")
         if self.norm_method == "brute" and self.family != "custom-file":
-            k = _base_arity(self.family, self.m, self.k)  # the slots brute enumerates
-            if any(pj != INF for pj in self.p[:k]):
-                raise ValueError(f"brute norms require p_j = inf for j <= {k}")
+            base = _base_config(self)  # brute enumerates its slots
+            if any(pj != INF for pj in base.p):
+                raise ValueError(f"brute norms require p_j = inf for j <= {base.m}")
 
 
 @dataclass(frozen=True)
@@ -228,8 +224,8 @@ def make_form(
 
 
 def estimate_norm(
-    form: MultilinearForm, method: str, restarts: int = 32, seed: int = 0,
-    tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
+    form: MultilinearForm, method: str, restarts: int = DEFAULT_RESTARTS,
+    seed: int = 0, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
     budget: int = DEFAULT_BUDGET,
 ) -> NormEstimate:
     """Norm estimate of `form` by method brute, analytic or ascent.
@@ -260,29 +256,33 @@ def _estimate(config: ExperimentConfig, form: MultilinearForm, n: int, d: int = 
     return est.value, est.kind
 
 
-def _base_arity(family: str, m: int, k: int | None) -> int:
-    """The arity of a family's base: k for product_extension, whose sign
-    draws are k-linear, and m for every other family."""
-    return k if family == "product_extension" else m
+def _base_slots(family: str, values, k: int | None):
+    """A random family's base sign form's entries of p or r: the first k of product_extension."""
+    return values[:k] if family == "product_extension" else values
+
+
+def _base_config(config: ExperimentConfig) -> ExperimentConfig:
+    """A product_extension config's base (module docstring); any other config's is itself."""
+    if config.family != "product_extension":
+        return config
+    p, r = (_base_slots(config.family, v, config.k) for v in (config.p, config.r))
+    return replace(config, family="ksz", m=len(p), p=p, r=r, k=None)
 
 
 def paper_bound_exponent(family: str, p, k: int | None = None) -> float:
-    """The power of n in the unit-constant norm bound of a random family's
-    base sign form: ksz_bound_exponent of its first k exponents, all of p
-    for ksz."""
-    return ksz_bound_exponent(p[: _base_arity(family, len(p), k)])
+    """The power of n in the unit-constant norm bound of a random family's base sign form."""
+    return ksz_bound_exponent(_base_slots(family, p, k))
 
 
 def _base_lhs(config: ExperimentConfig, n: int) -> float:
-    """lhs of every draw of a random family at size n: the mixed norm of
-    its base's modulus, ones, at r_1..r_k (see the module docstring)."""
-    k = _base_arity(config.family, config.m, config.k)
-    return mixed_norm(np.broadcast_to(1.0, (n,) * k), config.r[:k]).value
+    """lhs of every draw of a ksz config at size n: the mixed norm of the
+    draws' shared modulus, ones (see the module docstring)."""
+    return mixed_norm(np.broadcast_to(1.0, (n,) * config.m), config.r).value
 
 
 def _row(n: int, lhs: float, value: float, kind: str, draws_used: int) -> GrowthRow:
     """The row at size n of a norm (value, kind); lhs is the mixed norm of
-    a given form's coefficients, or _base_lhs for a random family."""
+    a given form's coefficients, or _base_lhs for a ksz config."""
     if value == 0.0:
         raise ValueError(f"the norm is 0 at n={n}, so the ratio is undefined")
     return GrowthRow(n, lhs, value, kind, lhs / value, draws_used)
@@ -296,52 +296,44 @@ def _form_row(config: ExperimentConfig, n: int, form: MultilinearForm) -> Growth
 
 def _stack_best(config: ExperimentConfig, stack, n: int, start: int):
     """(value, kind, d, idx, crc) of the best draw, the first on ties, in
-    a sign stack of bases, draws start, start + 1, ...: brute scans the
-    stack once (idx: the base's witness pattern), ascent runs on each
-    draw's extension (idx: None). crc, the CRC-32 of the winner's base, is
-    all of the stack that outlives the call.
-    """
-    k = stack.ndim - 1
+    a sign stack of draws start, start + 1, ...: brute scans the stack once
+    (idx: the winner's witness pattern), ascent runs on each draw (idx:
+    None). crc, the winner's CRC-32, is all the stack leaves behind."""
     if config.norm_method == "brute":
         d, idx, value = brute_force_scan(stack)
         kind = "exact"
     else:
         # the forms share the stack, which nothing writes
-        bases = (MultilinearForm(_Fresh(c), config.p[:k]) for c in stack)
-        ests = [
-            _estimate(config, product_extension(b, config.m, config.p[k:]), n, start + i)
-            for i, b in enumerate(bases)
-        ]
+        forms = (MultilinearForm(_Fresh(c), config.p) for c in stack)
+        ests = [_estimate(config, form, n, start + i) for i, form in enumerate(forms)]
         d = max(range(len(ests)), key=lambda i: ests[i][0])  # the first on ties
         idx, (value, kind) = None, ests[d]
     return value, kind, start + d, idx, zlib.crc32(stack[d])
 
 
 def _drawn_row(config: ExperimentConfig, n: int, seeds, states) -> GrowthRow:
-    """The row at size n of a random family under brute or ascent: the
-    draw of `seeds` with the largest norm, the first on ties.
+    """The row at size n of a ksz config under brute or ascent: the draw
+    of `seeds` with the largest norm, the first on ties.
 
-    states = _rng.pcg_states(seeds). The draws' bases are built in stacks
-    of at most _STACK_ENTRIES coefficients, and a later stack wins only
-    with a strictly larger value. Only the winner's base becomes a form,
-    through make_form, whose coefficients must have the slice's CRC-32.
-    The brute scan is exact on these integer draws, so the base's witness
-    must give its value.
+    states = _rng.pcg_states(seeds). Draws come in stacks of at most
+    _STACK_ENTRIES coefficients; a later stack wins only with a strictly
+    larger value. Only the winner becomes a form, through make_form, with
+    the slice's CRC-32; the exact brute scan's witness must give its value.
     """
-    k = _base_arity(config.family, config.m, config.k)
-    per_stack = max(1, _STACK_ENTRIES // n**k)
+    shape = (n,) * config.m
+    per_stack = max(1, _STACK_ENTRIES // n**config.m)
     best = None
     for lo in range(0, len(seeds), per_stack):
         # no name holds the stack, so it is freed before the winner is rebuilt
-        draw = _stack_best(config, _rng.sign_stack((n,) * k, states[lo : lo + per_stack]), n, lo)
+        draw = _stack_best(config, _rng.sign_stack(shape, states[lo : lo + per_stack]), n, lo)
         if best is None or draw[0] > best[0]:
             best = draw
     value, kind, d, idx, crc = best
-    base = make_form("ksz", k, n, config.p[:k], seeds[d])
-    if zlib.crc32(base.coefficients) != crc:
+    form = make_form("ksz", config.m, n, config.p, seeds[d])
+    if zlib.crc32(form.coefficients) != crc:
         raise ArithmeticError(f"batched signs of seed {seeds[d]} differ from numpy's")
     if idx is not None:
-        est = brute_force_estimate(base, idx)
+        est = brute_force_estimate(form, idx)
         if est.value != value:
             raise ArithmeticError(
                 f"brute force scan value {value!r} differs from its witness's {est.value!r}"
@@ -349,9 +341,26 @@ def _drawn_row(config: ExperimentConfig, n: int, seeds, states) -> GrowthRow:
     return _row(n, _base_lhs(config, n), value, kind, len(seeds))
 
 
+def _generated_rows(config: ExperimentConfig) -> list[GrowthRow]:
+    """The rows of a ksz, diagonal or row config, in n order."""
+    ns = config.n_values
+    if config.family in _CLOSED:
+        forms = (make_form(config.family, config.m, n, config.p, 0) for n in ns)
+        return [_form_row(config, n, form) for n, form in zip(ns, forms)]
+    if config.norm_method == "paper_bound":
+        exponent = ksz_bound_exponent(config.p)
+        return [_row(n, _base_lhs(config, n), float(n) ** exponent, "paper_bound", 0) for n in ns]
+    keys = [(n, d, 0) for n in ns for d in range(config.draws)]
+    seeds = _rng.derive_seeds(config.seed, keys)
+    states = _rng.pcg_states(seeds)
+    return [
+        _drawn_row(config, n, seeds[lo : lo + config.draws], states[lo : lo + config.draws])
+        for n, lo in zip(ns, range(0, len(seeds), config.draws))
+    ]
+
+
 def run_growth(config: ExperimentConfig) -> GrowthSeries:
     """Run one experiment; rows are computed in n order in the calling thread."""
-    ns = config.n_values
     if config.family == "custom-file":
         with open(config.form_file) as f:
             payload = json.load(f)
@@ -365,20 +374,8 @@ def run_growth(config: ExperimentConfig) -> GrowthSeries:
         if not payload:
             raise ValueError(f"form file {config.form_file} holds no forms")
         rows = [_form_row(config, f.shape[0], f) for f in map(form_from_obj, payload)]
-    elif config.family in _CLOSED:
-        forms = (make_form(config.family, config.m, n, config.p, 0) for n in ns)
-        rows = [_form_row(config, n, form) for n, form in zip(ns, forms)]
-    elif config.norm_method == "paper_bound":
-        exponent = paper_bound_exponent(config.family, config.p, config.k)
-        rows = [_row(n, _base_lhs(config, n), float(n) ** exponent, "paper_bound", 0) for n in ns]
     else:
-        keys = [(n, d, 0) for n in ns for d in range(config.draws)]
-        seeds = _rng.derive_seeds(config.seed, keys)
-        states = _rng.pcg_states(seeds)
-        rows = [
-            _drawn_row(config, n, seeds[lo : lo + config.draws], states[lo : lo + config.draws])
-            for n, lo in zip(ns, range(0, len(seeds), config.draws))
-        ]
+        rows = _generated_rows(_base_config(config))
     return GrowthSeries(config=config, rows=tuple(rows))
 
 

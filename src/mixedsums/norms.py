@@ -49,6 +49,7 @@ __all__ = [
     "estimate_to_obj",
 ]
 
+DEFAULT_RESTARTS = 32
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 200
 DEFAULT_BUDGET = 2**24
@@ -115,7 +116,7 @@ def dual_maximizer(c, p) -> tuple[np.ndarray, float | np.ndarray]:
 
 def alternating_ascent(
     form: MultilinearForm,
-    restarts: int = 32,
+    restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,

@@ -133,8 +133,10 @@ STACKED = [
 ]
 # brute and ascent experiments that STACKED leaves out: one draw, ascent,
 # ascent at n = 200..300, where a stack of 2**16 coefficients holds one
-# draw, and product_extension rows whose r leaves {1, 2}, which read lhs
-# off the base
+# draw, product_extension rows whose r leaves {1, 2}, and product_extension
+# ascent at a finite base p up to n = 64, where an m-linear draw would
+# hold 2**18 coefficients; product_extension rows are those of the k-linear
+# base experiment
 DRAWN = [
     dict(family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 4, 5, 6),
          norm_method="brute"),
@@ -152,6 +154,8 @@ DRAWN = [
          n_values=(2, 3, 4), norm_method="brute", draws=2),
     dict(family="product_extension", m=3, k=2, p=(4.0, INF, 2.0), r=(1.5, 3.0, 4 / 3),
          n_values=(2, 4, 8), norm_method="ascent", restarts=4, draws=2),
+    dict(family="product_extension", m=3, k=1, p=(4.0, INF, 2.0), r=(1.0, 2.0, 2.0),
+         n_values=(16, 32, 64), norm_method="ascent"),
 ]
 # paper_bound experiments whose lhs leaves the plain-sum path: Sum2, the
 # scale by the largest modulus at r > 512, and the supremum; the fourth
