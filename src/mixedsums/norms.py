@@ -8,8 +8,12 @@ Three estimators with honestly labeled kinds:
     in closed form) is an exact oracle. Signed row sums are tabulated by
     doubling, and each slot's sign bits are split into a low and a high
     table whose entries add up to the full table's, so a pattern costs
-    O(n_m) adds instead of O(n_1 ... n_m), without BLAS. Every sum formed
-    is a signed sum of some coefficients, so on integer forms with
+    O(n_m) adds instead of O(n_1 ... n_m), without BLAS. The low table
+    gets at least 2**13 patterns where they fit in memory, since numpy
+    buffers a broadcast add whose inner run is shorter than its
+    8192-element buffer; a slot with no more bits puts all of them low in
+    int16 and splits them evenly in float64 (see _low_bits). Every sum
+    formed is a signed sum of some coefficients, so on integer forms with
     sum |a| < 2**15 the scan runs exactly in int16, otherwise in float64.
     brute_force_scan enumerates a stack of same-shape forms at once (ties
     go to the first draw, the budget counts one form's patterns), and
@@ -54,6 +58,8 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 200
 DEFAULT_BUDGET = 2**24
 _SCAN_BLOCK = 2**16  # entries in one enumeration block
+_LOW_FLOOR = 13  # least sign bits in a low table (see _low_bits)
+_CHUNK_BYTES = 2**20  # one leaf chunk's tables, block and buffer (see _scan_leaf)
 
 
 @dataclass(frozen=True)
@@ -195,23 +201,44 @@ def alternating_ascent(
     )
 
 
-def _sign_table(first: float | np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """All signed sums first + sum_i s_i rows[..., i] along the last axis.
+def _sign_table(first: float | np.ndarray, rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Fill `table` with all signed sums first + sum_i s_i rows[..., i].
 
-    `rows` has shape (..., n) and `first` is 0.0 or of shape (..., 1); the
-    result has shape (..., 2**n), and entry k takes s_i = -1 exactly where
-    bit i of k is set. It is built by doubling: step i subtracts and adds
-    row i in place, so the summation order is fixed and integer data stays
-    exact.
+    `rows` has shape (..., n), `first` is 0.0 or of shape (...) and
+    `table` of shape (..., 2**n); entry k takes s_i = -1 exactly where bit
+    i of k is set. It is built by doubling: step i subtracts and adds row i
+    in place, so the summation order is fixed and integer data stays exact.
+    numpy runs each step in the memory order of `table`, which may be a
+    transposed view: with the signs as its outer axis a step's inner run
+    is a whole row, otherwise it is 2**i entries.
     """
-    n = rows.shape[-1]
-    table = np.empty(rows.shape[:-1] + (2**n,), dtype=rows.dtype)
-    table[..., :1] = first
-    for i in range(n):
-        half, row = table[..., : 2**i], rows[..., i : i + 1]
+    table[..., 0] = first
+    for i in range(rows.shape[-1]):
+        half, row = table[..., : 2**i], rows[..., i, None]
         np.subtract(half, row, out=table[..., 2**i : 2 ** (i + 1)])
         np.add(half, row, out=half)
     return table
+
+
+def _low_bits(n: int, dtype: np.dtype, width: int) -> int:
+    """How many of an n-entry slot's n - 1 sign bits its low table takes.
+
+    Each pattern of the table holds `width` entries. Half of the bits, but
+    at least _LOW_FLOOR when that leaves a bit for the high table and one
+    row's low table still fits in _CHUNK_BYTES: the leaf adds high and low
+    as a broadcast whose inner run is the low table, and numpy buffers a
+    broadcast with a shorter inner run than its 8192-element buffer (see
+    README.md for timings). When no bit would be left, an int16 slot takes
+    all of them and has no high table, which trades the broadcast for one
+    more doubling pass; a float64 slot keeps the even split, because there
+    that pass costs more memory traffic than the broadcast saves (the leaf
+    of a float64 m = 3, n = 9 form took 1.2x as long with all bits low).
+    """
+    fit = (_CHUNK_BYTES // (dtype.itemsize * width)).bit_length() - 1
+    a = max(n // 2, min(_LOW_FLOOR, fit))
+    if a < n - 1 or dtype == np.int16:
+        return min(a, n - 1)
+    return n // 2
 
 
 def _scan(x: np.ndarray) -> tuple[float, int]:
@@ -224,61 +251,122 @@ def _scan(x: np.ndarray) -> tuple[float, int]:
     the smallest index.
 
     Axis j's signs are split into a low table (the first entry and the next
-    a = n_j // 2 entries) and a high table (the rest), so entry
-    hi * 2**a + lo of its full table is high[hi] + low[lo]. Blocks of
-    (row, hi) pairs times all lo stay within _SCAN_BLOCK entries. On the
-    last free axis each block accumulates |high + low| column by column over
-    n_m; otherwise each block is a batch of rows passed on to the next axis.
+    a = _low_bits(n_j, ...) entries) and a high table (the rest), so entry
+    hi * 2**a + lo of its full table is high[hi] + low[lo]; with no bit
+    left for the high table, the low table is the full table. Blocks of
+    (row, hi) pairs times all lo stay within _SCAN_BLOCK entries and are
+    passed on as rows to the next axis; the last free axis is _scan_leaf.
     The tables are built for one block's rows at a time, so however many
     rows x has, they take no more memory than those of one block.
     """
     n, rest = x.shape[1], x.shape[2:]
-    a = n // 2
-    xt = x.transpose((0, *range(2, x.ndim), 1))  # (R, *rest, n_j)
+    a = _low_bits(n, x.dtype, math.prod(rest))
+    if len(rest) == 1:
+        return _scan_leaf(x, a)
     rows, nh, nl = x.shape[0], 2 ** (n - 1 - a), 2**a
-    leaf = len(rest) == 1
-    if leaf:
-        per_row = 1
-    else:
-        # a row passed on holds its own entries plus its low and high tables
-        nxt = rest[0]
-        per_row = (nxt + 2 ** (nxt // 2) + 2 ** ((nxt - 1) // 2)) * math.prod(rest[1:])
-        below = math.prod(2 ** (k - 1) for k in rest[:-1])
-        back = (0, x.ndim - 1, x.ndim, *range(1, x.ndim - 1))
+    # a row passed on holds its own entries plus its low and high tables
+    nxt, width = rest[0], math.prod(rest[1:])
+    b = _low_bits(nxt, x.dtype, width)
+    per_row = (nxt + 2**b + 2 ** (nxt - 1 - b)) * width
+    below = math.prod(2 ** (k - 1) for k in rest[:-1])
+    # the tables are (row, sign pattern, *rest) in memory, filled through
+    # views that put the signs last
+    last = (0, *range(2, x.ndim), 1)
+    xt = x.transpose(last)
     # a block is whole rows (rc of them) or part of one row (hc highs), so
     # its patterns are consecutive in the flat order
     step = max(1, _SCAN_BLOCK // (nl * per_row))
     rc, hc = max(1, step // nh), min(nh, step)
-    if leaf:
-        acc_mem = np.empty((min(rc, rows), hc, nl), dtype=x.dtype)
-        buf_mem = np.empty_like(acc_mem)
     best, best_idx = -1.0, 0
     for r0 in range(0, rows, rc):
         part = xt[r0 : r0 + rc]
-        low = _sign_table(part[..., :1], part[..., 1 : a + 1])
-        high = _sign_table(0.0, part[..., a + 1 :])
+        low = np.empty((len(part), nl) + rest, dtype=x.dtype)
+        _sign_table(part[..., 0], part[..., 1 : a + 1], low.transpose(last))
+        if nh > 1:
+            high = np.empty((len(part), nh) + rest, dtype=x.dtype)
+            _sign_table(0.0, part[..., a + 1 :], high.transpose(last))
         for h0 in range(0, nh, hc):
-            hi = high[..., h0 : h0 + hc, None]
-            lo = low[..., None, :]
-            first = (r0 * nh + h0) * nl
-            if leaf:
-                acc = acc_mem[: hi.shape[0], : hi.shape[-2]]
-                buf = buf_mem[: hi.shape[0], : hi.shape[-2]]
-                acc.fill(0)
-                for col in range(rest[0]):
-                    np.add(hi[:, col], lo[:, col], out=buf)
-                    np.abs(buf, out=buf)
-                    acc += buf
-                k = int(np.argmax(acc))
-                val, idx = float(acc.flat[k]), first + k
+            if nh == 1:
+                block = low
             else:
-                block = np.empty((hi.shape[0], hi.shape[-2], nl) + rest, dtype=x.dtype)
-                np.add(hi.transpose(back), lo.transpose(back), out=block)
-                val, k = _scan(block.reshape((-1,) + rest))
-                idx = first * below + k
+                hi = high[:, h0 : h0 + hc, None]
+                block = np.empty((len(part), hi.shape[1], nl) + rest, dtype=x.dtype)
+                np.add(hi, low[:, None], out=block)
+            val, k = _scan(block.reshape((-1,) + rest))
             if val > best:
-                best, best_idx = val, idx
+                best, best_idx = val, (r0 * nh + h0) * nl * below + k
     return best, best_idx
+
+
+def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
+    """_scan on x of shape (R, n_j, n_m) whose low table takes a sign bits.
+
+    A pattern's value sums |c_l| column by column over the n_m columns.
+    Rows go in chunks that share their tables; a chunk's tables, block and
+    buffer take at most _CHUNK_BYTES unless one row's alone take more.
+    That memory is allocated once: a fresh allocation of its size would be
+    mapped and faulted in anew for every chunk. With a high table, a chunk
+    is scanned in blocks of at most _SCAN_BLOCK (row, hi, lo) entries, each
+    column one broadcast add of high and low whose inner run is the low
+    table. Without one, the block is the low table itself, summed in place;
+    its doubling runs along the signs, or with (column, row) as the inner
+    run when the chunk's rows make that the longer one.
+    """
+    rows, n, cols = x.shape
+    nh, nl = 2 ** (n - 1 - a), 2**a
+    # blocks are whole rows or part of one row, as in _scan; a chunk's rows
+    # also fit their tables, block and buffer within _CHUNK_BYTES
+    step = max(1, _SCAN_BLOCK // nl)
+    rc, hc = max(1, step // nh), min(nh, step)
+    per_row = cols * nl if nh == 1 else cols * (nl + nh) + 2 * nh * nl
+    rc = min(rc, max(1, _CHUNK_BYTES // x.itemsize // per_row))
+    rc = -(-rows // -(-rows // rc))  # as even chunks as that allows
+    lead = nh == 1 and cols * rc > nl // 2
+    if lead:  # (sign pattern, column, row) in memory
+        low_mem = np.empty((nl, cols, rc), dtype=x.dtype).transpose(1, 2, 0)
+    else:
+        low_mem = np.empty((cols, rc, nl), dtype=x.dtype)
+    if nh > 1:
+        high_mem = np.empty((cols, rc, nh), dtype=x.dtype)
+        acc_mem = np.empty((rc, hc, nl), dtype=x.dtype)
+        buf_mem = np.empty_like(acc_mem)
+    xt = x.transpose(2, 0, 1)  # (n_m, R, n_j)
+    best, best_idx = -1.0, 0
+    for r0 in range(0, rows, rc):
+        part = xt[:, r0 : r0 + rc]
+        if lead:  # each row added is then a contiguous (column, row) block
+            part = np.ascontiguousarray(part.transpose(2, 0, 1)).transpose(1, 2, 0)
+        low = _sign_table(part[..., 0], part[..., 1 : a + 1], low_mem[:, : part.shape[1]])
+        if nh == 1:
+            np.abs(low, out=low)
+            acc = low[0]
+            for col in range(1, cols):
+                acc += low[col]
+            val, k = _first_max(acc)
+            if val > best:
+                best, best_idx = val, r0 * nl + k
+            continue
+        high = _sign_table(0.0, part[..., a + 1 :], high_mem[:, : part.shape[1]])
+        for h0 in range(0, nh, hc):
+            hi, lo = high[:, :, h0 : h0 + hc, None], low[:, :, None, :]
+            acc = acc_mem[: hi.shape[1], : hi.shape[2]]
+            buf = buf_mem[: hi.shape[1], : hi.shape[2]]
+            np.add(hi[0], lo[0], out=acc)
+            np.abs(acc, out=acc)
+            for col in range(1, cols):
+                np.add(hi[col], lo[col], out=buf)
+                np.abs(buf, out=buf)
+                acc += buf
+            val, k = _first_max(acc)
+            if val > best:
+                best, best_idx = val, (r0 * nh + h0) * nl + k
+    return best, best_idx
+
+
+def _first_max(acc: np.ndarray) -> tuple[float, int]:
+    """The largest entry of one leaf block and its first flat index."""
+    k = int(np.argmax(acc))
+    return float(acc.flat[k]), k
 
 
 def brute_force_scan(stack, budget: int = DEFAULT_BUDGET) -> tuple[int, int, float]:
@@ -359,9 +447,14 @@ def brute_force_norm(
 
     The enumeration is a split table (see _scan): every pattern costs
     O(n_m) adds, O(2**(sum_j (n_j - 1)) * n_m) in total, in blocks of at
-    most _SCAN_BLOCK entries. The winner is the first maximum in the flat
-    pattern order (slot 1 most significant); its value is recomputed from
-    the witness in float64, so `evaluate(form, witness)` reproduces it.
+    most _SCAN_BLOCK entries. Each slot's low table takes at least 13 of its
+    sign bits where they fit in memory, or all of them when it has no more
+    (an even split in float64; see _low_bits), so that the last slot's adds
+    run over inner runs of 2**13 entries, which numpy does not buffer. The
+    flat order of the patterns does not depend on the split. The winner is
+    the first maximum in that order (slot 1 most significant); its value is
+    recomputed from the witness in float64, so `evaluate(form, witness)`
+    reproduces it.
 
     When every coefficient is an integer and sum |a| < 2**15, the scan runs
     in int16, otherwise in float64. Each table entry, block entry and leaf

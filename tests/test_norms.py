@@ -541,13 +541,23 @@ def test_brute_force_lopsided_shape_stays_within_blocks():
     assert peak < 4 * norms_module._SCAN_BLOCK * 8
 
 
-def test_brute_force_ties_across_blocks_go_to_the_first_pattern():
+def test_brute_force_ties_across_blocks_go_to_the_first_pattern(monkeypatch):
     # every pattern ties, and each enumeration spans several scan blocks
+    blocks, first_max = [], norms_module._first_max
+
+    def spy(acc):
+        blocks.append(acc.size)
+        return first_max(acc)
+
+    monkeypatch.setattr(norms_module, "_first_max", spy)
     for dims in [(18, 2), (16, 3, 3), (3, 16, 3)]:
+        blocks.clear()
         coeffs = np.zeros(dims)
         coeffs[(0,) * (len(dims) - 1)] = 1.0
         form = MultilinearForm(coefficients=coeffs, p=(INF,) * len(dims))
         est = brute_force_norm(form)
+        assert len(blocks) >= 2, dims
+        assert sum(blocks) == math.prod(2 ** (n - 1) for n in dims[:-1])
         assert est.value == dims[-1]
         assert all(np.array_equal(w, np.ones(n)) for w, n in zip(est.witness, dims))
 
@@ -571,6 +581,104 @@ def test_int16_scan_matches_float64_scan(data):
     a = np.array(entries, dtype=np.float64).reshape(dims)
     wide = norms_module._scan(a[None])
     assert norms_module._scan(a.astype(np.int16)[None]) == wide
+
+
+def _enumerated_scan(x):
+    """(value, flat index) of _scan by an independent einsum over every
+    pattern: row r most significant, then slot 1; the first largest wins."""
+    slots = [np.array(_slot_patterns(n)) for n in x.shape[1:-1]]
+    letters = "abcdefgh"[: len(slots)]
+    spec = ",".join(f"{p}{c}" for p, c in zip(letters.upper(), letters))
+    c = np.einsum(f"{spec},r{letters}z->r{letters.upper()}z", *slots, x.astype(np.float64))
+    vals = np.abs(c).sum(axis=-1).ravel()
+    k = int(np.argmax(vals))
+    return float(vals[k]), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_scan_matches_enumeration_at_every_split(data):
+    # the split of each slot's sign bits, the block size and the scan dtype
+    # change how the sums are formed, never which pattern comes out first
+    m = data.draw(st.sampled_from([2, 3]))
+    dims = (data.draw(st.integers(1, 9)), data.draw(st.integers(1, 4)))
+    if m == 3:
+        dims = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)), dims[1])
+    draws = data.draw(st.integers(1, 3))
+    top = data.draw(st.sampled_from([1, 3, 40]))  # 1 plants ties everywhere
+    x = np.array(
+        data.draw(st.lists(st.integers(-top, top), min_size=draws * math.prod(dims),
+                           max_size=draws * math.prod(dims)))
+    ).reshape((draws,) + dims)
+    if draws > 1 and data.draw(st.booleans()):
+        x[-1] = x[0]  # a tie between draws goes to the first
+    rule = data.draw(st.sampled_from(["even", "none", "all", "fixed"]))
+    fixed = data.draw(st.integers(0, 8))
+    splits = {"even": lambda n: n // 2, "none": lambda n: 0,
+              "all": lambda n: n - 1, "fixed": lambda n: min(fixed, n - 1)}
+    block = data.draw(st.sampled_from([1, 16, 256, norms_module._SCAN_BLOCK]))
+    dtype = data.draw(st.sampled_from([np.int16, np.float64]))
+    want = _enumerated_scan(x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms_module, "_low_bits", lambda n, *_: splits[rule](n))
+        mp.setattr(norms_module, "_SCAN_BLOCK", block)
+        assert norms_module._scan(x.astype(dtype)) == want
+
+
+@pytest.mark.parametrize(
+    "dtype, width, bits",
+    [
+        # at least 13 bits (2**13 patterns) in the low table, or all of them
+        (np.int16, 16, (12, 13, 13, 13)),
+        # float64 keeps a high table below the floor
+        (np.float64, 16, (6, 7, 13, 13)),
+        # 2**13 patterns of 65 int16 or 17 float64 entries take over 1 MiB
+        (np.int16, 65, (12, 12, 12, 12)),
+        (np.float64, 17, (6, 12, 12, 12)),
+    ],
+)
+def test_low_bits_floor(dtype, width, bits):
+    got = tuple(norms_module._low_bits(n, np.dtype(dtype), width) for n in (13, 14, 15, 22))
+    assert got == bits
+
+
+def test_brute_force_wide_form_keeps_small_tables():
+    # 2**13 low-table patterns of 1000 columns would take 16 MiB in int16
+    coeffs = np.random.Generator(np.random.PCG64(5)).integers(-1, 2, (16, 1000))
+    form = MultilinearForm(coefficients=coeffs.astype(np.float64), p=(INF, INF))
+    s = np.array(_slot_patterns(16))
+    vals = np.abs(s @ coeffs).sum(axis=1)
+    tracemalloc.start()
+    try:
+        est = brute_force_norm(form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = int(np.argmax(vals))
+    assert est.value == vals[k]
+    assert np.array_equal(est.witness[0], s[k])
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "m, n, scale, mib", [(3, 9, 1.0, 1.25), (3, 9, 0.5, 1.25), (2, 22, 1.0, 1.0)]
+)
+def test_brute_force_peak_memory_is_bounded(m, n, scale, mib):
+    # scale 0.5 leaves the integers, so that form is scanned in float64.
+    # At m = 3 the int16 leaf gets all 256 rows of slot 1 at once; their
+    # tables take 1.1 MiB, and a leaf chunk holds at most 1 MiB. At m = 2,
+    # n = 22 one row's tables take 0.36 MiB in int16, and the leaf's block
+    # and buffer 0.25 MiB
+    form, _ = ksz_random_form(m, n, (INF,) * m, seed=3)
+    form = MultilinearForm(coefficients=scale * form.coefficients, p=form.p)
+    tracemalloc.start()
+    try:
+        brute_force_norm(form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norms_module._CHUNK_BYTES == 2**20
+    assert peak < mib * 2**20
 
 
 def _scan_dtypes(monkeypatch):

@@ -122,6 +122,9 @@ KERNEL_SHAPES = [(6, 1), (25, 3000), (2, 40000), (3, 7, 300)]
 KERNEL_R = (0.5, 1.0, 4 / 3, 2.0, 3.0, 600.0, float("inf"))
 # brute-force shapes of the integer and fractional forms
 BRUTE_SHAPES = [(10, 10), (14, 6), (5, 5, 5), (6, 4, 3)]
+# shapes at the low-table floor of 2**13 sign patterns: below it (13), at
+# it with no high table (14), just above it (15), and on a first slot
+SPLIT_SHAPES = [(13, 13), (14, 14), (15, 15), (14, 3, 3)]
 # multi-draw brute experiments, whose draws are scanned as one stack; the
 # last has 300 draws of 16 x 16 at n = 16, more than one stack holds
 INF = float("inf")
@@ -332,9 +335,11 @@ def brute_payloads() -> dict[str, str]:
 
     Integer forms whose sum of |entries| is below 2**15 are scanned in
     int16, the rest in float64; the threshold forms sit on either side.
+    The split forms sit on either side of the low table's floor, and one
+    stacked brute_force_scan ends in a tie between draws.
     """
     import numpy as np
-    from mixedsums import INF, MultilinearForm, brute_force_norm
+    from mixedsums import INF, MultilinearForm, brute_force_norm, brute_force_scan
 
     def payload(coeffs) -> str:
         est = brute_force_norm(MultilinearForm(coefficients=coeffs, p=(INF,) * coeffs.ndim))
@@ -360,6 +365,18 @@ def brute_payloads() -> dict[str, str]:
             head[: total % head.size] += 1
             column[..., 0] = head.reshape(shape[:-1])
             out[f"brute:column{total}:{name}"] = payload(column)
+    for idx, shape in enumerate(SPLIT_SHAPES):
+        g = np.random.Generator(np.random.PCG64(120 + idx))
+        name = "x".join(map(str, shape))
+        out[f"brute:split-int3:{name}"] = payload(g.integers(-3, 4, shape).astype(np.float64))
+        out[f"brute:split-normal:{name}"] = payload(g.standard_normal(shape))
+    # a stack above the floor whose last draw repeats the best of the
+    # others: the first of the two wins
+    g = np.random.Generator(np.random.PCG64(130))
+    stack = g.integers(-2, 3, (4, 15, 15)).astype(np.float64)
+    d, _, _ = brute_force_scan(stack[:-1])
+    stack[-1] = stack[d]
+    out["brute:split-stack:4x15x15"] = repr(brute_force_scan(stack))
     return out
 
 
