@@ -15,6 +15,9 @@ Three estimators with honestly labeled kinds:
     int16 and splits them evenly in float64 (see _low_bits). Every sum
     formed is a signed sum of some coefficients, so on integer forms with
     sum |a| < 2**15 the scan runs exactly in int16, otherwise in float64.
+    In int16 the last slot skips the patterns whose bound sum |high| +
+    sum |low| falls below a value already attained (see _scan_pruned); a
+    pattern whose bound equals it is kept, so ties still go to the first.
     brute_force_scan enumerates a stack of same-shape forms at once (ties
     go to the first draw, the budget counts one form's patterns), and
     brute_force_estimate rebuilds the winner's witness.
@@ -60,6 +63,8 @@ DEFAULT_BUDGET = 2**24
 _SCAN_BLOCK = 2**16  # entries in one enumeration block
 _LOW_FLOOR = 13  # least sign bits in a low table (see _low_bits)
 _CHUNK_BYTES = 2**20  # one leaf chunk's tables, block and buffer (see _scan_leaf)
+_SEED_LOWS = 16  # low patterns that seed the pruning threshold (see _scan_pruned)
+_PRUNE_HIGH = 4  # least high patterns of a leaf row that _scan_pruned pays off on
 
 
 @dataclass(frozen=True)
@@ -308,18 +313,27 @@ def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
     mapped and faulted in anew for every chunk. With a high table, a chunk
     is scanned in blocks of at most _SCAN_BLOCK (row, hi, lo) entries, each
     column one broadcast add of high and low whose inner run is the low
-    table. Without one, the block is the low table itself, summed in place;
-    its doubling runs along the signs, or with (column, row) as the inner
-    run when the chunk's rows make that the longer one.
+    table. In int16, with at least _PRUNE_HIGH high patterns, the rows go
+    one by one through _scan_pruned instead, which skips the patterns that
+    cannot reach a value already attained; with fewer, the bound's own
+    passes over the low table cost about what they would save. Its sums
+    and compacted low table count against _CHUNK_BYTES too. Without a
+    high table, the block is the low table itself, summed in place; its
+    doubling runs along the signs, or with (column, row) as the inner run
+    when the chunk's rows make that the longer one.
     """
     rows, n, cols = x.shape
     nh, nl = 2 ** (n - 1 - a), 2**a
+    prune = nh >= _PRUNE_HIGH and x.dtype == np.int16
     # blocks are whole rows or part of one row, as in _scan; a chunk's rows
     # also fit their tables, block and buffer within _CHUNK_BYTES
     step = max(1, _SCAN_BLOCK // nl)
     rc, hc = max(1, step // nh), min(nh, step)
     per_row = cols * nl if nh == 1 else cols * (nl + nh) + 2 * nh * nl
-    rc = min(rc, max(1, _CHUNK_BYTES // x.itemsize // per_row))
+    fixed = 0
+    if prune:  # a row's sums of moduli, and one compacted low table
+        per_row, fixed = per_row + nl + nh, cols * (nl // 2)
+    rc = min(rc, max(1, (_CHUNK_BYTES // x.itemsize - fixed) // per_row))
     rc = -(-rows // -(-rows // rc))  # as even chunks as that allows
     lead = nh == 1 and cols * rc > nl // 2
     if lead:  # (sign pattern, column, row) in memory
@@ -328,8 +342,13 @@ def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
         low_mem = np.empty((cols, rc, nl), dtype=x.dtype)
     if nh > 1:
         high_mem = np.empty((cols, rc, nh), dtype=x.dtype)
-        acc_mem = np.empty((rc, hc, nl), dtype=x.dtype)
-        buf_mem = np.empty_like(acc_mem)
+        # two blocks, also the scratch of the sums of moduli, which takes
+        # 2 * rc * nh entries (nh <= nl in _low_bits' split)
+        blocks = np.empty((2, rc * max(hc * nl, nh)), dtype=x.dtype)
+        acc_mem, buf_mem = blocks[:, : rc * hc * nl].reshape(2, rc, hc, nl)
+    if prune:
+        mem = (acc_mem.reshape(-1), buf_mem.reshape(-1))
+        sums_mem = np.empty((rc, nl + nh), dtype=x.dtype)
     xt = x.transpose(2, 0, 1)  # (n_m, R, n_j)
     best, best_idx = -1.0, 0
     for r0 in range(0, rows, rc):
@@ -347,20 +366,136 @@ def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
                 best, best_idx = val, r0 * nl + k
             continue
         high = _sign_table(0.0, part[..., a + 1 :], high_mem[:, : part.shape[1]])
+        if prune:
+            # sum_c |low_c| and sum_c |high_c| of every row of the chunk
+            sums = sums_mem[: part.shape[1]]
+            _abs_sums(low, sums[:, :nl], blocks.reshape(-1))
+            _abs_sums(high, sums[:, nl:], blocks.reshape(-1))
+            for r in range(part.shape[1]):
+                val, k = _scan_pruned(
+                    low[:, r], high[:, r], sums[r, :nl], sums[r, nl:], int(best), hc * nl, mem
+                )
+                if val > best:
+                    best, best_idx = val, (r0 + r) * nh * nl + k
+            continue
         for h0 in range(0, nh, hc):
             hi, lo = high[:, :, h0 : h0 + hc, None], low[:, :, None, :]
-            acc = acc_mem[: hi.shape[1], : hi.shape[2]]
-            buf = buf_mem[: hi.shape[1], : hi.shape[2]]
-            np.add(hi[0], lo[0], out=acc)
-            np.abs(acc, out=acc)
-            for col in range(1, cols):
-                np.add(hi[col], lo[col], out=buf)
-                np.abs(buf, out=buf)
-                acc += buf
+            acc = _pair_sums(hi, lo, acc_mem[: hi.shape[1], : hi.shape[2]], buf_mem)
             val, k = _first_max(acc)
             if val > best:
                 best, best_idx = val, (r0 * nh + h0) * nl + k
     return best, best_idx
+
+
+def _pair_sums(hi: np.ndarray, lo: np.ndarray, acc: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """acc = sum_c |hi[c] + lo[c]| over the n_m columns c, broadcast.
+
+    buf is scratch of at least acc.size entries. The columns go one by one,
+    in the order the float64 scan keeps; an int16 block whose every column
+    fits in buf at once takes one add, one abs and one reduction instead,
+    which spares the small blocks of _scan_pruned three ufunc calls per
+    column. A large block keeps the column loop, whose working set stays
+    one block.
+    """
+    buf = buf.reshape(-1)
+    if acc.dtype == np.int16 and buf.size >= len(hi) * acc.size:
+        terms = buf[: len(hi) * acc.size].reshape((len(hi),) + acc.shape)
+        np.abs(np.add(hi, lo, out=terms), out=terms)
+        return np.add.reduce(terms, axis=0, out=acc)
+    buf = buf[: acc.size].reshape(acc.shape)
+    np.add(hi[0], lo[0], out=acc)
+    np.abs(acc, out=acc)
+    for col in range(1, len(hi)):
+        np.add(hi[col], lo[col], out=buf)
+        np.abs(buf, out=buf)
+        acc += buf
+    return acc
+
+
+def _abs_sums(table: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """out = sum_c |table[c]| over the first axis, exactly (int16).
+
+    The columns go in groups, each one abs and one reduction, through the
+    1-D scratch of at least 2 * out.size entries; its head holds a later
+    group's sum.
+    """
+    tmp, scratch = scratch[: out.size].reshape(out.shape), scratch[out.size :]
+    k = max(1, scratch.size // out.size)
+    for c0 in range(0, len(table), k):
+        part = table[c0 : c0 + k]
+        terms = np.abs(part, out=scratch[: part.size].reshape(part.shape))
+        if c0:
+            out += np.add.reduce(terms, axis=0, out=tmp)
+        else:
+            np.add.reduce(terms, axis=0, out=out)
+
+
+def _scan_pruned(
+    low: np.ndarray, high: np.ndarray, sl: np.ndarray, sh: np.ndarray, t: int, cap: int,
+    mem: tuple[np.ndarray, np.ndarray],
+) -> tuple[float, int]:
+    """First maximum over one int16 leaf row's patterns that can reach t.
+
+    low (n_m, 2**a) and high (n_m, nh) are the row's tables, sl and sh
+    their sums of moduli over the columns, and t a value that some pattern
+    attains (or -1). Since |h_c + l_c| <= |h_c| + |l_c|, pattern (hi, lo)
+    is worth at most sl[lo] + sh[hi]. t is first raised to the best
+    pattern that pairs any hi with one of the _SEED_LOWS lo of largest sl,
+    then to each block's maximum. If min sl + min sh >= t, nothing can be
+    skipped, and all hi go in flat order with all lo. Otherwise the hi
+    with sh[hi] + max sl >= t go largest sh first, so that t rises early;
+    a block pairs its hi with the lo whose bound reaches t with its first
+    hi, compacted in ascending order when that at least halves them.
+    Blocks take at most `cap` entries. Every pattern worth t or more is
+    scanned, so the row's first maximum is found whenever it reaches t;
+    the blocks need not be in flat order, so a tie between them goes to
+    the smaller index. Returns
+    (value, hi * 2**a + lo), or (-1.0, 0) when no pattern reaches t. `mem`
+    is the block scratch: two 1-D arrays of at least `cap` and 2**a
+    entries.
+    """
+    cols, nl = low.shape
+    ml, mh, least = int(sl.max()), int(sh.max()), int(sl.min())
+    if ml + mh < t:
+        return -1.0, 0
+    acc_mem, buf = mem
+    # the _SEED_LOWS lo of largest sl: all above the k-th largest, then ties
+    v = np.partition(sl, -_SEED_LOWS)[-_SEED_LOWS] if nl > _SEED_LOWS else least
+    above = np.flatnonzero(sl > v)
+    top = np.concatenate([above, np.flatnonzero(sl == v)[: _SEED_LOWS - len(above)]])
+    seed_lo = low[:, top, None]
+    # groups of hi whose every column fits in buf, but at least one hi
+    g = max(1, buf.size // (cols * len(top)))
+    for h0 in range(0, high.shape[1], g):
+        hi = high[:, None, h0 : h0 + g]
+        seed = acc_mem[: len(top) * hi.shape[2]].reshape(len(top), -1)
+        t = max(t, int(_pair_sums(hi, seed_lo, seed, buf).max()))
+    if least + int(sh.min()) >= t:  # nothing can be skipped: all hi, in flat order
+        todo = np.arange(len(sh))
+    else:  # the hi that can reach t, largest sh first: a hi needs the lo
+        # with sl >= t - sh[hi], so a block's first hi needs the most
+        todo = np.flatnonzero(sh >= t - ml)
+        todo = todo[np.argsort(-sh[todo], kind="stable")]
+    best, best_k = -1.0, 0
+    while len(todo):
+        lo = low  # frees the last block's compacted table before the next
+        if t - sh[todo[0]] > least:
+            run = np.flatnonzero(sl >= t - sh[todo[0]])
+            if 2 * len(run) <= nl:  # compact them, in ascending order; take's
+                # result is C-ordered, low[:, run] would be strided by column
+                lo = np.take(low, run, axis=1)
+        nlo, g = lo.shape[1], max(1, cap // lo.shape[1])
+        hs, todo = np.sort(todo[:g]), todo[g:]
+        acc = acc_mem[: len(hs) * nlo].reshape(len(hs), nlo)
+        val, k = _first_max(_pair_sums(high[:, hs, None], lo[:, None], acc, buf))
+        hi, k = divmod(k, nlo)
+        k = int(hs[hi]) * nl + int(k if lo is low else run[k])
+        if val > best or (val == best and k < best_k):  # blocks need not be in flat order
+            best, best_k = val, k
+        if val > t:  # drop the hi that cannot reach the new t
+            t = int(val)
+            todo = todo[sh[todo] >= t - ml]
+    return best, best_k
 
 
 def _first_max(acc: np.ndarray) -> tuple[float, int]:
@@ -461,7 +596,12 @@ def brute_force_norm(
     sum is a signed sum over a subset of the coefficients, so its modulus
     is at most sum |a| <= 2**15 - 1: int16 holds every one exactly, and the
     scan finds the same first maximum as in float64 with four times the
-    values per SIMD register.
+    values per SIMD register. Exact sums also make a bound safe: an int16
+    leaf row with at least _PRUNE_HIGH high patterns scans only the
+    patterns worth at most sum_c |high_c| + sum_c |low_c| >= t, for a value
+    t that some pattern attains (see _scan_pruned). A pattern that ties the
+    maximum is kept, so the winner is the same first maximum. The budget
+    still counts all 2**(sum_j (n_j - 1)) patterns, pruned or not.
     """
     if any(pj != INF for pj in form.p):
         raise ValueError("brute force requires every domain exponent to be inf")

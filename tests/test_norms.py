@@ -625,6 +625,119 @@ def test_scan_matches_enumeration_at_every_split(data):
         assert norms_module._scan(x.astype(dtype)) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pruned_scan_matches_enumeration(data):
+    # an int16 leaf row with at least _PRUNE_HIGH high patterns scans only
+    # the patterns whose bound reaches a value already attained; the first
+    # maximum must still come out, whatever the ties, the block size and
+    # how few low patterns seed the threshold
+    m = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(3, 9))
+    cols = data.draw(st.integers(1, 4))
+    dims = (n, cols) if m == 2 else (data.draw(st.integers(1, 4)), n, cols)
+    draws = data.draw(st.integers(1, 3))
+    size = draws * math.prod(dims)
+    top = data.draw(st.sampled_from([1, 3]))  # 1 plants ties everywhere
+    x = np.array(data.draw(st.lists(st.integers(-top, top), min_size=size, max_size=size)))
+    x = x.reshape((draws,) + dims)
+    c0, c1 = sorted(data.draw(st.lists(st.integers(0, cols), min_size=2, max_size=2)))
+    x[..., c0:c1] = 0  # a zero column block
+    if draws > 1 and data.draw(st.booleans()):
+        x[-1] = x[0]  # a tie between draws goes to the first
+    low = data.draw(st.integers(0, n - 3))  # the leaf keeps >= 2 high bits
+    block = data.draw(st.sampled_from([1, 16, 256, norms_module._SCAN_BLOCK]))
+    seeds = data.draw(st.sampled_from([1, 2, norms_module._SEED_LOWS]))
+    want = _enumerated_scan(x)
+    rows, pruned = [], norms_module._scan_pruned
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms_module, "_low_bits", lambda k, *_: min(low, max(k - 3, 0)))
+        mp.setattr(norms_module, "_SCAN_BLOCK", block)
+        mp.setattr(norms_module, "_SEED_LOWS", seeds)
+        mp.setattr(norms_module, "_scan_pruned", lambda *a: rows.append(1) or pruned(*a))
+        assert norms_module._scan(x.astype(np.int16)) == want
+    assert len(rows) == draws * math.prod(2 ** (k - 1) for k in dims[:-2])
+
+
+def test_pruned_scan_finds_a_first_maximum_outside_the_seed(monkeypatch):
+    # 20 patterns tie at the maximum 10. The first, 97 (hi 1, lo 33), has a
+    # low table sum below the 16 largest, while a later maximum has one
+    # among them and so seeds the threshold at 10. Its bound, low sum plus
+    # high sum, is exactly 10, and hi 1 has the largest high sum; at most
+    # half of the lo reach 10 with it, so they are compacted, and a strict >
+    # would drop lo 33
+    x = np.array([[0, -1, -1], [-1, 1, -1], [1, 0, 0], [0, 0, 0], [0, -1, -1],
+                  [0, 0, 0], [-1, -1, -1], [0, 1, -1], [1, -1, 1]])
+    signs = np.array(_slot_patterns(9))
+    vals = np.abs(signs @ x).sum(axis=1)
+    low_sums = np.abs(signs[:64, :7] @ x[:7]).sum(axis=1)
+    high_sums = np.abs(signs[::64, 7:] @ x[7:]).sum(axis=1)
+    sixteenth = np.sort(low_sums)[-16]
+    assert (vals.max(), int(np.argmax(vals)), np.count_nonzero(vals == 10)) == (10, 97, 20)
+    assert low_sums[33] < sixteenth < low_sums[np.flatnonzero(vals == 10) % 64].max()
+    assert high_sums[1] == high_sums.max() and low_sums[33] + high_sums[1] == 10
+    assert 2 * np.count_nonzero(low_sums + high_sums[1] >= 10) <= 64
+    monkeypatch.setattr(norms_module, "_low_bits", lambda n, *_: 6)
+    assert norms_module._scan(x.astype(np.int16)[None]) == _enumerated_scan(x[None]) == (10.0, 97)
+
+
+def test_pruned_scan_keeps_a_tie_when_the_threshold_rises(monkeypatch):
+    # Six patterns tie at 9. Seeded by lo 4 alone, t starts at 7; the hi of
+    # high sum 6 go first and pattern 33 raises t to 9. The first maximum,
+    # 22 (hi 2, lo 6), has high sum 4 and the largest low sum is 5, so hi 2
+    # stays only because the hi are filtered again with >=, not >
+    x = np.array([[0, -1, 0], [0, 0, 1], [1, 0, -1], [-1, 1, -1],
+                  [-1, -1, 0], [0, 0, -1], [0, 1, 1], [0, -1, 0]])
+    signs = np.array(_slot_patterns(8))
+    vals = np.abs(signs @ x).sum(axis=1)
+    low_sums = np.abs(signs[:8, :4] @ x[:4]).sum(axis=1)
+    high_sums = np.abs(signs[::8, 4:] @ x[4:]).sum(axis=1)
+    assert np.flatnonzero(vals == vals.max()).tolist() == [22, 33, 35, 37, 45, 54]
+    assert vals[4::8].max() == 7 and high_sums[[2, 4]].tolist() == [4, 6]
+    assert high_sums[2] + low_sums.max() == 9
+    monkeypatch.setattr(norms_module, "_low_bits", lambda n, *_: 3)
+    monkeypatch.setattr(norms_module, "_SEED_LOWS", 1)
+    monkeypatch.setattr(norms_module, "_SCAN_BLOCK", 4)
+    assert norms_module._scan(x.astype(np.int16)[None]) == _enumerated_scan(x[None]) == (9.0, 22)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: diagonal_form(2, 16, (INF, INF)), lambda: row_form(16, 16, (INF, INF))],
+    ids=["diagonal", "row"],
+)
+def test_pruned_scan_of_an_all_ties_form_scans_every_pattern(monkeypatch, make):
+    # every pattern of a 16 x 16 diagonal or row form is worth 16: the bound
+    # prunes nothing, so every pattern is scanned and the first one wins
+    x = make().coefficients
+    blocks, first_max = [], norms_module._first_max
+
+    def spy(acc):
+        blocks.append(acc.size)
+        return first_max(acc)
+
+    monkeypatch.setattr(norms_module, "_first_max", spy)
+    assert norms_module._scan(x.astype(np.int16)[None]) == (16.0, 0)
+    assert sum(blocks) == 2**15
+
+
+def test_pruned_scan_skips_most_patterns_at_n22(monkeypatch):
+    coeffs = ksz_random_form(2, 22, (INF, INF), seed=3)[0].coefficients[None]
+    blocks, first_max = [], norms_module._first_max
+
+    def spy(acc):
+        blocks.append(acc.size)
+        return first_max(acc)
+
+    monkeypatch.setattr(norms_module, "_first_max", spy)
+    got = norms_module._scan(coeffs.astype(np.int16))
+    assert sum(blocks) < 0.4 * 2**21
+    # the float64 scan of the same form prunes nothing
+    blocks.clear()
+    assert norms_module._scan(coeffs.astype(np.float64)) == got
+    assert sum(blocks) == 2**21
+
+
 @pytest.mark.parametrize(
     "dtype, width, bits",
     [

@@ -125,6 +125,9 @@ BRUTE_SHAPES = [(10, 10), (14, 6), (5, 5, 5), (6, 4, 3)]
 # shapes at the low-table floor of 2**13 sign patterns: below it (13), at
 # it with no high table (14), just above it (15), and on a first slot
 SPLIT_SHAPES = [(13, 13), (14, 14), (15, 15), (14, 3, 3)]
+# square int16 forms whose leaf has a high table of 4, 16 and 64 patterns,
+# so that the scan skips the patterns whose bound falls short (_scan_pruned)
+PRUNE_SIZES = (16, 18, 20)
 # multi-draw brute experiments, whose draws are scanned as one stack; the
 # last has 300 draws of 16 x 16 at n = 16, more than one stack holds
 INF = float("inf")
@@ -331,12 +334,13 @@ def exact_payloads() -> dict[str, str]:
 
 
 def brute_payloads() -> dict[str, str]:
-    """brute_force_norm value and witness bytes on forms that are not +-1.
+    """brute_force_norm value and witness bytes of forms beyond brute_exact's.
 
     Integer forms whose sum of |entries| is below 2**15 are scanned in
     int16, the rest in float64; the threshold forms sit on either side.
     The split forms sit on either side of the low table's floor, and one
-    stacked brute_force_scan ends in a tie between draws.
+    stacked brute_force_scan ends in a tie between draws. The prune forms
+    and stack are scanned with bound pruning, ties planted in some.
     """
     import numpy as np
     from mixedsums import INF, MultilinearForm, brute_force_norm, brute_force_scan
@@ -377,6 +381,20 @@ def brute_payloads() -> dict[str, str]:
     d, _, _ = brute_force_scan(stack[:-1])
     stack[-1] = stack[d]
     out["brute:split-stack:4x15x15"] = repr(brute_force_scan(stack))
+    for idx, n in enumerate(PRUNE_SIZES):
+        g = np.random.Generator(np.random.PCG64(140 + idx))
+        out[f"brute:prune-sign:{n}x{n}"] = payload(g.choice([-1.0, 1.0], (n, n)))
+        out[f"brute:prune-int3:{n}x{n}"] = payload(g.integers(-3, 4, (n, n)).astype(np.float64))
+        # ties: rows repeated across the low and high tables, a zero column block
+        ties = g.integers(-1, 2, (n, n)).astype(np.float64)
+        ties[n - 3 :] = ties[:3]
+        ties[:, n // 2 : n // 2 + 3] = 0.0
+        out[f"brute:prune-ties:{n}x{n}"] = payload(ties)
+    # a pruned stack whose last draw repeats the first: the first wins
+    g = np.random.Generator(np.random.PCG64(150))
+    stack = g.choice([-1.0, 1.0], (3, 16, 16))
+    stack[-1] = stack[0]
+    out["brute:prune-stack:3x16x16"] = repr(brute_force_scan(stack))
     return out
 
 
