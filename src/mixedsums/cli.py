@@ -146,6 +146,8 @@ def cmd_generate(args) -> int:
         raise UsageError("--complex applies to the ksz family only")
     if args.n2 is not None and args.family != "row":
         raise UsageError("--n2 applies to the row family only")
+    if args.k is not None and args.family != "product_extension":
+        raise UsageError("--k applies to the product_extension family only")
     form = make_form(
         args.family, args.m, args.n, args.p, args.seed, args.k,
         n2=args.n2, complex_phases=args.complex,

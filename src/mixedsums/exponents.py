@@ -473,31 +473,14 @@ def predict(m: int, p, r) -> ExponentReport:
     h = harmonic_sum(p)
     m2 = m_less_set(2.0, r)
 
-    if m == 1:
-        s_lin = linear_exponent(r[0], p[0]) if p[0] >= 1.0 else None
-        return ExponentReport(
-            m=1,
-            harmonic_sum=h,
-            rho_hl=None,
-            m_less_2=m2,
-            m_less_hl=None,
-            s_case1=None,
-            s_case2=None,
-            s_alt=None,
-            s_linear=s_lin,
-            s_case1_lower=None,
-            delta_chain=None,
-            per_index_delta_exponents=None,
-            optimality_open=False,
-            flags=RegimeFlags(False, False, False, False),
-        )
-
-    uni = unified_exponent(m, p, r)
+    linear = m == 1
+    uni = UnifiedExponents(None, None) if linear else unified_exponent(m, p, r)
     case1 = uni.s_case1 is not None
     case2 = uni.s_case2 is not None
-    delta = 1.0 < p[-1] <= 2.0 and all(pj > 2.0 for pj in p[:-1]) and h < 1.0
+    # at m = 1 the all() over p[:-1] is vacuously true, so linear must rule it out
+    delta = not linear and 1.0 < p[-1] <= 2.0 and all(pj > 2.0 for pj in p[:-1]) and h < 1.0
 
-    rho = rho_hl(m, p)
+    rho = None if linear else rho_hl(m, p)
     mhl = m_less_set(rho, r) if rho is not None else None
 
     s_case1_lower = None
@@ -528,7 +511,7 @@ def predict(m: int, p, r) -> ExponentReport:
         s_case1=uni.s_case1,
         s_case2=uni.s_case2,
         s_alt=s_alt,
-        s_linear=None,
+        s_linear=linear_exponent(r[0], p[0]) if linear and p[0] >= 1.0 else None,
         s_case1_lower=s_case1_lower,
         delta_chain=chain,
         per_index_delta_exponents=per_index,

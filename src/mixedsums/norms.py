@@ -5,19 +5,11 @@ Three estimators with honestly labeled kinds:
   * brute_force_norm   - exact, all p_j = inf and real coefficients only.
     A multilinear form on a product of cubes attains its maximum at sign
     vectors, so enumerating sign patterns (with the last argument optimized
-    in closed form) is an exact oracle. Signed row sums are tabulated by
-    doubling, and each slot's sign bits are split into a low and a high
-    table whose entries add up to the full table's, so a pattern costs
-    O(n_m) adds instead of O(n_1 ... n_m), without BLAS. The low table
-    gets at least 2**13 patterns where they fit in memory, since numpy
-    buffers a broadcast add whose inner run is shorter than its
-    8192-element buffer; a slot with no more bits puts all of them low in
-    int16 and splits them evenly in float64 (see _low_bits). Every sum
-    formed is a signed sum of some coefficients, so on integer forms with
-    sum |a| < 2**15 the scan runs exactly in int16, otherwise in float64.
-    In int16 the last slot skips the patterns whose bound sum |high| +
-    sum |low| falls below a value already attained (see _scan_pruned); a
-    pattern whose bound equals it is kept, so ties still go to the first.
+    in closed form) is an exact oracle; ties go to the first maximum in
+    flat order. The scan runs in int16 only where that is exact, on integer
+    forms with sum |a| < 2**15, otherwise in float64. In int16 it skips the
+    leaf patterns that cannot reach a value already attained (see
+    _scan_leaf), keeping every tie; the budget still counts every pattern.
     brute_force_scan enumerates a stack of same-shape forms at once (ties
     go to the first draw, the budget counts one form's patterns), and
     brute_force_estimate rebuilds the winner's witness.
@@ -232,12 +224,11 @@ def _low_bits(n: int, dtype: np.dtype, width: int) -> int:
     at least _LOW_FLOOR when that leaves a bit for the high table and one
     row's low table still fits in _CHUNK_BYTES: the leaf adds high and low
     as a broadcast whose inner run is the low table, and numpy buffers a
-    broadcast with a shorter inner run than its 8192-element buffer (see
-    README.md for timings). When no bit would be left, an int16 slot takes
-    all of them and has no high table, which trades the broadcast for one
-    more doubling pass; a float64 slot keeps the even split, because there
-    that pass costs more memory traffic than the broadcast saves (the leaf
-    of a float64 m = 3, n = 9 form took 1.2x as long with all bits low).
+    broadcast with a shorter inner run than its 8192-element buffer. When
+    no bit would be left, an int16 slot takes all of them and has no high
+    table, which trades the broadcast for one more doubling pass; a float64
+    slot keeps the even split, because there that pass costs more memory
+    traffic than the broadcast saves. CHANGES.md has the timings.
     """
     fit = (_CHUNK_BYTES // (dtype.itemsize * width)).bit_length() - 1
     a = max(n // 2, min(_LOW_FLOOR, fit))
@@ -310,17 +301,19 @@ def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
     Rows go in chunks that share their tables; a chunk's tables, block and
     buffer take at most _CHUNK_BYTES unless one row's alone take more.
     That memory is allocated once: a fresh allocation of its size would be
-    mapped and faulted in anew for every chunk. With a high table, a chunk
-    is scanned in blocks of at most _SCAN_BLOCK (row, hi, lo) entries, each
-    column one broadcast add of high and low whose inner run is the low
-    table. In int16, with at least _PRUNE_HIGH high patterns, the rows go
-    one by one through _scan_pruned instead, which skips the patterns that
-    cannot reach a value already attained; with fewer, the bound's own
-    passes over the low table cost about what they would save. Its sums
-    and compacted low table count against _CHUNK_BYTES too. Without a
-    high table, the block is the low table itself, summed in place; its
-    doubling runs along the signs, or with (column, row) as the inner run
-    when the chunk's rows make that the longer one.
+    mapped and faulted in anew for every chunk. A chunk is scanned in
+    blocks of at most _SCAN_BLOCK (row, hi, lo) entries, in flat order, by
+    one loop: with a high table, each column of a block is one broadcast
+    add of high and low whose inner run is the low table (_pair_sums);
+    without one, the chunk's low table is its only block, whose moduli are
+    taken in place and summed column by column. That table's doubling runs
+    along the signs, or with (column, row) as the inner run when the
+    chunk's rows make that the longer one. In int16, with at least
+    _PRUNE_HIGH high patterns, the rows go one by one through _scan_pruned
+    instead, which skips the patterns that cannot reach a value already
+    attained; with fewer, the bound's own passes over the low table cost
+    about what they would save. Its sums and compacted low table count
+    against _CHUNK_BYTES too.
     """
     rows, n, cols = x.shape
     nh, nl = 2 ** (n - 1 - a), 2**a
@@ -356,16 +349,8 @@ def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
         if lead:  # each row added is then a contiguous (column, row) block
             part = np.ascontiguousarray(part.transpose(2, 0, 1)).transpose(1, 2, 0)
         low = _sign_table(part[..., 0], part[..., 1 : a + 1], low_mem[:, : part.shape[1]])
-        if nh == 1:
-            np.abs(low, out=low)
-            acc = low[0]
-            for col in range(1, cols):
-                acc += low[col]
-            val, k = _first_max(acc)
-            if val > best:
-                best, best_idx = val, r0 * nl + k
-            continue
-        high = _sign_table(0.0, part[..., a + 1 :], high_mem[:, : part.shape[1]])
+        if nh > 1:
+            high = _sign_table(0.0, part[..., a + 1 :], high_mem[:, : part.shape[1]])
         if prune:
             # sum_c |low_c| and sum_c |high_c| of every row of the chunk
             sums = sums_mem[: part.shape[1]]
@@ -379,8 +364,14 @@ def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
                     best, best_idx = val, (r0 + r) * nh * nl + k
             continue
         for h0 in range(0, nh, hc):
-            hi, lo = high[:, :, h0 : h0 + hc, None], low[:, :, None, :]
-            acc = _pair_sums(hi, lo, acc_mem[: hi.shape[1], : hi.shape[2]], buf_mem)
+            if nh == 1:  # the block is the low table, summed in place
+                np.abs(low, out=low)
+                acc = low[0]
+                for col in range(1, cols):
+                    acc += low[col]
+            else:
+                hi, lo = high[:, :, h0 : h0 + hc, None], low[:, :, None, :]
+                acc = _pair_sums(hi, lo, acc_mem[: hi.shape[1], : hi.shape[2]], buf_mem)
             val, k = _first_max(acc)
             if val > best:
                 best, best_idx = val, (r0 * nh + h0) * nl + k
@@ -580,28 +571,17 @@ def brute_force_norm(
     exponents, complex coefficients, and pattern counts beyond `budget`.
     This is brute_force_scan on a stack of one, then brute_force_estimate.
 
-    The enumeration is a split table (see _scan): every pattern costs
-    O(n_m) adds, O(2**(sum_j (n_j - 1)) * n_m) in total, in blocks of at
-    most _SCAN_BLOCK entries. Each slot's low table takes at least 13 of its
-    sign bits where they fit in memory, or all of them when it has no more
-    (an even split in float64; see _low_bits), so that the last slot's adds
-    run over inner runs of 2**13 entries, which numpy does not buffer. The
-    flat order of the patterns does not depend on the split. The winner is
-    the first maximum in that order (slot 1 most significant); its value is
-    recomputed from the witness in float64, so `evaluate(form, witness)`
-    reproduces it.
-
-    When every coefficient is an integer and sum |a| < 2**15, the scan runs
-    in int16, otherwise in float64. Each table entry, block entry and leaf
-    sum is a signed sum over a subset of the coefficients, so its modulus
-    is at most sum |a| <= 2**15 - 1: int16 holds every one exactly, and the
-    scan finds the same first maximum as in float64 with four times the
-    values per SIMD register. Exact sums also make a bound safe: an int16
-    leaf row with at least _PRUNE_HIGH high patterns scans only the
-    patterns worth at most sum_c |high_c| + sum_c |low_c| >= t, for a value
-    t that some pattern attains (see _scan_pruned). A pattern that ties the
-    maximum is kept, so the winner is the same first maximum. The budget
-    still counts all 2**(sum_j (n_j - 1)) patterns, pruned or not.
+    The winner is the first maximum in flat order (slot 1 most
+    significant); its value is recomputed from the witness in float64, so
+    `evaluate(form, witness)` reproduces it. Every pattern costs O(n_m)
+    adds (see _scan). Each sum the scan forms is a signed sum over a subset
+    of the coefficients, so when every coefficient is an integer and
+    sum |a| < 2**15 the scan runs in int16, which holds every one exactly,
+    and otherwise in float64. An int16 leaf row with at least _PRUNE_HIGH
+    high patterns skips the patterns whose bound falls below a value some
+    pattern attains (see _scan_leaf); a pattern that ties it is kept, so
+    the winner is the same first maximum. The budget counts all
+    2**(sum_j (n_j - 1)) patterns, pruned or not.
     """
     if any(pj != INF for pj in form.p):
         raise ValueError("brute force requires every domain exponent to be inf")

@@ -226,6 +226,9 @@ def test_generate_complex(tmp_path, capsys):
         ("--family diagonal --m 2 --p 2,2 --complex", "--complex applies"),
         ("--family ksz --m 2 --p 2,2 --n2 5", "--n2 applies to the row family only"),
         ("--family diagonal --m 2 --p 2,2 --n2 5", "--n2 applies"),
+        ("--family ksz --m 2 --p inf,inf --k 5",
+         "--k applies to the product_extension family only"),
+        ("--family diagonal --m 2 --p 2,2 --k 1", "--k applies"),
     ],
 )
 def test_generate_rejects_flags_it_would_ignore(tmp_path, capsys, flags, message):

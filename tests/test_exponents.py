@@ -315,6 +315,20 @@ def test_predict_m1_linear_only():
     assert rep.best_exponent() == 0.5
 
 
+def test_predict_m1_sets_no_multilinear_regime():
+    # p = (1.5,) meets every delta condition: 1 < p_m <= 2, |1/p| < 1, and
+    # the one on p_1..p_{m-1} holds vacuously; only m = 1 keeps the regime off
+    rep = predict(1, (1.5,), (1,))
+    assert rep.flags == type(rep.flags)(False, False, False, False)
+    assert rep.rho_hl is None and rep.m_less_hl is None
+    assert rep.delta_chain is None and rep.per_index_delta_exponents is None
+    assert rep.s_linear == linear_exponent(1, 1.5)
+    # below p = 1 no exponent applies
+    rep = predict(1, (0.5,), (1,))
+    assert rep.s_linear is None
+    assert rep.best_exponent() is None
+
+
 def test_predict_delta_regime():
     # p = (4, 2) sits in both the case-1 window and the anisotropic regime
     rep = predict(2, (4, 2), (2, 1))
