@@ -72,6 +72,10 @@ def parse_vector(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _parse_groups(text: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(parse_vector(part) for part in text.split(";"))
+
+
 def parse_int_vector(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -208,16 +212,20 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_verify_holder(args) -> int:
+    for flag, value, least in (
+        ("--m", args.m, 1), ("--n", args.n, 1), ("--N", args.N, 1), ("--trials", args.trials, 0)
+    ):
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
     fixed = None
     if (args.r is None) != (args.q is None):
         raise UsageError("--r and --q must be given together")
     if args.r is not None:
         m = len(args.r)
-        groups = [parse_vector(part) for part in args.q.split(";")]
-        if any(len(gr) != m for gr in groups):
+        if any(len(gr) != m for gr in args.q):
             raise UsageError(f"every ;-group in --q must have {m} entries")
-        N = len(groups)
-        q = [[groups[k][j] for k in range(N)] for j in range(m)]
+        N = len(args.q)
+        q = [[args.q[k][j] for k in range(N)] for j in range(m)]
         try:
             check_splitting(args.r, q)
         except ValueError as e:
@@ -344,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=parse_vector, help="fixed outer exponents")
     p.add_argument(
         "--q",
+        type=_parse_groups,
         help="fixed splitting: one comma-vector per factor, ;-separated",
     )
     p.set_defaults(func=cmd_verify_holder)

@@ -293,12 +293,8 @@ def anisotropic_exponents(p, r) -> tuple[float, ...]:
         raise ValueError(f"requires p_j > 2 for j < m, got p = {p}")
     if harmonic_sum(p) >= 1.0:
         raise ValueError("requires |1/p| < 1")
-    out = []
-    for k in range(m):
-        # 1/delta over the tail p_k..p_m equals 1 - (1/p_k + ... + 1/p_m)
-        terms = [1.0 / r[k], -1.0] + [1.0 / pj for pj in p[k:]]
-        out.append(max(math.fsum(terms), 0.0))
-    return tuple(out)
+    # 1/delta over the tail p_k..p_m equals 1 - (1/p_k + ... + 1/p_m)
+    return tuple(_excess([1.0 / r[k], *(1.0 / pj for pj in p[k:])], 1) for k in range(m))
 
 
 def lemma_lift(r, p) -> tuple[float, ...]:

@@ -149,6 +149,8 @@ class ExperimentConfig:
         if self.family == "product_extension":
             if self.k is None or not 1 <= self.k <= self.m:
                 raise ValueError("product_extension requires k in [1, m]")
+        elif self.k is not None:
+            raise ValueError("k applies to the product_extension family only")
         if self.family == "custom-file" and not self.form_file:
             raise ValueError("custom-file family requires form_file")
         if self.norm_method == "analytic" and self.family not in _CLOSED:
@@ -380,6 +382,8 @@ def run_growth(config: ExperimentConfig) -> GrowthSeries:
 
 
 def _verdict(slope, r2, n_points, s, tol, mode) -> str:
+    if mode not in ("match", "upper_bound"):
+        raise ValueError(f"unknown mode {mode!r}")
     if n_points < 3 or s is None or math.isnan(slope) or r2 < 0.9:
         return "inconclusive"
     if mode == "match":
@@ -398,8 +402,6 @@ def loglog_fit(
     variance mean). Non-finite and nonpositive ratios are rejected; fewer
     than 3 points yields an inconclusive fit with NaN slope.
     """
-    if mode not in ("match", "upper_bound"):
-        raise ValueError(f"unknown mode {mode!r}")
     bad = [row.n for row in series.rows if not math.isfinite(row.ratio)]
     if bad:
         raise ValueError(f"non-finite ratio at n = {bad}: cannot fit")
@@ -442,8 +444,6 @@ def loglog_fit(
 
 def compare(fit: FitResult, mode: str, tolerance: float | None = None) -> str:
     """Re-judge an existing fit under another mode/tolerance."""
-    if mode not in ("match", "upper_bound"):
-        raise ValueError(f"unknown mode {mode!r}")
     tol = fit.tolerance if tolerance is None else tolerance
     s = fit.predicted.best_exponent()
     return _verdict(fit.slope, fit.r_squared, fit.n_points, s, tol, mode)

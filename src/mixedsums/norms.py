@@ -312,8 +312,8 @@ def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
     _PRUNE_HIGH high patterns, the rows go one by one through _scan_pruned
     instead, which skips the patterns that cannot reach a value already
     attained; with fewer, the bound's own passes over the low table cost
-    about what they would save. Its sums and compacted low table count
-    against _CHUNK_BYTES too.
+    about what they would save. Its sums of moduli, their scratch and its
+    compacted low table count against _CHUNK_BYTES too.
     """
     rows, n, cols = x.shape
     nh, nl = 2 ** (n - 1 - a), 2**a
@@ -324,8 +324,8 @@ def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
     rc, hc = max(1, step // nh), min(nh, step)
     per_row = cols * nl if nh == 1 else cols * (nl + nh) + 2 * nh * nl
     fixed = 0
-    if prune:  # a row's sums of moduli, and one compacted low table
-        per_row, fixed = per_row + nl + nh, cols * (nl // 2)
+    if prune:  # a row's sums of moduli; a compacted low table or an _abs_sums group
+        per_row, fixed = per_row + nl + nh, max(cols * (nl // 2), _SCAN_BLOCK)
     rc = min(rc, max(1, (_CHUNK_BYTES // x.itemsize - fixed) // per_row))
     rc = -(-rows // -(-rows // rc))  # as even chunks as that allows
     lead = nh == 1 and cols * rc > nl // 2
@@ -335,13 +335,8 @@ def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
         low_mem = np.empty((cols, rc, nl), dtype=x.dtype)
     if nh > 1:
         high_mem = np.empty((cols, rc, nh), dtype=x.dtype)
-        # two blocks, also the scratch of the sums of moduli, which takes
-        # 2 * rc * nh entries (nh <= nl in _low_bits' split)
-        blocks = np.empty((2, rc * max(hc * nl, nh)), dtype=x.dtype)
-        acc_mem, buf_mem = blocks[:, : rc * hc * nl].reshape(2, rc, hc, nl)
-    if prune:
-        mem = (acc_mem.reshape(-1), buf_mem.reshape(-1))
-        sums_mem = np.empty((rc, nl + nh), dtype=x.dtype)
+        acc_mem, buf_mem = np.empty((2, rc, hc, nl), dtype=x.dtype)
+        mem = (acc_mem.reshape(-1), buf_mem.reshape(-1))  # _scan_pruned's scratch
     xt = x.transpose(2, 0, 1)  # (n_m, R, n_j)
     best, best_idx = -1.0, 0
     for r0 in range(0, rows, rc):
@@ -352,14 +347,9 @@ def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
         if nh > 1:
             high = _sign_table(0.0, part[..., a + 1 :], high_mem[:, : part.shape[1]])
         if prune:
-            # sum_c |low_c| and sum_c |high_c| of every row of the chunk
-            sums = sums_mem[: part.shape[1]]
-            _abs_sums(low, sums[:, :nl], blocks.reshape(-1))
-            _abs_sums(high, sums[:, nl:], blocks.reshape(-1))
+            sl, sh = _abs_sums(low), _abs_sums(high)
             for r in range(part.shape[1]):
-                val, k = _scan_pruned(
-                    low[:, r], high[:, r], sums[r, :nl], sums[r, nl:], int(best), hc * nl, mem
-                )
+                val, k = _scan_pruned(low[:, r], high[:, r], sl[r], sh[r], int(best), hc * nl, mem)
                 if val > best:
                     best, best_idx = val, (r0 + r) * nh * nl + k
             continue
@@ -403,22 +393,20 @@ def _pair_sums(hi: np.ndarray, lo: np.ndarray, acc: np.ndarray, buf: np.ndarray)
     return acc
 
 
-def _abs_sums(table: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """out = sum_c |table[c]| over the first axis, exactly (int16).
+def _abs_sums(table: np.ndarray) -> np.ndarray:
+    """sum_c |table[c]| over the first axis, exactly (int16).
 
-    The columns go in groups, each one abs and one reduction, through the
-    1-D scratch of at least 2 * out.size entries; its head holds a later
-    group's sum.
+    The columns go in groups of at most _SCAN_BLOCK entries, but at least
+    one column, each one abs and one reduction. A later group adds the
+    running sum to its first column, so the only scratch is one group.
     """
-    tmp, scratch = scratch[: out.size].reshape(out.shape), scratch[out.size :]
-    k = max(1, scratch.size // out.size)
-    for c0 in range(0, len(table), k):
-        part = table[c0 : c0 + k]
-        terms = np.abs(part, out=scratch[: part.size].reshape(part.shape))
-        if c0:
-            out += np.add.reduce(terms, axis=0, out=tmp)
-        else:
-            np.add.reduce(terms, axis=0, out=out)
+    k = max(1, _SCAN_BLOCK // table[0].size)
+    out = np.add.reduce(np.abs(table[:k]), axis=0, dtype=table.dtype)
+    for c0 in range(k, len(table), k):
+        terms = np.abs(table[c0 : c0 + k])
+        terms[0] += out
+        np.add.reduce(terms, axis=0, dtype=table.dtype, out=out)
+    return out
 
 
 def _scan_pruned(
@@ -503,8 +491,8 @@ def brute_force_scan(stack, budget: int = DEFAULT_BUDGET) -> tuple[int, int, flo
     index idx of the largest pattern value over all draws, the first in
     (draw, pattern) order on ties, so the first draw wins a tie between
     draws. value is the scan's own sum. The budget counts the patterns of
-    one form, whatever D is. At m = 1 there is no pattern to enumerate:
-    idx is 0 and a draw's value is sum |a|.
+    one form, whatever D is. At m = 1 a draw has one pattern, idx 0, whose
+    value is sum |a|.
 
     The scan runs in int16 when every draw is integer with sum |a| < 2**15
     (see brute_force_norm), otherwise in float64. A draw's sums never mix
@@ -524,10 +512,8 @@ def brute_force_scan(stack, budget: int = DEFAULT_BUDGET) -> tuple[int, int, flo
         raise ValueError(
             f"enumeration needs {total} sign patterns, budget is {budget}"
         )
-    if len(dims) == 1:
-        values = fiber_norms(a, 1.0)
-        d = int(np.argmax(values))
-        return d, 0, float(values[d])
+    if len(dims) == 1:  # each draw is one leaf row
+        a = a[:, None]
     # int16 holds every sum the scan forms exactly here (see brute_force_norm)
     flat = a.reshape(len(a), -1)
     if (np.abs(flat).sum(axis=1) < 2**15).all() and (flat == np.trunc(flat)).all():

@@ -284,11 +284,11 @@ def tensor_to_obj(a) -> dict:
     a = np.asarray(a)
     obj = {"shape": list(a.shape)}
     if np.iscomplexobj(a):
-        flat = a.astype(np.complex128).ravel(order="C")
+        flat = a.astype(np.complex128).ravel()
         obj["dtype"] = "complex"
-        obj["data"] = [[float(z.real), float(z.imag)] for z in flat]
+        obj["data"] = flat.view(np.float64).reshape(-1, 2).tolist()
     else:
-        obj["data"] = [float(x) for x in a.astype(np.float64).ravel(order="C")]
+        obj["data"] = a.astype(np.float64).ravel().tolist()
     return obj
 
 

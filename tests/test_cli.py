@@ -239,6 +239,30 @@ def test_generate_rejects_flags_it_would_ignore(tmp_path, capsys, flags, message
     assert not path.exists()
 
 
+def test_generate_rejects_p_of_the_wrong_arity(tmp_path, capsys):
+    path = tmp_path / "form.json"
+    code, _, err = run(
+        capsys, "generate", "--family", "ksz", "--m", "3", "--n", "3", "--p", "inf,inf",
+        "--out", str(path),
+    )
+    assert code == 2
+    assert "--p must have 3 entries" in err
+    assert not path.exists()
+
+
+def test_experiment_rejects_k_outside_product_extension(tmp_path, capsys):
+    out_csv = tmp_path / "k.csv"
+    code, out, err = run(
+        capsys, "experiment", "--family", "ksz", "--m", "2", "--p", "inf,inf",
+        "--r", "1,1", "--n-values", "2,3,4", "--norm-method", "brute", "--k", "7",
+        "--out", str(out_csv),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: k applies to the product_extension family only\n"
+    assert not out_csv.exists() and not (tmp_path / "k.json").exists()
+
+
 def test_experiment_inline(tmp_path, capsys):
     out_csv = tmp_path / "exp.csv"
     code, out, _ = run(
@@ -470,6 +494,31 @@ def test_verify_holder_worst_slack_skips_equalities(capsys):
         code, out, _ = run(capsys, "verify-holder", *flags.split(), "--trials", "5")
         assert code == 0
         assert "worst slack n/a over the 0 trials" in out
+
+
+@pytest.mark.parametrize("q", ["abc,2;2,2", "0,2;2,2"])
+def test_verify_holder_bad_q_token_is_a_usage_error(capsys, q):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-holder", "--r", "1,1", "--q", q, "--trials", "2"])
+    assert exc.value.code == 2
+    assert "argument --q:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ("--m 0", "--m must be >= 1, got 0"),
+        ("--N 0", "--N must be >= 1, got 0"),
+        ("--n 0", "--n must be >= 1, got 0"),
+        ("--n 0 --r 1,1 --q 2,2;2,2", "--n must be >= 1, got 0"),
+        ("--trials -3", "--trials must be >= 0, got -3"),
+    ],
+)
+def test_verify_holder_rejects_sizes_below_their_least(capsys, flags, message):
+    code, out, err = run(capsys, "verify-holder", *flags.split())
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: {message}\n"
 
 
 def test_verify_holder_zero_trials(capsys):

@@ -230,6 +230,23 @@ def test_anisotropic_examples():
         anisotropic_exponents((2.5, 1.05), (1, 1))  # |1/p| >= 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_anisotropic_exponents_keep_the_hand_built_bits(data):
+    m = data.draw(st.integers(1, 4))
+    head = [data.draw(st.sampled_from([INF, 2.5, 3.0, 4.0, 7.0, 100.0])) for _ in range(m - 1)]
+    p = (*head, data.draw(st.sampled_from([1.05, 4 / 3, 1.5, 1.9, 2.0])))
+    if harmonic_sum(p) >= 1.0:
+        return
+    r = [data.draw(st.sampled_from([0.4, 1.0, 4 / 3, 1.7, 2.0, 3.0, INF])) for _ in range(m)]
+    # the per-index formula as written before it shared _excess
+    want = [
+        max(math.fsum([1.0 / r[k], -1.0] + [1.0 / pj for pj in p[k:]]), 0.0) for k in range(m)
+    ]
+    got = anisotropic_exponents(p, r)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 def test_lemma_lift_examples():
     assert lemma_lift((1, 1), (INF, INF)) == (1.0, 2.0)
     s = lemma_lift((1.2, 1.2), (INF, INF))

@@ -548,6 +548,29 @@ def test_compare_modes_and_tolerance():
         compare(fit, "sideways")
 
 
+def test_an_unknown_mode_is_rejected_by_every_verdict():
+    cfg = _cfg()
+    for ns in ((2, 4), (2, 4, 8, 16)):  # an inconclusive and a full fit
+        series = GrowthSeries(
+            config=cfg, rows=tuple(GrowthRow(n, 0.0, 1.0, "analytic", n**0.5, 0) for n in ns)
+        )
+        with pytest.raises(ValueError, match="^unknown mode 'sideways'$"):
+            loglog_fit(series, mode="sideways")
+        with pytest.raises(ValueError, match="^unknown mode 'sideways'$"):
+            compare(loglog_fit(series), "sideways")
+    # a bad ratio is found before the mode is read
+    bad = GrowthSeries(config=cfg, rows=(GrowthRow(2, 0.0, 1.0, "analytic", -1.0, 0),) * 3)
+    with pytest.raises(ValueError, match="nonpositive ratio"):
+        loglog_fit(bad, mode="sideways")
+
+
+@pytest.mark.parametrize("family", ["ksz", "diagonal", "row"])
+def test_config_rejects_k_outside_product_extension(family):
+    with pytest.raises(ValueError, match="^k applies to the product_extension family only$"):
+        _cfg(family=family, k=1, norm_method="paper_bound")
+    assert _cfg(family=family, norm_method="paper_bound").k is None
+
+
 def test_paper_bound_method():
     series = run_growth(_cfg(norm_method="paper_bound"))
     for row in series.rows:
@@ -589,7 +612,8 @@ def test_paper_bound_builds_forms_only_for_closed_families(monkeypatch, family):
     for name in ("sign_array", "sign_stack", "derive_seed", "derive_seeds", "pcg_states"):
         counting(growth_module._rng, name)
     cfg = ExperimentConfig(
-        family=family, m=2, k=1, p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 4),
+        family=family, m=2, k=1 if family == "product_extension" else None,
+        p=(INF, INF), r=(1.0, 1.0), n_values=(2, 3, 4),
         norm_method="paper_bound", draws=5,
     )
     rows = run_growth(cfg).rows

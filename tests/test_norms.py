@@ -896,6 +896,45 @@ def test_stacked_scan_int16_test_is_per_draw(data):
     _stacked_matches_per_draw(draws)
 
 
+@pytest.mark.parametrize("scale, dtype", [(1.0, np.int16), (0.3, np.float64)])
+def test_stacked_m1_scan_ties_go_to_the_first_draw(scale, dtype):
+    draws = np.round(np.random.default_rng(4).standard_normal((6, 9)) * 4.0) * scale
+    draws[1] *= 3.0  # the largest sum |a|, tied by draw 4's opposite signs
+    draws[4] = -draws[1]
+    seen, scan = [], norms_module._scan
+
+    def spy(x):
+        seen.append((x.shape, x.dtype))
+        return scan(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms_module, "_scan", spy)
+        d, idx, value = norms_module.brute_force_scan(draws)
+    assert seen == [((6, 1, 9), dtype)]
+    assert (d, idx) == (1, 0)
+    assert value == pytest.approx(math.fsum(np.abs(draws[1])), rel=1e-15)
+
+
+def test_brute_force_m1_float_form():
+    a = np.array([0.1, -0.2, 0.0, 3e-7, -7.25, 1e-300])
+    est = brute_force_norm(MultilinearForm(coefficients=a, p=(INF,)))
+    assert est.value == lp_norm(a, 1.0) == math.fsum(np.abs(a))
+    assert np.array_equal(est.witness[0], [1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+    assert evaluate(MultilinearForm(coefficients=a, p=(INF,)), est.witness) == pytest.approx(
+        est.value, rel=1e-12
+    )
+
+
+def test_abs_sums_over_several_groups_stays_int16():
+    # 2**14 entries a column, so a group holds 4 of the 11 columns
+    g = np.random.default_rng(5)
+    table = g.integers(-100, 101, size=(11, 5, 2**12)).astype(np.int16)
+    for view in (table, table[:, :4]):  # a chunk may use part of its table
+        sums = norms_module._abs_sums(view)
+        assert sums.dtype == np.int16
+        assert np.array_equal(sums, np.abs(view).sum(axis=0))
+
+
 def _ksz_stack(n, count):
     return np.stack([ksz_random_form(2, n, (INF, INF), seed=s)[0].coefficients
                      for s in range(count)])
