@@ -197,9 +197,8 @@ def cmd_experiment(args) -> int:
     fit = loglog_fit(series, tolerance=args.tolerance, mode=args.mode)
     with open(args.out, "w") as f:
         f.write(series_to_csv(series))
-    with open(report_path, "w") as f:
-        json.dump(report_obj(series, fit), f, indent=2)
-        f.write("\n")
+    with open(report_path, "w") as f:  # one write: json.dump writes token by token
+        f.write(json.dumps(report_obj(series, fit), indent=2) + "\n")
     label = "bound-relative " if fit.bound_relative else ""
     verdict = _color(fit.verdict, VERDICT_COLORS.get(fit.verdict, "0"))
     predicted = fit.predicted.best_exponent()

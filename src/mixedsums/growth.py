@@ -21,7 +21,8 @@ fibers reduce to exactly 1.0 and 0.0 at every r; only the fit and the
 prediction see all m slots.
 
 Every ksz draw has modulus ones((n,) * m), so lhs is the mixed norm of a
-stride-0 broadcast (O(m * n), bit for bit a draw's), and paper_bound gives
+stride-0 broadcast (one entry a level, and Sum2 over at most n copies of
+it; bit for bit a draw's), and paper_bound gives
 n^{ksz_bound_exponent(p)}, the unit-constant norm bound: those rows draw
 no signs, do not depend on the seed, and fit bound_relative. For diagonal
 and row it is the analytic norm.
@@ -501,7 +502,8 @@ def report_obj(series: GrowthSeries, fit: FitResult) -> dict:
     """JSON-ready experiment report: config, rows, fit, full prediction."""
     return {
         "config": config_to_obj(series.config),
-        "rows": [asdict(row) for row in series.rows],
+        # flat fields: a shallow copy, in declaration order, is asdict's
+        "rows": [dict(vars(row)) for row in series.rows],
         "fit": {
             "slope": None if math.isnan(fit.slope) else fit.slope,
             "intercept": None if math.isnan(fit.intercept) else fit.intercept,

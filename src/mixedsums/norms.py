@@ -308,7 +308,12 @@ def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
     without one, the chunk's low table is its only block, whose moduli are
     taken in place and summed column by column. That table's doubling runs
     along the signs, or with (column, row) as the inner run when the
-    chunk's rows make that the longer one. In int16, with at least
+    chunk's rows make that the longer one. A slot of one entry (n_j = 1,
+    as in the (D, 1, n) leaf of an m = 1 stack) has no sign to enumerate;
+    in int16 its sums go through _abs_sums, a few calls in place of one
+    per column. With more low patterns the column loop is the faster, and
+    a float64 block keeps it, since its order of addition is the one the
+    other blocks use. In int16, with at least
     _PRUNE_HIGH high patterns, the rows go one by one through _scan_pruned
     instead, which skips the patterns that cannot reach a value already
     attained; with fewer, the bound's own passes over the low table cost
@@ -326,6 +331,9 @@ def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
     fixed = 0
     if prune:  # a row's sums of moduli; a compacted low table or an _abs_sums group
         per_row, fixed = per_row + nl + nh, max(cols * (nl // 2), _SCAN_BLOCK)
+    summed = n == 1 and x.dtype == np.int16  # as in the leaf of an m = 1 stack
+    if summed:  # a row's sum; an _abs_sums group
+        per_row, fixed = per_row + 1, _SCAN_BLOCK
     rc = min(rc, max(1, (_CHUNK_BYTES // x.itemsize - fixed) // per_row))
     rc = -(-rows // -(-rows // rc))  # as even chunks as that allows
     lead = nh == 1 and cols * rc > nl // 2
@@ -354,7 +362,9 @@ def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
                     best, best_idx = val, (r0 + r) * nh * nl + k
             continue
         for h0 in range(0, nh, hc):
-            if nh == 1:  # the block is the low table, summed in place
+            if summed:  # one entry a column: the int16 sums go in groups
+                acc = _abs_sums(low)
+            elif nh == 1:  # the block is the low table, summed in place
                 np.abs(low, out=low)
                 acc = low[0]
                 for col in range(1, cols):

@@ -11,10 +11,13 @@ near its largest modulus, so that its powers stay in floating-point range,
 and the powers are added by a compensated sum (Ogita-Rump-Oishi Sum2) in
 fixed index order in one thread, so results are bit-identical run to run.
 Integer fibers at r = 1 or 2 whose sums stay below 2**53 are added plainly:
-there Sum2 cannot change a bit. A leading axis that a broadcast repeats
-(stride 0) is reduced once, and the level's result is a read-only
-broadcast, which the next level again reduces once: the mixed norm of
-np.broadcast_to(1.0, (n,) * m) reads m * n entries, not n**m.
+there Sum2 cannot change a bit. An axis that a broadcast repeats (stride
+0) is read once: mixed_norm slices every such axis to length 1 and hands
+each level's norms of the distinct fibers to the next. A repeated fiber
+axis repeats one entry, whose modulus, scale and power are taken once;
+its n copies add up to exactly n * x**r on the plain-sum path, and Sum2
+adds them otherwise. So the mixed norm of np.broadcast_to(1.0, (n,) * m)
+takes m powers, not n**m, with the bits of a contiguous copy.
 """
 
 from __future__ import annotations
@@ -102,67 +105,91 @@ def fiber_norms(a, r: float) -> np.ndarray:
     either: at r = 1 the scale is an exact power of two, and at r = 2 the
     root is a correctly rounded square root, which commutes with the even
     power of two the squares were scaled by. Large tensors go a block of
-    fibers at a time, and the scratch for one block (|x|, running totals,
-    TwoSum terms) is allocated once per call and reused by every block.
-    A leading axis of stride 0 and length > 1 repeats the same fibers, and
-    each fiber's norm depends on that fiber alone (the scale is per fiber,
-    and the plain sum and Sum2 agree wherever the plain sum is taken), so
-    such axes are reduced once, at length 1, and the result is a read-only
-    broadcast of shape a.shape[:-1] with the bits a contiguous copy gives.
-    The fiber (last) axis is always summed in full, stride 0 or not: n
-    copies of x added up are not n * x in floating point. r is not
-    validated.
+    fibers at a time. The scratch for one block is allocated once per
+    call and reused by every block: |x| up front, the running totals and
+    TwoSum terms by the first block that takes Sum2.
+    An axis of stride 0 repeats the same entries and is read once. A
+    repeated leading axis repeats whole fibers, whose norms are computed
+    once; the result is then a read-only broadcast of shape a.shape[:-1].
+    A repeated fiber axis repeats one entry, whose modulus, scale and
+    power are computed once. On the plain-sum path its n copies add up to
+    n * x**r exactly; otherwise Sum2 adds all n of them, since n copies of
+    x added up in floating point are not n * x. Either way the bits are
+    those a contiguous copy gives. r is not validated.
     """
     a = np.asarray(a)
+    out = _reduce(_distinct(a), a.shape[-1], r)
     lead = a.shape[:-1]
-    if 0 in a.strides[:-1]:  # one test, so contiguous calls pay ~100 ns
-        a = a[tuple(slice(0, 1) if s == 0 else slice(None) for s in a.strides[:-1])]
-    n = a.shape[-1]
-    rows = a.reshape(-1, n)
+    return out if out.shape == lead else np.broadcast_to(out, lead)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    # a with every stride-0 axis sliced to length 1: each entry once. One
+    # test first, so contiguous arrays pay ~100 ns
+    if 0 not in a.strides:
+        return a
+    return a[tuple(slice(0, 1) if s == 0 else slice(None) for s in a.strides)]
+
+
+def _reduce(d: np.ndarray, n: int, r: float) -> np.ndarray:
+    # fiber_norms of a tensor with fibers of length n, given its distinct
+    # entries d (see _distinct): each row of d is a fiber, or, when d's
+    # last axis has length 1, a fiber's one entry repeated n times. Each
+    # fiber's norm depends on that fiber alone (the scale is per fiber, and
+    # the plain sum and Sum2 agree wherever the plain sum is taken), so the
+    # result is the norms of the distinct fibers, shape d.shape[:-1]
+    w = d.shape[-1]
+    rows = d.reshape(-1, w)
     out = np.empty(len(rows))
     step = max(1, min(len(rows), _BLOCK // n))
-    xbuf = np.empty((step, n))
-    sbuf, bbuf, tbuf = _sum2_scratch(step, n)
+    xbuf = np.empty((step, w))
+    scratch = None  # Sum2's, allocated for the first block that needs it
     for lo in range(0, len(rows), step):
         block = rows[lo : lo + step]
         k = len(block)
         # unsafe casting converts any input dtype as astype(float64) would
         x = np.abs(block, out=xbuf[:k], casting="unsafe")
-        top = x.max(axis=-1)
+        # a row of one entry is its own maximum and sum, read as a view,
+        # so top is read only before x is scaled and raised in place
+        top = x[:, 0] if w == 1 else x.max(axis=-1)
         if r == INF:
             out[lo : lo + k] = top
             continue
-        if r > _POW2_SCALING_MAX_R:
-            scale = np.where(top > 0.0, top, 1.0)
-        else:
-            scale = np.ldexp(0.5, np.frexp(top)[1])
-        exact = _integer_powers_fit(x, top, r, sbuf[:k])
+        exact = _integer_powers_fit(x, top, n, r)
         if not exact:
+            if r > _POW2_SCALING_MAX_R:
+                scale = np.where(top > 0.0, top, 1.0)
+            else:
+                scale = np.ldexp(0.5, np.frexp(top)[1])
             x /= scale[:, None]
         if r == 2.0:  # a product is correctly rounded on every host
             np.square(x, out=x)
         elif r != 1.0:  # x ** 1 is x exactly
             x **= r
-        if exact:
-            out[lo : lo + k] = x.sum(axis=-1) ** (1.0 / r)
+        if exact:  # n copies of an entry add up to n times it, exactly
+            out[lo : lo + k] = (x[:, 0] * n if w == 1 else x.sum(axis=-1)) ** (1.0 / r)
         else:
-            out[lo : lo + k] = _sum2(x, sbuf[:k], bbuf[:k], tbuf[:k]) ** (1.0 / r) * scale
-    out = out.reshape(a.shape[:-1])
-    return out if out.shape == lead else np.broadcast_to(out, lead)
+            if scratch is None:
+                scratch = _sum2_scratch(step, n)
+            if w < n:
+                x = np.broadcast_to(x, (k, n))
+            out[lo : lo + k] = _sum2(x, *(buf[:k] for buf in scratch)) ** (1.0 / r) * scale
+    return out.reshape(d.shape[:-1])
 
 
-def _integer_powers_fit(x: np.ndarray, top: np.ndarray, r: float, scratch: np.ndarray) -> bool:
+def _integer_powers_fit(x: np.ndarray, top: np.ndarray, n: int, r: float) -> bool:
     # True when r is 1 or 2, every modulus in x is an integer and
-    # n * max**r < 2**53: then every partial sum of the scaled powers is an
-    # integer below 2**53 times a power of two, so any order of addition is
-    # exact and Sum2 would return the plain sum. The scalar tests go first,
-    # so float data pays for no pass over x.
+    # n * max**r < 2**53 for fibers of length n: then every partial sum of
+    # the scaled powers is an integer below 2**53 times a power of two, so
+    # any order of addition is exact and Sum2 would return the plain sum.
+    # The scalar tests go first, so float data pays for no pass over x,
+    # and a single entry, the largest, for none at all.
     if r != 1.0 and r != 2.0:
         return False
     biggest = float(top.max())
-    if not biggest.is_integer() or x.shape[-1] * int(biggest) ** int(r) >= 2**53:
+    if not biggest.is_integer() or n * int(biggest) ** int(r) >= 2**53:
         return False
-    return bool((np.trunc(x, out=scratch) == x).all())
+    return x.size == 1 or bool((np.trunc(x) == x).all())
 
 
 @dataclass(frozen=True)
@@ -185,9 +212,10 @@ def mixed_norm(a, r) -> MixedNormResult:
     if a.size == 0:
         raise ValueError(f"tensor of shape {a.shape} has no entries")
     r = as_exponent_vector(r, a.ndim, "r")
-    for rj in reversed(r):
-        a = fiber_norms(a, rj)
-    value = float(a)
+    d = _distinct(a)
+    for n, rj in zip(reversed(a.shape), reversed(r)):
+        d = _reduce(d, n, rj)
+    value = float(d)
     if not math.isfinite(value):
         raise NumericalError(
             f"mixed norm is {value!r}: an entry is not finite or the norm overflows"

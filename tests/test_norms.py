@@ -915,6 +915,19 @@ def test_stacked_m1_scan_ties_go_to_the_first_draw(scale, dtype):
     assert value == pytest.approx(math.fsum(np.abs(draws[1])), rel=1e-15)
 
 
+def test_stacked_m1_int16_scan_spans_chunks_and_groups():
+    # 300 draws of 4096 columns go in leaf chunks of about a hundred draws,
+    # whose sums _abs_sums takes in groups of a few hundred columns; the
+    # last draw ties the best one, in a later chunk
+    g = np.random.default_rng(6)
+    draws = g.integers(-3, 4, (300, 4096)).astype(np.float64)
+    sums = np.abs(draws).sum(axis=1)
+    best = int(np.argmax(sums[:-1]))
+    draws[-1] = -draws[best]
+    assert sums[best] < 2**15  # so the scan runs in int16
+    assert norms_module.brute_force_scan(draws) == (best, 0, sums[best])
+
+
 def test_brute_force_m1_float_form():
     a = np.array([0.1, -0.2, 0.0, 3e-7, -7.25, 1e-300])
     est = brute_force_norm(MultilinearForm(coefficients=a, p=(INF,)))

@@ -362,7 +362,8 @@ def test_broadcast_axes_give_the_bits_of_a_contiguous_copy(shape, repeated, data
 @pytest.mark.parametrize("n", [1, 5, 3000])
 @pytest.mark.parametrize("c", [1.0, 0.3])
 def test_stride_zero_fiber_axis_is_summed_in_full(n, c):
-    # n copies of 0.3 added up are not n * 0.3: the fiber axis is never collapsed
+    # n copies of 0.3 added up are not n * 0.3: off the plain sum, Sum2
+    # adds all n copies of a repeated entry
     col = np.array([[c], [2.0 * c], [-c]])
     a = np.broadcast_to(col, (3, n))
     assert a.strides[-1] == 0
@@ -370,26 +371,82 @@ def test_stride_zero_fiber_axis_is_summed_in_full(n, c):
         assert fiber_norms(a, r).tobytes() == fiber_norms(np.ascontiguousarray(a), r).tobytes()
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 17), st.just(2048)),
+    # 17 fibers of 2048 are more than one block
+    k=st.sampled_from([1, 2, 17]),
+    lead=st.integers(1, 3),
+    data=st.sampled_from(["normal", "mixed", "int3", "int64", "int_top", "complex"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_repeated_fiber_entries_give_the_bits_of_a_contiguous_copy(n, k, lead, data, seed):
+    # a fiber that repeats one entry n times takes that entry's modulus,
+    # scale and power once, where the copy's SIMD loops run over lanes of
+    # n entries; then Sum2 adds the n copies, or the plain sum is n * x**r
+    g = np.random.Generator(np.random.PCG64(seed))
+    if data == "int3":
+        base = g.integers(-3, 4, (k, 1)).astype(np.float64)
+    elif data == "int64":  # on either side of the plain-sum threshold
+        base = g.integers(-(2**50), 2**50, (k, 1)) >> g.integers(0, 50, (k, 1))
+    elif data == "int_top":  # an integer largest modulus, fractions below it
+        base = g.standard_normal((k, 1))
+        base[0] = 8.0
+    else:
+        base = _grid_tensor((k, 1), data, "C", seed)
+    a = np.broadcast_to(base, (lead, k, n))
+    copy = np.ascontiguousarray(a)
+    for r in _KERNEL_R:
+        assert fiber_norms(a, r).tobytes() == fiber_norms(copy, r).tobytes(), r
+        for rs in ((2.0, 3.0, r), (r, r, r)):
+            assert mixed_norm(a, rs).value.hex() == mixed_norm(copy, rs).value.hex(), rs
+
+
+@pytest.mark.parametrize("n", [1, 3, 17, 2048])
+@pytest.mark.parametrize("r", [1.0, 2.0])
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_repeated_fiber_plain_sum_below_2_to_53(sum2_calls, n, r, dtype):
+    # w is the least integer with n * w**r >= 2**53: n copies of w take
+    # Sum2, n copies of w - 1 the plain sum n * (w - 1)**r
+    least = -(-(2**53) // n)  # n * w**r >= 2**53 iff w**r >= least
+    w = least if r == 1.0 else math.isqrt(least - 1) + 1
+    for largest, expected in ((w - 1, []), (w, [3])):
+        a = np.broadcast_to(np.array([[largest], [-1], [0]], dtype=dtype), (3, n))
+        got = fiber_norms(a, r)
+        assert sum2_calls == expected, largest
+        assert got.tobytes() == fiber_norms(np.ascontiguousarray(a), r).tobytes()
+        sum2_calls.clear()
+
+
 def test_broadcast_axes_are_reduced_once(monkeypatch):
     # 4096 * 4096 repeated fibers take one block per level; a regression
     # fails at the fourth block instead of running through thousands
-    calls = []
-    real = tensors._integer_powers_fit
+    calls, levels = [], []
+    real_fit, real_reduce = tensors._integer_powers_fit, tensors._reduce
 
     def spy(x, *args):
         calls.append(len(x))
         assert len(calls) <= 3, "a broadcast axis was reduced fiber by fiber"
-        return real(x, *args)
+        return real_fit(x, *args)
+
+    def reduce_spy(d, n, r):
+        levels.append((d.shape, n))
+        return real_reduce(d, n, r)
 
     monkeypatch.setattr(tensors, "_integer_powers_fit", spy)
+    monkeypatch.setattr(tensors, "_reduce", reduce_spy)
     x = np.array([3.0, -1.0, 0.0, 2.0, 5.0])
     a = np.broadcast_to(x, (4096, 4096, 5))
     got = fiber_norms(a, 1.0)
     assert calls == [1] and got.shape == (4096, 4096) and got.strides == (0, 0)
     assert np.all(got == 11.0) and not got.flags.writeable
     calls.clear()
+    levels.clear()
     assert mixed_norm(a, (1.0, 2.0, 1.0)).value == 4096 * 64 * 11.0  # sqrt(4096) = 64
     assert calls == [1, 1, 1]
+    # each level gets the last one's distinct norms, one entry repeated
+    # 4096 times, with nothing broadcast or sliced in between
+    assert levels == [((1, 1, 5), 5), ((1, 1), 4096), ((1,), 4096)]
 
 
 def test_mixed_norm_reads_only_the_modulus():

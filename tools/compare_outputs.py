@@ -12,9 +12,9 @@ and STACKED, DRAWN and PAPER_BOUND at each seed of SEEDS), the value and
 witness bytes of ``brute_force_norm`` (the ``brute_exact`` benchmark forms
 and ``brute_payloads``), the exit code, output and written files of
 ``cli.main`` runs (``cli_payloads``), and the bits of ``fiber_norms`` and
-``mixed_norm`` (``kernel_payloads``, ``broadcast_payloads`` and
-``exact_payloads``). It prints the sha256 of each payload on one line and
-exits 1 if any payload differs.
+``mixed_norm`` (``kernel_payloads``, ``broadcast_payloads``,
+``exact_payloads`` and ``repeated_payloads``). It prints the sha256 of
+each payload on one line and exits 1 if any payload differs.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -186,6 +187,8 @@ BROADCAST = [
     ("last", (25, 1), (25, 3000)),
     ("mixed", (1, 5, 1, 40), (3, 5, 4, 40)),
 ]
+# fiber lengths of the repeated-entry views at the 2**53 switch
+REPEATED_N = (3, 2048)
 # shapes of the integer tensors that fiber_norms adds without Sum2
 EXACT_SHAPES = [(6, 1), (25, 3000), (2, 40000), (3, 7, 300), (64, 64)]
 
@@ -333,6 +336,45 @@ def exact_payloads() -> dict[str, str]:
     return out
 
 
+def repeated_payloads() -> dict[str, str]:
+    """fiber_norms and mixed_norm bits on fibers that repeat one entry.
+
+    A fiber of n copies of an integer w is added as n * w**r at r = 1 and
+    2 while that is below 2**53, and by Sum2 over the n copies from there
+    on: the threshold views hold w just below the switch and at it. The
+    blocks views have 17 fibers of 2048, more than one block of 2**15.
+    """
+    import numpy as np
+    from mixedsums import tensors
+
+    out = {}
+    for r in (1, 2):
+        parts = []
+        for n in REPEATED_N:
+            least = -(-(2**53) // n)  # n * w**r >= 2**53 iff w**r >= least
+            w = least if r == 1 else math.isqrt(least - 1) + 1
+            for largest in (w - 1, w):
+                a = np.broadcast_to(np.array([[largest], [-1.0], [0.0]]), (4, 3, n))
+                parts.append(tensors.fiber_norms(a, r).tobytes().hex())
+                for rs in ((1.0, 2.0, r), (r, r, r)):
+                    parts.append(repr(tensors.mixed_norm(a, rs).value))
+        out[f"repeated:threshold:r={r}"] = " ".join(parts)
+    g = np.random.Generator(np.random.PCG64(400))
+    bases = {
+        "normal": g.standard_normal((17, 1)),
+        "int3": g.integers(-3, 4, (17, 1)),
+        "complex": g.standard_normal((17, 1)) + 1j * g.standard_normal((17, 1)),
+    }
+    for kind, base in bases.items():
+        a = np.broadcast_to(base, (17, 2048))
+        parts = []
+        for r in KERNEL_R:
+            parts.append(tensors.fiber_norms(a, r).tobytes().hex())
+            parts.append(repr(tensors.mixed_norm(a, (3.0, r)).value))
+        out[f"repeated:blocks:17x2048:{kind}"] = " ".join(parts)
+    return out
+
+
 def brute_payloads() -> dict[str, str]:
     """brute_force_norm value and witness bytes of forms beyond brute_exact's.
 
@@ -443,6 +485,7 @@ def digests() -> dict[str, str]:
     out.update(kernel_payloads())
     out.update(broadcast_payloads())
     out.update(exact_payloads())
+    out.update(repeated_payloads())
     out.update(brute_payloads())
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}
 
