@@ -11,6 +11,11 @@ All formulas are evaluated in reciprocal space with a single compensated sum
 cases at p_j = 2m, or hlpp = dsp at |1/p| = 1/2) hold bit-for-bit, not just
 within tolerance. Boundary membership of a regime is decided on the exactly
 rounded float value of the relevant harmonic sum.
+
+Inputs are validated at the public boundary: a public function checks its
+arguments, then calls the private core that holds its formula (_harmonic,
+_rho_hl, _unified, ...). Cores trust their tuples and take |1/p| where
+they need it; predict validates p and r once and calls the same cores.
 """
 
 from __future__ import annotations
@@ -58,11 +63,24 @@ def as_exponent(x, name: str = "exponent") -> float:
 
 
 def as_exponent_vector(v, m: int | None = None, name: str = "p") -> tuple[float, ...]:
-    """Validate an exponent vector; entries in (0, +inf], optional arity m."""
+    """Validate an exponent vector; entries in (0, +inf], optional arity m.
+
+    A str or bytes is no sequence of exponents, though it iterates: it
+    would be read one character, or one byte value, at a time.
+    """
+    if isinstance(v, (str, bytes)):
+        raise ValueError(f"{name} must be a sequence of exponents")
     try:
-        entries = tuple(as_exponent(x, f"{name}[{j}]") for j, x in enumerate(v))
-    except TypeError:
-        raise ValueError(f"{name} must be a sequence of exponents") from None
+        v = tuple(v)
+        entries = tuple(map(float, v))
+    except (TypeError, ValueError):
+        entries = None
+    if entries is None or not all(x > 0.0 for x in entries):
+        # entry by entry, so the first bad one raises with its own message
+        try:
+            entries = tuple(as_exponent(x, f"{name}[{j}]") for j, x in enumerate(v))
+        except TypeError:
+            raise ValueError(f"{name} must be a sequence of exponents") from None
     if not entries:
         raise ValueError(f"{name} must have length >= 1")
     if m is not None and len(entries) != m:
@@ -83,7 +101,10 @@ def exponent_to_json(x):
 
 def harmonic_sum(p) -> float:
     """|1/p| = sum of reciprocals, with 1/inf = 0."""
-    p = as_exponent_vector(p, name="p")
+    return _harmonic(as_exponent_vector(p, name="p"))
+
+
+def _harmonic(p: tuple[float, ...]) -> float:
     return math.fsum(1.0 / pj for pj in p)
 
 
@@ -116,10 +137,9 @@ def classical_exponents(m: int, p) -> ClassicalExponents:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    p = as_exponent_vector(p, m, "p")
-    h = harmonic_sum(p)
+    h = _harmonic(as_exponent_vector(p, m, "p"))
     bh = 2.0 * m / (m + 1.0)
-    hlpp = rho_hl(m, p) if h <= 0.5 else None
+    hlpp = _rho_hl(m, h) if h <= 0.5 else None
     dsp = 1.0 / (1.0 - h) if 0.5 <= h < 1.0 else None
     return ClassicalExponents(bh=bh, hlpp=hlpp, dsp=dsp)
 
@@ -133,11 +153,18 @@ def ghl_admissible(s, p) -> bool:
     floats are not spuriously rejected.
     """
     s = as_exponent_vector(s, name="s")
-    p = as_exponent_vector(p, len(s), "p")
-    m = len(s)
-    h = harmonic_sum(p)
+    h = _harmonic(as_exponent_vector(p, len(s), "p"))
+    _require_half(h)
+    return _ghl(s, h)
+
+
+def _require_half(h: float) -> None:
     if h > 0.5:
         raise ValueError(f"requires |1/p| <= 1/2, got |1/p| = {h}")
+
+
+def _ghl(s: tuple[float, ...], h: float) -> bool:
+    m = len(s)
     lo = 1.0 / (1.0 - h)
     if any(sj < lo - _TOL or sj > 2.0 + _TOL for sj in s):
         return False
@@ -147,8 +174,10 @@ def ghl_admissible(s, p) -> bool:
 
 def m_less_set(rho: float, r) -> frozenset[int]:
     """Index set {j : r_j < rho}, 1-based, strict comparison."""
-    rho = as_exponent(rho, "rho")
-    r = as_exponent_vector(r, name="r")
+    return _m_less(as_exponent(rho, "rho"), as_exponent_vector(r, name="r"))
+
+
+def _m_less(rho: float, r: tuple[float, ...]) -> frozenset[int]:
     return frozenset(j + 1 for j, rj in enumerate(r) if rj < rho)
 
 
@@ -156,8 +185,11 @@ def rho_hl(m: int, p) -> float | None:
     """Threshold 2m/(m+1-2|1/p|); None when the denominator is <= 0."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    p = as_exponent_vector(p, m, "p")
-    den = m + 1.0 - 2.0 * harmonic_sum(p)
+    return _rho_hl(m, _harmonic(as_exponent_vector(p, m, "p")))
+
+
+def _rho_hl(m: int, h: float) -> float | None:
+    den = m + 1.0 - 2.0 * h
     return 2.0 * m / den if den > 0.0 else None
 
 
@@ -186,22 +218,23 @@ def unified_exponent(m: int, p, r) -> UnifiedExponents:
         raise ValueError("m must be >= 2")
     p = as_exponent_vector(p, m, "p")
     r = as_exponent_vector(r, m, "r")
-    h = harmonic_sum(p)
+    return _unified(m, p, r, _harmonic(p))
 
+
+def _unified(m: int, p: tuple[float, ...], r: tuple[float, ...], h: float) -> UnifiedExponents:
     s_case1 = None
     if all(2.0 <= pj <= 2.0 * m for pj in p):
-        m2 = m_less_set(2.0, r)
+        m2 = _m_less(2.0, r)
         s_case1 = _excess([*(1.0 / r[j - 1] for j in m2), h], len(m2)) if m2 else 0.0
 
     s_case2 = None
     if h <= 0.5:
-        rho = rho_hl(m, p)
-        mhl = m_less_set(rho, r)
+        mhl = _m_less(_rho_hl(m, h), r)
         k = len(mhl)
         if k == 0:
             s_case2 = 0.0
         elif k == m:
-            s_case2 = _excess([*(1.0 / rj for rj in r), h], m)
+            s_case2 = _alt(r, h)
         else:
             factor = (m + 1.0 - 2.0 * h) / (2.0 * m)
             terms = [1.0 / r[j - 1] for j in mhl] + [-factor * k]
@@ -230,7 +263,7 @@ def archiv_exponent(m: int, r, p) -> ArchivExponents:
         raise ValueError("m must be >= 2")
     r = as_exponent(r, "r")
     p = as_exponent_vector(p, m, "p")
-    h = harmonic_sum(p)
+    h = _harmonic(p)
 
     in_a = (r <= 2.0 and all(2.0 <= pj < 2.0 * m for pj in p)) or (
         r < INF and all(pj >= 2.0 * m for pj in p)
@@ -250,14 +283,17 @@ def alt_exponent(m: int, p, r) -> float:
     """max{|1/r| - (m+1)/2 + |1/p|, 0} for r in [1,2]^m, |1/p| <= 1/2."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    p = as_exponent_vector(p, m, "p")
+    h = _harmonic(as_exponent_vector(p, m, "p"))
     r = as_exponent_vector(r, m, "r")
-    h = harmonic_sum(p)
-    if h > 0.5:
-        raise ValueError(f"requires |1/p| <= 1/2, got |1/p| = {h}")
+    _require_half(h)
     if any(not 1.0 <= rj <= 2.0 for rj in r):
         raise ValueError(f"requires r in [1,2]^m, got r = {r}")
-    return _excess([*(1.0 / rj for rj in r), h], m)
+    return _alt(r, h)
+
+
+def _alt(r: tuple[float, ...], h: float) -> float:
+    # the excess over all m indices: case 2's when every r_j < rho_HL
+    return _excess([*(1.0 / rj for rj in r), h], len(r))
 
 
 def delta_chain(p) -> tuple[float, ...]:
@@ -266,7 +302,10 @@ def delta_chain(p) -> tuple[float, ...]:
     Entry k (0-based) is 1/(1 - (1/p_{k+1} + ... + 1/p_m)); requires every
     tail sum to be < 1. The chain is non-increasing.
     """
-    p = as_exponent_vector(p, name="p")
+    return _delta_chain(as_exponent_vector(p, name="p"))
+
+
+def _delta_chain(p: tuple[float, ...]) -> tuple[float, ...]:
     m = len(p)
     out = []
     for k in range(m):
@@ -286,15 +325,18 @@ def anisotropic_exponents(p, r) -> tuple[float, ...]:
     """
     p = as_exponent_vector(p, name="p")
     r = as_exponent_vector(r, len(p), "r")
-    m = len(p)
     if not 1.0 < p[-1] <= 2.0:
         raise ValueError(f"requires 1 < p_m <= 2, got p_m = {p[-1]}")
     if any(pj <= 2.0 for pj in p[:-1]):
         raise ValueError(f"requires p_j > 2 for j < m, got p = {p}")
-    if harmonic_sum(p) >= 1.0:
+    if _harmonic(p) >= 1.0:
         raise ValueError("requires |1/p| < 1")
+    return _anisotropic(p, r)
+
+
+def _anisotropic(p: tuple[float, ...], r: tuple[float, ...]) -> tuple[float, ...]:
     # 1/delta over the tail p_k..p_m equals 1 - (1/p_k + ... + 1/p_m)
-    return tuple(_excess([1.0 / r[k], *(1.0 / pj for pj in p[k:])], 1) for k in range(m))
+    return tuple(_excess([1.0 / r[k], *(1.0 / pj for pj in p[k:])], 1) for k in range(len(p)))
 
 
 def lemma_lift(r, p) -> tuple[float, ...]:
@@ -315,9 +357,8 @@ def lemma_lift(r, p) -> tuple[float, ...]:
     p = as_exponent_vector(p, m, "p")
     if any(rj > 2.0 for rj in r):
         raise ValueError(f"requires r in (0,2]^m, got r = {r}")
-    h = harmonic_sum(p)
-    if h > 0.5:
-        raise ValueError(f"requires |1/p| <= 1/2, got |1/p| = {h}")
+    h = _harmonic(p)
+    _require_half(h)
     target = math.fsum(((m + 1.0) / 2.0, -h))
     if math.fsum(1.0 / rj for rj in r) <= target:
         raise ValueError(
@@ -379,6 +420,10 @@ def linear_exponent(r, p) -> float:
     p = as_exponent(p, "p")
     if p < 1.0:
         raise ValueError(f"requires p >= 1, got p = {p}")
+    return _linear(r, p)
+
+
+def _linear(r: float, p: float) -> float:
     # 1/p' = 1 - 1/p, so this is the excess over S = {1}
     return _excess([1.0 / r, 1.0 / p], 1)
 
@@ -466,18 +511,18 @@ def predict(m: int, p, r) -> ExponentReport:
         raise ValueError("m must be >= 1")
     p = as_exponent_vector(p, m, "p")
     r = as_exponent_vector(r, m, "r")
-    h = harmonic_sum(p)
-    m2 = m_less_set(2.0, r)
+    h = _harmonic(p)
+    m2 = _m_less(2.0, r)
 
     linear = m == 1
-    uni = UnifiedExponents(None, None) if linear else unified_exponent(m, p, r)
+    uni = UnifiedExponents(None, None) if linear else _unified(m, p, r, h)
     case1 = uni.s_case1 is not None
     case2 = uni.s_case2 is not None
     # at m = 1 the all() over p[:-1] is vacuously true, so linear must rule it out
     delta = not linear and 1.0 < p[-1] <= 2.0 and all(pj > 2.0 for pj in p[:-1]) and h < 1.0
 
-    rho = None if linear else rho_hl(m, p)
-    mhl = m_less_set(rho, r) if rho is not None else None
+    rho = None if linear else _rho_hl(m, h)
+    mhl = _m_less(rho, r) if rho is not None else None
 
     s_case1_lower = None
     if case1 and 0 < len(m2) < m:
@@ -485,14 +530,14 @@ def predict(m: int, p, r) -> ExponentReport:
 
     s_alt = None
     if case2 and all(1.0 <= rj <= 2.0 for rj in r):
-        s_alt = alt_exponent(m, p, r)
+        s_alt = _alt(r, h)
 
     chain = per_index = None
     if delta:
-        chain = delta_chain(p)
-        per_index = anisotropic_exponents(p, r)
+        chain = _delta_chain(p)
+        per_index = _anisotropic(p, r)
 
-    subcritical = case2 and ghl_admissible(r, p)
+    subcritical = case2 and _ghl(r, h)
 
     optimality_open = (case1 and 0 < len(m2) < m) or (
         case2 and mhl is not None and 0 < len(mhl) < m
@@ -507,7 +552,7 @@ def predict(m: int, p, r) -> ExponentReport:
         s_case1=uni.s_case1,
         s_case2=uni.s_case2,
         s_alt=s_alt,
-        s_linear=linear_exponent(r[0], p[0]) if linear and p[0] >= 1.0 else None,
+        s_linear=_linear(r[0], p[0]) if linear and p[0] >= 1.0 else None,
         s_case1_lower=s_case1_lower,
         delta_chain=chain,
         per_index_delta_exponents=per_index,

@@ -16,7 +16,8 @@ there Sum2 cannot change a bit. An axis that a broadcast repeats (stride
 each level's norms of the distinct fibers to the next. A repeated fiber
 axis repeats one entry, whose modulus, scale and power are taken once;
 its n copies add up to exactly n * x**r on the plain-sum path, and Sum2
-adds them otherwise. So the mixed norm of np.broadcast_to(1.0, (n,) * m)
+adds them otherwise, written out as n entries for one block of rows at a
+time (ndarray.repeat). So the mixed norm of np.broadcast_to(1.0, (n,) * m)
 takes m powers, not n**m, with the bits of a contiguous copy.
 """
 
@@ -65,7 +66,7 @@ def _sum2(x: np.ndarray, s: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndar
     # Sum2 of each row of the (k, n) array x, writing the running totals
     # to s, shape (k, n), and the TwoSum terms to the C-contiguous b and t,
     # shape (k, n - 1), so the errors sum pairwise along contiguous rows
-    np.cumsum(x, axis=-1, out=s)
+    np.add.accumulate(x, axis=-1, out=s)  # np.cumsum, without its wrapper
     prev, cur = s[:, :-1], s[:, 1:]
     np.subtract(cur, prev, out=b)
     np.subtract(cur, b, out=t)
@@ -114,8 +115,11 @@ def fiber_norms(a, r: float) -> np.ndarray:
     A repeated fiber axis repeats one entry, whose modulus, scale and
     power are computed once. On the plain-sum path its n copies add up to
     n * x**r exactly; otherwise Sum2 adds all n of them, since n copies of
-    x added up in floating point are not n * x. Either way the bits are
-    those a contiguous copy gives. r is not validated.
+    x added up in floating point are not n * x. For Sum2 the copies are
+    written out (ndarray.repeat) one block of rows at a time, so they take
+    no more memory than a block of a contiguous tensor. Either way the
+    bits are those a contiguous copy gives. At r = 1 no root is taken.
+    r is not validated.
     """
     a = np.asarray(a)
     out = _reduce(_distinct(a), a.shape[-1], r)
@@ -167,13 +171,16 @@ def _reduce(d: np.ndarray, n: int, r: float) -> np.ndarray:
         elif r != 1.0:  # x ** 1 is x exactly
             x **= r
         if exact:  # n copies of an entry add up to n times it, exactly
-            out[lo : lo + k] = (x[:, 0] * n if w == 1 else x.sum(axis=-1)) ** (1.0 / r)
+            total = x[:, 0] * n if w == 1 else x.sum(axis=-1)
         else:
             if scratch is None:
                 scratch = _sum2_scratch(step, n)
-            if w < n:
-                x = np.broadcast_to(x, (k, n))
-            out[lo : lo + k] = _sum2(x, *(buf[:k] for buf in scratch)) ** (1.0 / r) * scale
+            # a repeated entry's n copies, written out for this block only
+            fibers = x if w == n else x.repeat(n, axis=-1)
+            total = _sum2(fibers, *(buf[:k] for buf in scratch))
+        if r != 1.0:  # the root of a sum at r = 1 is the sum
+            total = total ** (1.0 / r)
+        out[lo : lo + k] = total if exact else total * scale
     return out.reshape(d.shape[:-1])
 
 

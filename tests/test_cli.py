@@ -281,6 +281,29 @@ def test_experiment_inline(tmp_path, capsys):
     assert report["fit"]["mode"] == "upper_bound"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--tolerance", "nan"), "tolerance must be finite and >= 0, got nan"),
+        (("--tolerance", "inf"), "tolerance must be finite and >= 0, got inf"),
+        (("--tolerance", "-1"), "tolerance must be finite and >= 0, got -1.0"),
+        (("--tol", "nan"), "tol must be positive and finite, got nan"),
+        (("--tol", "inf"), "tol must be positive and finite, got inf"),
+    ],
+)
+def test_experiment_rejects_a_tolerance_json_cannot_hold(tmp_path, capsys, flags, message):
+    # NaN and inf have no JSON form, and inf or a negative tolerance
+    # decides every verdict whatever the fit
+    out_csv = tmp_path / "exp.csv"
+    code, _, err = run(
+        capsys, "experiment", "--family", "ksz", "--m", "2", "--p", "4,4", "--r", "1,2",
+        "--n-values", "2,3,4", "--restarts", "2", *flags, "--out", str(out_csv),
+    )
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "exp.json").exists()
+
+
 def test_experiment_config_file_matches_inline(tmp_path, capsys):
     cfg = {
         "family": "diagonal",

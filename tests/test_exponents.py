@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixedsums import exponents
 from mixedsums import (
     INF,
     alt_exponent,
@@ -21,10 +22,12 @@ from mixedsums import (
     lemma_lift,
     linear_exponent,
     m_less_set,
+    mixed_norm,
     predict,
     rho_hl,
     unified_exponent,
 )
+from mixedsums.exponents import as_exponent_vector
 
 
 def test_harmonic_sum_examples():
@@ -419,3 +422,130 @@ def test_predict_regime_flags_match_definitions(mpr):
     flags = predict(m, p, r).flags
     assert flags.case1_applies == all(2.0 <= pj <= 2.0 * m for pj in p)
     assert flags.case2_applies == (math.fsum(1.0 / pj for pj in p) <= 0.5)
+
+
+# one (m, p, r) in each regime predict reports: case 1, case 2, alt, delta,
+# linear (m = 1) and |1/p| > 1/2, where neither unified case applies
+_REGIMES = [
+    (3, (4.0, 4.0, 6.0), (1.0, 3.0, 3.0)),  # case 1 with a proper M_<^2
+    (2, (INF, INF), (1.0, 4 / 3)),  # case 2 and alt
+    (3, (6.0, 6.0, 6.0), (1.0, 2.0, 2.0)),  # p_j = 2m: both cases coincide
+    (3, (INF, INF, 1.5), (1.0, 2.0, 0.5)),  # delta
+    (1, (3.0,), (1.0,)),  # linear
+    (1, (0.5,), (2.0,)),  # m = 1 below p = 1: no exponent at all
+    (2, (1.5, 3.0), (1.0, 1.0)),  # |1/p| > 1/2
+]
+
+_P = st.sampled_from([INF, 0.5, 1.0, 1.05, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0])
+_R = st.sampled_from([0.5, 1.0, 4 / 3, 1.5, 2.0, 3.0, 600.0, INF])
+
+
+def _or_none(f, *args):
+    """f(*args), or None where f rejects its regime."""
+    try:
+        return f(*args)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_predict_fields_equal_the_public_helpers(data):
+    if data.draw(st.booleans()):
+        m, p, r = data.draw(st.sampled_from(_REGIMES))
+    else:
+        m = data.draw(st.integers(1, 4))
+        p = tuple(data.draw(_P) for _ in range(m))
+        r = tuple(data.draw(_R) for _ in range(m))
+    rep = predict(m, p, r)
+    m2 = m_less_set(2.0, r)
+    want = {"harmonic_sum": harmonic_sum(p), "m_less_2": m2}
+    if m == 1:
+        want.update(rho_hl=None, m_less_hl=None, s_case1=None, s_case2=None, s_alt=None,
+                    s_linear=_or_none(linear_exponent, r[0], p[0]), delta_chain=None,
+                    per_index_delta_exponents=None, subcritical=False)
+    else:
+        rho = rho_hl(m, p)
+        uni = unified_exponent(m, p, r)
+        per_index = _or_none(anisotropic_exponents, p, r)
+        want.update(
+            rho_hl=rho,
+            m_less_hl=None if rho is None else m_less_set(rho, r),
+            s_case1=uni.s_case1,
+            s_case2=uni.s_case2,
+            s_alt=_or_none(alt_exponent, m, p, r),
+            s_linear=None,
+            delta_chain=None if per_index is None else delta_chain(p),
+            per_index_delta_exponents=per_index,
+            subcritical=bool(_or_none(ghl_admissible, r, p)),
+        )
+    lower = None
+    if rep.s_case1 is not None and 0 < len(m2) < m:
+        terms = [1.0 / v[j - 1] for v in (r, p) for j in m2]
+        lower = max(math.fsum([*terms, -(len(m2) + 1.0) / 2.0]), 0.0)
+    want["s_case1_lower"] = lower
+    got = {key: getattr(rep.flags if key == "subcritical" else rep, key) for key in want}
+    assert repr(got) == repr(want)
+
+
+def test_the_regime_examples_cover_every_regime():
+    reports = [predict(*mpr) for mpr in _REGIMES]
+    assert any(rep.s_case1_lower is not None for rep in reports)
+    assert any(rep.s_case2 is not None for rep in reports)
+    assert any(rep.s_alt is not None for rep in reports)
+    assert any(rep.flags.delta_applies for rep in reports)
+    assert any(rep.s_linear is not None for rep in reports)
+    assert any(rep.best_exponent() is None for rep in reports)
+    assert any(rep.harmonic_sum > 0.5 and rep.m > 1 for rep in reports)
+
+
+def test_predict_validates_each_vector_once(monkeypatch):
+    calls = []
+    real = exponents.as_exponent_vector
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exponents, "as_exponent_vector", spy)
+    for m, p, r in _REGIMES:
+        calls.clear()
+        predict(m, p, r)
+        assert [name for *_, name in calls] == ["p", "r"]
+
+
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        ((2.0, math.nan, 3.0), "r[1] must lie in (0, inf], got nan"),
+        ((2.0, 0, 3.0), "r[1] must lie in (0, inf], got 0"),
+        ((2.0, -1, 3.0), "r[1] must lie in (0, inf], got -1"),
+        ((2.0, None, 3.0), "r must be a sequence of exponents"),
+        ((2.0, "abc", 3.0), "could not convert string to float: 'abc'"),
+        # the first bad entry decides
+        ((0, None), "r[0] must lie in (0, inf], got 0"),
+        ((None, 0), "r must be a sequence of exponents"),
+        (("abc", math.nan), "could not convert string to float: 'abc'"),
+        ((), "r must have length >= 1"),
+        (5, "r must be a sequence of exponents"),
+    ],
+)
+def test_exponent_vector_messages(v, message):
+    with pytest.raises(ValueError) as e:
+        as_exponent_vector(v, name="r")
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("v", ["12", b"12", "inf", b""], ids=["str", "bytes", "inf", "empty"])
+def test_exponent_vector_rejects_str_and_bytes(v):
+    with pytest.raises(ValueError, match="^r must be a sequence of exponents$"):
+        as_exponent_vector(v, name="r")
+    with pytest.raises(ValueError, match="^r must be a sequence of exponents$"):
+        mixed_norm(np.ones((2, 2)), v)
+
+
+def test_exponent_vector_reads_any_iterable_of_numbers():
+    assert as_exponent_vector(iter([1, "2", np.float32(0.5)]), 3) == (1.0, 2.0, 0.5)
+    assert as_exponent_vector(np.array([INF, 4.0])) == (INF, 4.0)
+    with pytest.raises(ValueError, match=r"^p has length 2, expected m=3$"):
+        as_exponent_vector([1.0, 2.0], 3)

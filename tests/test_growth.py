@@ -548,6 +548,27 @@ def test_compare_modes_and_tolerance():
         compare(fit, "sideways")
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_config_tol_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="^tol must be positive"):
+        _cfg(tol=tol)
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_a_negative_or_non_finite_tolerance_is_rejected_by_every_verdict(tolerance):
+    cfg = _cfg()
+    series = GrowthSeries(
+        config=cfg, rows=tuple(GrowthRow(n, 0.0, 1.0, "analytic", n**0.5, 0) for n in (2, 4, 8))
+    )
+    message = "^tolerance must be finite and >= 0, got "
+    with pytest.raises(ValueError, match=message):
+        loglog_fit(series, tolerance=tolerance)
+    fit = loglog_fit(series, tolerance=0.0)  # zero is a tolerance
+    assert fit.verdict == "inconsistent"  # |0.5 - 1.0| > 0
+    with pytest.raises(ValueError, match=message):
+        compare(fit, "upper_bound", tolerance=tolerance)
+
+
 def test_an_unknown_mode_is_rejected_by_every_verdict():
     cfg = _cfg()
     for ns in ((2, 4), (2, 4, 8, 16)):  # an inconclusive and a full fit

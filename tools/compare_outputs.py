@@ -13,7 +13,9 @@ witness bytes of ``brute_force_norm`` (the ``brute_exact`` benchmark forms
 and ``brute_payloads``), the exit code, output and written files of
 ``cli.main`` runs (``cli_payloads``), and the bits of ``fiber_norms`` and
 ``mixed_norm`` (``kernel_payloads``, ``broadcast_payloads``,
-``exact_payloads`` and ``repeated_payloads``). It prints the sha256 of
+``exact_payloads`` and ``repeated_payloads``), and the reports of
+``exponents.predict`` over a grid of (m, p, r) (``predict_payloads``). It
+prints the sha256 of
 each payload on one line and exits 1 if any payload differs.
 """
 
@@ -115,6 +117,12 @@ EXPERIMENTS += [
 # 3/2 (the anisotropic regime), and r common to all slots or r_1 then 2s
 EXPONENT_P = ("inf", "6", "4", "2", "3/2")
 EXPONENT_R = ("1", "4/3", "2", "3")
+# predict grid: p is (p_j,) * (m - 1) + (last,) for last p_j, 3/2 and 2,
+# r is (r_1,) + (rest,) * (m - 1) for rest r_1, 2 and 3, m = 1..4. It holds
+# case 1 (with empty, proper and full M_<^2), case 2, alt, delta, linear,
+# m = 1 with p < 1, and |1/p| > 1/2, where no unified case applies
+PREDICT_P = (float("inf"), 8.0, 6.0, 4.0, 3.0, 2.0, 1.5, 1.05, 1.0, 0.5)
+PREDICT_R = (0.5, 1.0, 4 / 3, 1.5, 2.0, 3.0, 600.0, float("inf"))
 # verify-holder flags
 HOLDER = ["--trials 40", "--trials 40 --m 3 --N 4 --seed 9"]
 # fiber lengths: one entry, one that does not divide the 2**15-entry
@@ -375,6 +383,22 @@ def repeated_payloads() -> dict[str, str]:
     return out
 
 
+def predict_payloads() -> dict[str, str]:
+    """predict(m, p, r).to_dict() as JSON over the PREDICT grid, one payload per m."""
+    from mixedsums import predict
+
+    out = {}
+    for m in (1, 2, 3, 4):
+        reports = []
+        for pj, last in itertools.product(PREDICT_P, (None, 1.5, 2.0)):
+            p = (pj,) * (m - 1) + (pj if last is None else last,)
+            for rj, rest in itertools.product(PREDICT_R, (None, 2.0, 3.0)):
+                r = (rj,) + (rj if rest is None else rest,) * (m - 1)
+                reports.append(json.dumps(predict(m, p, r).to_dict()))
+        out[f"predict:m={m}"] = "\n".join(reports)
+    return out
+
+
 def brute_payloads() -> dict[str, str]:
     """brute_force_norm value and witness bytes of forms beyond brute_exact's.
 
@@ -487,6 +511,7 @@ def digests() -> dict[str, str]:
     out.update(exact_payloads())
     out.update(repeated_payloads())
     out.update(brute_payloads())
+    out.update(predict_payloads())
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}
 
 
