@@ -31,6 +31,7 @@ from .exponents import INF, exponent_to_json, predict
 from .forms import form_from_obj, form_to_obj
 from .growth import (
     DEFAULT_FIT_TOLERANCE,
+    check_tolerance,
     config_from_obj,
     estimate_norm,
     loglog_fit,
@@ -193,6 +194,7 @@ def cmd_experiment(args) -> int:
         for source in inputs:
             if os.path.realpath(path) == os.path.realpath(source):
                 raise UsageError(f"the {kind} path {path} would overwrite the input {source}")
+    check_tolerance(args.tolerance)  # before any row runs
     series = run_growth(config)
     fit = loglog_fit(series, tolerance=args.tolerance, mode=args.mode)
     with open(args.out, "w") as f:

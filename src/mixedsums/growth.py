@@ -77,6 +77,7 @@ __all__ = [
     "FitResult",
     "make_form",
     "paper_bound_exponent",
+    "check_tolerance",
     "estimate_norm",
     "run_growth",
     "loglog_fit",
@@ -388,12 +389,17 @@ def run_growth(config: ExperimentConfig) -> GrowthSeries:
     return GrowthSeries(config=config, rows=tuple(rows))
 
 
-def _verdict(slope, r2, n_points, s, tol, mode) -> str:
-    if mode not in ("match", "upper_bound"):
-        raise ValueError(f"unknown mode {mode!r}")
+def check_tolerance(tol: float) -> None:
+    """Reject a fit tolerance that is negative or not finite."""
     # inf passes every fit, a negative tolerance fails every match, NaN is no JSON
     if not 0.0 <= tol < INF:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
+def _verdict(slope, r2, n_points, s, tol, mode) -> str:
+    if mode not in ("match", "upper_bound"):
+        raise ValueError(f"unknown mode {mode!r}")
+    check_tolerance(tol)
     if n_points < 3 or s is None or math.isnan(slope) or r2 < 0.9:
         return "inconclusive"
     if mode == "match":

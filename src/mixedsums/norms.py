@@ -71,8 +71,8 @@ class NormEstimate:
 
 
 def lp_norm(v: np.ndarray, p: float) -> float:
-    """ell_p norm of a 1-D array; the one-fiber case of tensors.fiber_norms."""
-    return float(fiber_norms(v, p))
+    """ell_p norm of a 1-D array, p in (0, inf]; the one-fiber case of tensors.fiber_norms."""
+    return float(fiber_norms(v, as_exponent(p, "p")))
 
 
 def dual_maximizer(c, p) -> tuple[np.ndarray, float | np.ndarray]:
@@ -138,8 +138,8 @@ def alternating_ascent(
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < INF:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     total = restarts + 2
@@ -304,16 +304,14 @@ def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
     mapped and faulted in anew for every chunk. A chunk is scanned in
     blocks of at most _SCAN_BLOCK (row, hi, lo) entries, in flat order, by
     one loop: with a high table, each column of a block is one broadcast
-    add of high and low whose inner run is the low table (_pair_sums);
-    without one, the chunk's low table is its only block, whose moduli are
-    taken in place and summed column by column. That table's doubling runs
-    along the signs, or with (column, row) as the inner run when the
-    chunk's rows make that the longer one. A slot of one entry (n_j = 1,
-    as in the (D, 1, n) leaf of an m = 1 stack) has no sign to enumerate;
-    in int16 its sums go through _abs_sums, a few calls in place of one
-    per column. With more low patterns the column loop is the faster, and
-    a float64 block keeps it, since its order of addition is the one the
-    other blocks use. In int16, with at least
+    add of high and low whose inner run is the low table (_pair_sums).
+    Without one, as in the (D, 1, n) leaf of an m = 1 stack, the chunk's
+    low table is its only block: its moduli are taken in place and summed
+    over the columns by one ufunc call, in int16 a reduction, which is
+    exact in any order, and in float64 an accumulation in place, which adds
+    the columns one after another as _pair_sums does. That table's
+    doubling runs along the signs, or with (column, row) as the inner run
+    when the chunk's rows make that the longer one. In int16, with at least
     _PRUNE_HIGH high patterns, the rows go one by one through _scan_pruned
     instead, which skips the patterns that cannot reach a value already
     attained; with fewer, the bound's own passes over the low table cost
@@ -331,9 +329,6 @@ def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
     fixed = 0
     if prune:  # a row's sums of moduli; a compacted low table or an _abs_sums group
         per_row, fixed = per_row + nl + nh, max(cols * (nl // 2), _SCAN_BLOCK)
-    summed = n == 1 and x.dtype == np.int16  # as in the leaf of an m = 1 stack
-    if summed:  # a row's sum; an _abs_sums group
-        per_row, fixed = per_row + 1, _SCAN_BLOCK
     rc = min(rc, max(1, (_CHUNK_BYTES // x.itemsize - fixed) // per_row))
     rc = -(-rows // -(-rows // rc))  # as even chunks as that allows
     lead = nh == 1 and cols * rc > nl // 2
@@ -362,13 +357,12 @@ def _scan_leaf(x: np.ndarray, a: int) -> tuple[float, int]:
                     best, best_idx = val, (r0 + r) * nh * nl + k
             continue
         for h0 in range(0, nh, hc):
-            if summed:  # one entry a column: the int16 sums go in groups
-                acc = _abs_sums(low)
-            elif nh == 1:  # the block is the low table, summed in place
+            if nh == 1:  # the block is the low table, its moduli summed in place
                 np.abs(low, out=low)
-                acc = low[0]
-                for col in range(1, cols):
-                    acc += low[col]
+                if low.dtype == np.int16:
+                    acc = np.add.reduce(low, axis=0, dtype=low.dtype)
+                else:  # column after column, as _pair_sums adds them
+                    acc = np.add.accumulate(low, axis=0, out=low)[-1]
             else:
                 hi, lo = high[:, :, h0 : h0 + hc, None], low[:, :, None, :]
                 acc = _pair_sums(hi, lo, acc_mem[: hi.shape[1], : hi.shape[2]], buf_mem)

@@ -291,9 +291,16 @@ def test_experiment_inline(tmp_path, capsys):
         (("--tol", "inf"), "tol must be positive and finite, got inf"),
     ],
 )
-def test_experiment_rejects_a_tolerance_json_cannot_hold(tmp_path, capsys, flags, message):
+def test_experiment_rejects_a_tolerance_json_cannot_hold(
+    tmp_path, capsys, monkeypatch, flags, message
+):
     # NaN and inf have no JSON form, and inf or a negative tolerance
-    # decides every verdict whatever the fit
+    # decides every verdict whatever the fit; either is refused before any
+    # row runs
+    from mixedsums import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_growth", lambda config: calls.append(config))
     out_csv = tmp_path / "exp.csv"
     code, _, err = run(
         capsys, "experiment", "--family", "ksz", "--m", "2", "--p", "4,4", "--r", "1,2",
@@ -301,7 +308,28 @@ def test_experiment_rejects_a_tolerance_json_cannot_hold(tmp_path, capsys, flags
     )
     assert code == 1
     assert err == f"error: {message}\n"
+    assert calls == []
     assert not (tmp_path / "exp.json").exists()
+
+
+def test_experiment_bad_n_values_token_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--family", "diagonal", "--m", "2", "--p", "4,4", "--r", "1,1",
+              "--n-values", "2,x", "--out", str(tmp_path / "exp.csv")])
+    assert exc.value.code == 2
+    assert "bad integer list '2,x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_norm_ascent_rejects_a_tol_that_is_not_finite(tmp_path, capsys, tol):
+    form, _ = ksz_random_form(2, 6, (INF, INF), seed=3)
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form_to_obj(form)))
+    code, out, err = run(
+        capsys, "norm", "--input", str(path), "--method", "ascent", "--tol", tol,
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: tol must be positive and finite, got {tol}\n"
 
 
 def test_experiment_config_file_matches_inline(tmp_path, capsys):

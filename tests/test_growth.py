@@ -74,6 +74,12 @@ def test_config_validation():
         _cfg(family="ksz", norm_method="brute")  # finite p
     with pytest.raises(ValueError):
         _cfg(family="custom-file")  # form_file missing
+    with pytest.raises(ValueError, match="^paper_bound has no closed form for custom files$"):
+        _cfg(family="custom-file", form_file="forms.json", norm_method="paper_bound")
+    with pytest.raises(ValueError, match="^restarts must be >= 1$"):
+        _cfg(restarts=0)
+    with pytest.raises(ValueError, match="^a config must be a JSON object$"):
+        config_from_obj([1])
 
 
 def test_row_family_closed_form_ratios():

@@ -358,10 +358,20 @@ def test_ascent_validation():
     form = diagonal_form(2, 2, (2, 2))
     with pytest.raises(ValueError):
         alternating_ascent(form, restarts=0)
-    with pytest.raises(ValueError):
-        alternating_ascent(form, tol=0.0)
+    # unchecked, inf would stop after one sweep as "converged" and NaN would
+    # run every sweep
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol!r}$"):
+            alternating_ascent(form, tol=tol)
     with pytest.raises(ValueError):
         alternating_ascent(form, max_iters=0)
+
+
+@pytest.mark.parametrize("p", [-1.0, 0.0, math.nan])
+def test_lp_norm_validates_p(p):
+    # unchecked, p = -1 would give 1.714, p = 0 a ZeroDivisionError and NaN a NaN
+    with pytest.raises(ValueError, match=rf"^p must lie in \(0, inf\], got {p!r}$"):
+        lp_norm(np.array([3.0, 4.0]), p)
 
 
 def test_brute_force_hadamard():
@@ -917,8 +927,8 @@ def test_stacked_m1_scan_ties_go_to_the_first_draw(scale, dtype):
 
 def test_stacked_m1_int16_scan_spans_chunks_and_groups():
     # 300 draws of 4096 columns go in leaf chunks of about a hundred draws,
-    # whose sums _abs_sums takes in groups of a few hundred columns; the
-    # last draw ties the best one, in a later chunk
+    # each summed over its columns by one reduction; the last draw ties the
+    # best one, in a later chunk
     g = np.random.default_rng(6)
     draws = g.integers(-3, 4, (300, 4096)).astype(np.float64)
     sums = np.abs(draws).sum(axis=1)
@@ -926,6 +936,18 @@ def test_stacked_m1_int16_scan_spans_chunks_and_groups():
     draws[-1] = -draws[best]
     assert sums[best] < 2**15  # so the scan runs in int16
     assert norms_module.brute_force_scan(draws) == (best, 0, sums[best])
+
+
+def test_stacked_float64_scan_of_identical_draws_spans_chunks():
+    # (2, 25000) draws have no high table and go two to a leaf chunk, so the
+    # last draw is a chunk of its own; its sums add the columns in the same
+    # order as the others', so it ties them and the first draw wins
+    assert norms_module._CHUNK_BYTES == 2**20
+    a = np.random.default_rng(8).standard_normal((2, 25000))
+    stack = np.stack([a] * 3)
+    d, idx, value = norms_module.brute_force_scan(stack)
+    assert d == 0
+    assert (idx, value) == norms_module.brute_force_scan(stack[:1])[1:]
 
 
 def test_brute_force_m1_float_form():

@@ -544,6 +544,8 @@ def test_holder_rejects_bad_splitting():
     a = np.ones((2, 2))
     with pytest.raises(ValueError, match="axis 1"):
         holder_verify([a, a], (1, 1), [(2, 2), (2, 3)])
+    with pytest.raises(ValueError, match=r"^q has 1 rows, expected m=2$"):
+        holder_verify([a, a], (1, 1), [(2, 2)])
 
 
 def test_holder_fuzz_small():

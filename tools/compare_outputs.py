@@ -406,7 +406,9 @@ def brute_payloads() -> dict[str, str]:
     int16, the rest in float64; the threshold forms sit on either side.
     The split forms sit on either side of the low table's floor, and one
     stacked brute_force_scan ends in a tie between draws. The prune forms
-    and stack are scanned with bound pruning, ties planted in some.
+    and stack are scanned with bound pruning, ties planted in some. The
+    float-sums forms and stack are float64 leaves without a high table;
+    the stack's last draw is a leaf chunk of its own and ties the others.
     """
     import numpy as np
     from mixedsums import INF, MultilinearForm, brute_force_norm, brute_force_scan
@@ -461,6 +463,11 @@ def brute_payloads() -> dict[str, str]:
     stack = g.choice([-1.0, 1.0], (3, 16, 16))
     stack[-1] = stack[0]
     out["brute:prune-stack:3x16x16"] = repr(brute_force_scan(stack))
+    g = np.random.Generator(np.random.PCG64(160))
+    out["brute:float-sums:2x10000"] = payload(g.standard_normal((2, 10**4)))
+    out["brute:float-sums:100000"] = payload(g.standard_normal(10**5))
+    stack = np.stack([g.standard_normal((2, 25000))] * 3)
+    out["brute:float-sums-stack:3x2x25000"] = repr(brute_force_scan(stack))
     return out
 
 
