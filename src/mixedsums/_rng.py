@@ -6,22 +6,22 @@ draw index, restart index, ...). Identical keys give identical streams on
 every platform, which is what makes experiment output reproducible
 bit-for-bit.
 
-derive_seeds, pcg_states and streams run numpy's SeedSequence algorithm
-over many keys at once as uint32 array operations and reproduce it word
-for word: the sub-seeds of derive_seed, and the states numpy seeds a
-PCG64 with. sign_stack then only draws. Every random growth row checks
-its winner against numpy's own seeding.
+A random growth row draws all of its signs from one stream: draw d of row n
+is the words [d*N, (d+1)*N) of PCG64(SeedSequence((seed, n))), N = n^m, as
++-1 (_signs), so stream(seed, n).bit_generator.advance(d*N) regenerates it.
+
+streams runs numpy's SeedSequence algorithm over many keys at once as
+uint32 array operations and reproduces, word for word, the states numpy
+seeds a PCG64 with.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
-__all__ = ["stream", "streams", "derive_seed", "derive_seeds", "pcg_states", "sign_array",
-           "sign_stack", "phase_array"]
+__all__ = ["stream", "streams", "derive_seed", "sign_array", "phase_array"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MASK32 = 0xFFFFFFFF
@@ -75,6 +75,7 @@ def sign_array(shape: tuple[int, ...], seed: int, *key: int) -> np.ndarray:
 
 
 def _signs(bits: np.ndarray) -> np.ndarray:
+    """+-1.0 from uint64 words in place, as sign_array builds them."""
     bits &= _SIGN_BIT
     bits |= _ONE_BITS
     return bits.view(np.float64)
@@ -192,12 +193,6 @@ def _uint64(state: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(state.astype("<u4")).view("<u8").astype(np.uint64)
 
 
-def derive_seeds(seed: int, keys) -> list[int]:
-    """[derive_seed(seed, *key) for key in keys], seeded in one batch."""
-    state = _uint64(_states([(seed, *key) for key in keys], 2))
-    return state[:, 0].tolist()
-
-
 @functools.cache
 def _seeded_type() -> type:
     """An ISeedSequence that hands a bit generator precomputed
@@ -216,20 +211,3 @@ def _seeded_type() -> type:
             return self.state
 
     return Seeded
-
-
-def pcg_states(seeds) -> np.ndarray:
-    """(K, 4) uint64: row i is the state numpy's SeedSequence(seeds[i])
-    gives a PCG64, the input of sign_stack."""
-    return _uint64(_states([(s,) for s in seeds], 8))
-
-
-def sign_stack(shape: tuple[int, ...], states) -> np.ndarray:
-    """np.stack([sign_array(shape, s) for s in seeds]) for
-    states = pcg_states(seeds); random_raw yields the words
-    Generator.integers(0, 2**64) draws. A single draw is not copied."""
-    size = math.prod(shape)
-    seeded = _seeded_type()
-    raws = [np.random.PCG64(seeded(state)).random_raw(size) for state in states]
-    bits = raws[0] if len(raws) == 1 else np.array(raws, dtype=np.uint64)
-    return _signs(bits).reshape((len(states), *shape))

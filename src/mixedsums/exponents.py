@@ -56,7 +56,10 @@ __all__ = [
 
 def as_exponent(x, name: str = "exponent") -> float:
     """Validate a single exponent value in (0, +inf]."""
-    v = float(x)
+    try:
+        v = float(x)
+    except ValueError:  # a string that names no number
+        v = math.nan
     if math.isnan(v) or v <= 0.0:
         raise ValueError(f"{name} must lie in (0, inf], got {x!r}")
     return v

@@ -27,21 +27,22 @@ n^{ksz_bound_exponent(p)}, the unit-constant norm bound: those rows draw
 no signs, do not depend on the seed, and fit bound_relative. For diagonal
 and row it is the analytic norm.
 
-Under brute and ascent an experiment seeds all of its draws in one batch
-and builds a row's draws as sign stacks of at most _STACK_ENTRIES
-coefficients; brute scans each stack once, ascent runs on each draw. Only
-the winner becomes a form, checked against its slice's CRC-32 once no
-stack is alive.
+Under brute and ascent a row draws its signs from one stream: draw d of
+row n is the words [d*N, (d+1)*N) of PCG64(SeedSequence((seed, n))),
+N = n^m, so advance(d*N) regenerates it. The draws come in sign stacks of
+at most _STACK_ENTRIES coefficients, one random_raw call each; brute scans
+each stack once and checks its winner against the scan's witness, ascent
+runs on each draw, seeded (seed, n, d, 1).
 
-All randomness derives from (seed, n, draw_index) and rows are computed
-one after another in one thread, so output is reproducible bit-for-bit.
+All randomness derives from (seed, n) and the draw index, and rows are
+computed one after another in one thread, so output is reproducible
+bit-for-bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import zlib
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -60,6 +61,7 @@ from .forms import (
 )
 from .norms import DEFAULT_BUDGET, DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL, NormEstimate
 from .norms import (
+    _check_ascent,
     alternating_ascent,
     analytic_norm,
     brute_force_estimate,
@@ -145,10 +147,7 @@ class ExperimentConfig:
                 raise ValueError("n_values must be positive and strictly increasing")
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if not 0.0 < self.tol < INF:
-            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        _check_ascent(self.restarts, self.tol)
         if self.family == "row" and self.m != 2:
             raise ValueError("row family requires m = 2")
         if self.family == "product_extension":
@@ -305,50 +304,48 @@ def _form_row(config: ExperimentConfig, n: int, form: MultilinearForm) -> Growth
 
 
 def _stack_best(config: ExperimentConfig, stack, n: int, start: int):
-    """(value, kind, d, idx, crc) of the best draw, the first on ties, in
-    a sign stack of draws start, start + 1, ...: brute scans the stack once
-    (idx: the winner's witness pattern), ascent runs on each draw (idx:
-    None). crc, the winner's CRC-32, is all the stack leaves behind."""
+    """(value, kind, d) of the best draw, the first on ties, in a sign
+    stack of draws start, start + 1, ... of row n: brute scans the stack
+    once, and the scan's witness pattern must give its value on the
+    stack's winner; ascent runs on each draw."""
     if config.norm_method == "brute":
         d, idx, value = brute_force_scan(stack)
-        kind = "exact"
-    else:
-        # the forms share the stack, which nothing writes
-        forms = (MultilinearForm(_Fresh(c), config.p) for c in stack)
-        ests = [_estimate(config, form, n, start + i) for i, form in enumerate(forms)]
-        d = max(range(len(ests)), key=lambda i: ests[i][0])  # the first on ties
-        idx, (value, kind) = None, ests[d]
-    return value, kind, start + d, idx, zlib.crc32(stack[d])
-
-
-def _drawn_row(config: ExperimentConfig, n: int, seeds, states) -> GrowthRow:
-    """The row at size n of a ksz config under brute or ascent: the draw
-    of `seeds` with the largest norm, the first on ties.
-
-    states = _rng.pcg_states(seeds). Draws come in stacks of at most
-    _STACK_ENTRIES coefficients; a later stack wins only with a strictly
-    larger value. Only the winner becomes a form, through make_form, with
-    the slice's CRC-32; the exact brute scan's witness must give its value.
-    """
-    shape = (n,) * config.m
-    per_stack = max(1, _STACK_ENTRIES // n**config.m)
-    best = None
-    for lo in range(0, len(seeds), per_stack):
-        # no name holds the stack, so it is freed before the winner is rebuilt
-        draw = _stack_best(config, _rng.sign_stack(shape, states[lo : lo + per_stack]), n, lo)
-        if best is None or draw[0] > best[0]:
-            best = draw
-    value, kind, d, idx, crc = best
-    form = make_form("ksz", config.m, n, config.p, seeds[d])
-    if zlib.crc32(form.coefficients) != crc:
-        raise ArithmeticError(f"batched signs of seed {seeds[d]} differ from numpy's")
-    if idx is not None:
-        est = brute_force_estimate(form, idx)
+        est = brute_force_estimate(MultilinearForm(_Fresh(stack[d]), config.p), idx)
         if est.value != value:
             raise ArithmeticError(
                 f"brute force scan value {value!r} differs from its witness's {est.value!r}"
             )
-    return _row(n, _base_lhs(config, n), value, kind, len(seeds))
+        return value, "exact", start + d
+    # the forms share the stack, which nothing writes
+    forms = (MultilinearForm(_Fresh(c), config.p) for c in stack)
+    ests = [_estimate(config, form, n, start + i) for i, form in enumerate(forms)]
+    d = max(range(len(ests)), key=lambda i: ests[i][0])  # the first on ties
+    return (*ests[d], start + d)
+
+
+def _best_draw(config: ExperimentConfig, n: int):
+    """(value, kind, d) of the draw of row n of a ksz config under brute or
+    ascent with the largest norm, the first on ties.
+
+    Draw d is the words [d*N, (d+1)*N) of the row's stream (seed, n) as
+    signs, N = n^m (see the module docstring). Draws come in stacks of at
+    most _STACK_ENTRIES coefficients, one random_raw call each, so the row
+    holds one stack at a time; a later stack wins only with a strictly
+    larger value.
+    """
+    shape = (n,) * config.m
+    size = math.prod(shape)
+    per_stack = max(1, _STACK_ENTRIES // size)
+    bits = _rng.stream(config.seed, n).bit_generator
+    best = None
+    for lo in range(0, config.draws, per_stack):
+        count = min(per_stack, config.draws - lo)
+        stack = _rng._signs(bits.random_raw(count * size)).reshape((count, *shape))
+        draw = _stack_best(config, stack, n, lo)
+        del stack  # freed before the next stack is drawn
+        if best is None or draw[0] > best[0]:
+            best = draw
+    return best
 
 
 def _generated_rows(config: ExperimentConfig) -> list[GrowthRow]:
@@ -360,13 +357,11 @@ def _generated_rows(config: ExperimentConfig) -> list[GrowthRow]:
     if config.norm_method == "paper_bound":
         exponent = ksz_bound_exponent(config.p)
         return [_row(n, _base_lhs(config, n), float(n) ** exponent, "paper_bound", 0) for n in ns]
-    keys = [(n, d, 0) for n in ns for d in range(config.draws)]
-    seeds = _rng.derive_seeds(config.seed, keys)
-    states = _rng.pcg_states(seeds)
-    return [
-        _drawn_row(config, n, seeds[lo : lo + config.draws], states[lo : lo + config.draws])
-        for n, lo in zip(ns, range(0, len(seeds), config.draws))
-    ]
+    rows = []
+    for n in ns:
+        value, kind, _ = _best_draw(config, n)
+        rows.append(_row(n, _base_lhs(config, n), value, kind, config.draws))
+    return rows
 
 
 def run_growth(config: ExperimentConfig) -> GrowthSeries:

@@ -117,6 +117,16 @@ def dual_maximizer(c, p) -> tuple[np.ndarray, float | np.ndarray]:
     return (x, float(value)) if c.ndim == 1 else (x, value)
 
 
+def _check_ascent(restarts: int, tol: float) -> None:
+    """Reject a restart count below 1 and a tol that is not positive and
+    finite (inf would stop after one sweep, NaN never): the one check of
+    both ExperimentConfig and alternating_ascent."""
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    if not 0.0 < tol < INF:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def alternating_ascent(
     form: MultilinearForm,
     restarts: int = DEFAULT_RESTARTS,
@@ -136,10 +146,7 @@ def alternating_ascent(
     max_iters sweeps keep converged=False. Reports the best value; ties go
     to the smallest restart index. converged is the best run's flag.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if not 0.0 < tol < INF:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_ascent(restarts, tol)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     total = restarts + 2

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import mixedsums
 from mixedsums.cli import main, parse_exponent, parse_vector
 from mixedsums import INF, MultilinearForm, form_to_obj, ksz_random_form
 
@@ -15,6 +19,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    # numpy loads numpy.random lazily; a command that draws nothing should
+    # not pay for its import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mixedsums.__file__)))
+    code = "import sys, mixedsums.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_parse_exponent_tokens():

@@ -21,6 +21,7 @@ from mixedsums import (
     holder_split,
     lemma_lift,
     linear_exponent,
+    lp_norm,
     m_less_set,
     mixed_norm,
     predict,
@@ -521,11 +522,11 @@ def test_predict_validates_each_vector_once(monkeypatch):
         ((2.0, 0, 3.0), "r[1] must lie in (0, inf], got 0"),
         ((2.0, -1, 3.0), "r[1] must lie in (0, inf], got -1"),
         ((2.0, None, 3.0), "r must be a sequence of exponents"),
-        ((2.0, "abc", 3.0), "could not convert string to float: 'abc'"),
+        ((2.0, "abc", 3.0), "r[1] must lie in (0, inf], got 'abc'"),
         # the first bad entry decides
         ((0, None), "r[0] must lie in (0, inf], got 0"),
         ((None, 0), "r must be a sequence of exponents"),
-        (("abc", math.nan), "could not convert string to float: 'abc'"),
+        (("abc", math.nan), "r[0] must lie in (0, inf], got 'abc'"),
         ((), "r must have length >= 1"),
         (5, "r must be a sequence of exponents"),
     ],
@@ -534,6 +535,13 @@ def test_exponent_vector_messages(v, message):
     with pytest.raises(ValueError) as e:
         as_exponent_vector(v, name="r")
     assert str(e.value) == message
+
+
+def test_a_non_numeric_exponent_is_named_with_its_range():
+    with pytest.raises(ValueError, match=r"^p must lie in \(0, inf\], got 'x'$"):
+        lp_norm(np.ones(3), "x")
+    with pytest.raises(ValueError, match=r"^r\[1\] must lie in \(0, inf\], got 'x'$"):
+        mixed_norm(np.ones((2, 2)), (1, "x"))
 
 
 @pytest.mark.parametrize("v", ["12", b"12", "inf", b""], ids=["str", "bytes", "inf", "empty"])

@@ -24,9 +24,7 @@ from mixedsums import (
     row_form,
 )
 from mixedsums import _rng
-from mixedsums._rng import (
-    derive_seed, derive_seeds, pcg_states, phase_array, sign_array, sign_stack, stream, streams,
-)
+from mixedsums._rng import derive_seed, phase_array, sign_array, stream, streams
 
 # key entries at the edges of SeedSequence's word split: 0 is one word,
 # 2**32 - 1 the largest one-word entry, 2**64 - 1 the largest two-word one;
@@ -60,9 +58,12 @@ def test_derive_seed_frozen():
 
 
 def test_derive_seed_frozen_in_a_batch():
-    assert derive_seeds(7, [(2, 0, 0)]) == [18279110831140952437]
-    assert derive_seeds(7, [(2, 0, 1), (2, 0, 0)])[1] == 18279110831140952437
-    assert derive_seeds(7, []) == []
+    # the batched SeedSequence words streams seeds with, read as derive_seed reads them
+    def batched(keys):
+        return _rng._uint64(_rng._states(keys, 2))[:, 0].tolist()
+
+    assert batched([(7, 2, 0, 0)]) == [18279110831140952437]
+    assert batched([(7, 2, 0, 1), (7, 2, 0, 0)])[1] == 18279110831140952437
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,15 +87,6 @@ def test_batched_states_are_seed_sequence_words(keys, n_words):
     seed=_KEY_ENTRY,
     keys=st.lists(st.lists(_KEY_ENTRY, max_size=5).map(tuple), max_size=8),
 )
-def test_derive_seeds_is_derive_seed_per_key(seed, keys):
-    assert derive_seeds(seed, keys) == [derive_seed(seed, *key) for key in keys]
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=_KEY_ENTRY,
-    keys=st.lists(st.lists(_KEY_ENTRY, max_size=5).map(tuple), max_size=8),
-)
 def test_streams_are_stream_per_key(seed, keys):
     # the batch-seeded generators draw what numpy's SeedSequence seeding does
     got = [g.standard_normal(5).tobytes() + g.random(3).tobytes() for g in streams(seed, keys)]
@@ -105,25 +97,8 @@ def test_streams_are_stream_per_key(seed, keys):
     assert got == want
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    shape=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
-    seeds=st.lists(_KEY_ENTRY, max_size=6),
-)
-def test_sign_stack_is_stacked_sign_arrays(shape, seeds):
-    states = pcg_states(seeds)
-    assert states.dtype == np.uint64 and states.shape == (len(seeds), 4)
-    for s, state in zip(seeds, states):
-        want = np.random.SeedSequence(s & 0xFFFFFFFFFFFFFFFF).generate_state(4, np.uint64)
-        assert state.tobytes() == want.tobytes()
-    got = sign_stack(shape, states)
-    want = np.stack([sign_array(shape, s) for s in seeds]) if seeds else np.empty((0, *shape))
-    assert got.dtype == np.float64 and got.shape == (len(seeds), *shape)
-    assert got.tobytes() == want.tobytes()
-
-
 def test_random_raw_is_the_full_range_integers():
-    # sign_stack reads random_raw where sign_array reads integers(0, 2**64)
+    # growth's sign stacks read random_raw where sign_array reads integers(0, 2**64)
     for seed in (0, 3, 2**32, 2**64 - 1):
         raw = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(50)
         draws = stream(seed).integers(0, 2**64, size=50, dtype=np.uint64)
@@ -366,19 +341,6 @@ def test_ksz_random_form_makes_no_second_array():
     # the draws become the coefficients in place, and signs need no
     # finiteness check's boolean mask (1/8 of the bytes)
     assert peak <= 1.05 * form.coefficients.nbytes
-
-
-def test_sign_stack_of_one_draw_makes_no_second_array():
-    states = pcg_states([5])
-    sign_stack((1,), states)  # lazy imports on first use would count
-    tracemalloc.start()
-    try:
-        stack = sign_stack((512, 512), states)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the draws become the stack in place, as sign_array's become its array
-    assert peak <= 1.05 * stack.nbytes
 
 
 def test_form_validation():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import time
+import types
 import tracemalloc
 
 import numpy as np
@@ -132,7 +133,7 @@ def test_ksz_frozen_rows():
     assert got == [
         (2, 4.0, 4.0, 1.0),
         (3, 9.0, 7.0, 1.2857142857142858),
-        (4, 16.0, 12.0, 1.3333333333333333),
+        (4, 16.0, 10.0, 1.6),
     ]
     assert all(row.norm_kind == "exact" for row in series.rows)
     assert all(row.draws_used == 5 for row in series.rows)
@@ -158,9 +159,22 @@ def test_ksz_keeps_largest_norm_draw():
         assert row.norm == max(norms)
 
 
+def _base_draw(cfg, n, d):
+    """The k-linear sign form (k = m for ksz) of draw d at size n,
+    regenerated on its own: the words [d*N, (d+1)*N) of the row's stream
+    (seed, n), N = n^k, one sign from each word's top bit."""
+    k = cfg.k or cfg.m
+    size = n**k
+    bits = _rng.stream(cfg.seed, n).bit_generator
+    bits.advance(d * size)
+    signs = 1.0 - 2.0 * (bits.random_raw(size) >> np.uint64(63))
+    return MultilinearForm(signs.reshape((n,) * k), cfg.p[:k], kind="ksz")
+
+
 def _draw(cfg, n, d):
-    """Draw d at size n, seeded one key at a time through numpy."""
-    return make_form(cfg.family, cfg.m, n, cfg.p, derive_seed(cfg.seed, n, d, 0), cfg.k)
+    """Draw d at size n as an m-linear form: a product_extension extends its base."""
+    base = _base_draw(cfg, n, d)
+    return base if cfg.family == "ksz" else product_extension(base, cfg.m, cfg.p[base.arity:])
 
 
 def _per_draw_norm(cfg, n, d, form):
@@ -176,16 +190,12 @@ def _per_draw_rows(cfg):
     scans the whole m-linear draw; ascent runs on the draw's k-linear base
     (k = m for ksz), whose iterates an extension's pinned slots would move
     in the last bit; lhs reads the whole draw."""
-    k = cfg.k or cfg.m
     rows = []
     for n in cfg.n_values:
         best = None
         for d in range(cfg.draws):
             form = _draw(cfg, n, d)
-            if cfg.norm_method == "ascent":
-                base = make_form("ksz", k, n, cfg.p[:k], derive_seed(cfg.seed, n, d, 0))
-            else:
-                base = form
+            base = _base_draw(cfg, n, d) if cfg.norm_method == "ascent" else form
             value = _per_draw_norm(cfg, n, d, base)
             if best is None or value > best[0]:
                 best = (value, form)
@@ -201,8 +211,8 @@ _SHAPES = st.sampled_from(
      ("product_extension", 2, 1), ("product_extension", 3, 1),
      ("product_extension", 3, 2)]
 )
-# keys of one to three words a seed: 2**32 and the masked negatives take
-# two, so (seed, n, d, 0) has more words than the pool holds
+# seeds of one word, of two (2**32 and the masked negatives) and past 64
+# bits, which the stream key masks to 64 as derive_seed does
 _DRAW_SEEDS = st.one_of(
     st.integers(0, 2**32 - 1),
     st.sampled_from([0, 2**32, 2**63 + 5, -3]),
@@ -260,36 +270,56 @@ _KSZ_TIES = {
 }
 
 
+class _Words:
+    """A bit source whose random_raw hands out given words in order."""
+
+    def __init__(self, words):
+        self.words, self.at = words, 0
+
+    def random_raw(self, size):
+        self.at += size
+        return self.words[self.at - size : self.at].copy()
+
+
+def _crafted_stream(monkeypatch, draws):
+    """Make every row's stream yield the sign arrays `draws`, one after another."""
+    words = np.concatenate([np.where(a < 0, 1 << 63, 0).astype(np.uint64).ravel() for a in draws])
+
+    def stream(seed, *key):
+        return types.SimpleNamespace(bit_generator=_Words(words))
+
+    monkeypatch.setattr(growth_module._rng, "stream", stream)
+
+
+def _ties():
+    """(values, top, low, losers) of 40 seeded 4 x 4 sign forms: their norms,
+    the forms of the largest norm, one of the least and five others.
+    Built through make_form, before any test replaces the stream."""
+    forms = [make_form("ksz", 2, 4, (INF, INF), s) for s in range(40)]
+    values = [brute_force_norm(f).value for f in forms]
+    top = [f for f, v in zip(forms, values) if v == max(values)]
+    assert len(top) >= 2  # distinct draws that tie for the largest norm
+    losers = [f for f, v in zip(forms, values) if v < max(values)][:5]
+    return values, top, forms[values.index(min(values))], losers
+
+
 def _check_ties_go_to_the_first_draw(monkeypatch, method, cap):
     cfg = _KSZ_TIES[method]
     if cap is not None:
         monkeypatch.setattr(growth_module, "_STACK_ENTRIES", cap)
-    built, real = [], growth_module.make_form
-
-    def recording(family, m, n, p, seed, k=None):
-        built.append(seed)
-        return real(family, m, n, p, seed, k)
-
-    monkeypatch.setattr(growth_module, "make_form", recording)
-    seeds = list(range(40))
-    values = [brute_force_norm(real("ksz", 2, 4, (INF, INF), s)).value for s in seeds]
-    top = [s for s, v in zip(seeds, values) if v == max(values)]
-    low = seeds[values.index(min(values))]
-    assert len(top) >= 2  # distinct draws that tie for the largest norm
-    losers = [s for s, v in zip(seeds, values) if v < max(values)][:5]
+    values, top, low, losers = _ties()
     for first, *rest in (top, top[::-1]):
         # copies of the winner and the loser, before and after the winner,
-        # then the other draws of the same value last
+        # then the other draws of the same value last; draw 3 is the first
+        # of the largest norm
         row = losers[:2] + [low, first, low] + losers[2:] + [first, low] * 3 + rest
         # every draw estimated on its own: ascent ties where brute does
-        estimates = [_per_draw_norm(cfg, 4, d, real("ksz", 2, 4, (INF, INF), s))
-                     for d, s in enumerate(row)]
+        estimates = [_per_draw_norm(cfg, 4, d, f) for d, f in enumerate(row)]
         assert max(estimates) == max(values) and estimates.count(max(values)) >= 2
-        built.clear()
-        got = growth_module._drawn_row(cfg, 4, row, _rng.pcg_states(row))
+        _crafted_stream(monkeypatch, [f.coefficients for f in row])
+        got = growth_module._best_draw(dataclasses.replace(cfg, draws=len(row)), 4)
         kind = "exact" if method == "brute" else "lower_bound"
-        assert (got.norm, got.norm_kind, got.draws_used) == (max(values), kind, len(row))
-        assert built == [first]
+        assert got == (max(values), kind, 3)
 
 
 @pytest.mark.parametrize("cap", [None, 1, 16, 40])
@@ -300,6 +330,41 @@ def test_stacked_brute_ties_go_to_the_first_draw(monkeypatch, cap):
 @pytest.mark.parametrize("cap", [None, 1, 16, 40])
 def test_stacked_ascent_ties_go_to_the_first_draw(monkeypatch, cap):
     _check_ties_go_to_the_first_draw(monkeypatch, "ascent", cap)
+
+
+@pytest.mark.parametrize("method", ["brute", "ascent"])
+def test_rows_do_not_depend_on_the_stack_size(monkeypatch, method):
+    # stacks of 1, 2 or 3 draws, and the default, which holds all 7
+    cfg = dataclasses.replace(_KSZ_TIES[method], n_values=(2, 3, 4, 5), draws=7, seed=11)
+    want = [growth_module._best_draw(cfg, n) for n in cfg.n_values]
+    assert run_growth(cfg).rows == tuple(
+        GrowthRow(n, float(n * n), value, kind, n * n / value, cfg.draws)
+        for n, (value, kind, _) in zip(cfg.n_values, want)
+    )
+    for per in (1, 2, 3):
+        for n, best in zip(cfg.n_values, want):
+            monkeypatch.setattr(growth_module, "_STACK_ENTRIES", per * n * n)
+            assert growth_module._best_draw(cfg, n) == best
+    # two distinct draws tie for the largest norm: with stacks of 1 or 2
+    # draws the second starts a stack, with 3 it shares the first's
+    values, (a, b, *_), low, _ = _ties()
+    row = [low, a, b, low, b, a]
+    estimates = [_per_draw_norm(cfg, 4, d, f) for d, f in enumerate(row)]
+    assert estimates[1] == estimates[2] == max(estimates) == max(values)
+    _crafted_stream(monkeypatch, [f.coefficients for f in row])
+    cfg = dataclasses.replace(cfg, draws=len(row))
+    for cap in (16, 32, 48, 2**16):
+        monkeypatch.setattr(growth_module, "_STACK_ENTRIES", cap)
+        assert growth_module._best_draw(cfg, 4)[2] == 1
+
+
+@pytest.mark.parametrize("method", ["brute", "ascent"])
+def test_drawn_rows_read_the_seed_masked_to_64_bits(method):
+    cfg = dataclasses.replace(_KSZ_TIES[method], n_values=(2, 3, 8), draws=3, seed=-3)
+    rows = run_growth(cfg).rows
+    for seed in (2**64 - 3, 2**65 - 3):
+        assert run_growth(dataclasses.replace(cfg, seed=seed)).rows == rows
+    assert run_growth(dataclasses.replace(cfg, seed=3)).rows != rows
 
 
 def test_stacked_brute_scans_each_row_once(monkeypatch):
@@ -342,62 +407,22 @@ def test_stacked_brute_checks_the_scan_against_the_witness(monkeypatch):
         run_growth(cfg)
 
 
-def _check_the_winner_against_numpy(monkeypatch, family, method):
-    sign_stack = growth_module._rng.sign_stack
-
-    def flipped(shape, states):
-        stack = sign_stack(shape, states)
-        if method == "brute":
-            # negating the winner's first row leaves its norm, so it still wins
-            d, _, _ = growth_module.brute_force_scan(stack)
-            stack[d, 0] *= -1.0
-        else:  # every draw differs from numpy's, whichever wins
-            stack[:, 0] *= -1.0
-        return stack
-
-    monkeypatch.setattr(growth_module._rng, "sign_stack", flipped)
-    m, k = (2, None) if family == "ksz" else (3, 2)
-    for draws in (1, 3):
-        cfg = ExperimentConfig(
-            family=family, m=m, k=k, p=(INF,) * m, r=(1.0,) * m, n_values=(2, 3, 4),
-            norm_method=method, restarts=3, draws=draws,
-        )
-        with pytest.raises(ArithmeticError, match="differ from numpy's"):
-            run_growth(cfg)
-
-
-@pytest.mark.parametrize("family", ["ksz", "product_extension"])
-def test_stacked_brute_checks_the_winner_against_numpy(monkeypatch, family):
-    _check_the_winner_against_numpy(monkeypatch, family, "brute")
-
-
-@pytest.mark.parametrize("family", ["ksz", "product_extension"])
-def test_stacked_ascent_checks_the_winner_against_numpy(monkeypatch, family):
-    _check_the_winner_against_numpy(monkeypatch, family, "ascent")
-
-
 @pytest.mark.parametrize("draws", [1, 3])
-def test_drawn_rows_hold_no_stack_while_the_winner_is_built(monkeypatch, draws):
-    # at n >= 257 one draw fills a stack; once the draws are ranked, none of
-    # them is held while make_form rebuilds the winner
-    held, real = [], growth_module.make_form
-
-    def measuring(*args, **kwargs):
-        held.append(tracemalloc.get_traced_memory()[0])
-        return real(*args, **kwargs)
-
+def test_drawn_rows_hold_no_stack_while_the_winner_is_built(draws):
+    # at n >= 257 one draw fills a stack; a row holds at most one stack, and
+    # no second copy of a draw: the winner is its stack's slice, not rebuilt
     cfg = ExperimentConfig(
         family="ksz", m=2, p=(INF, INF), r=(1.0, 1.0), n_values=(280, 290, 300),
         norm_method="ascent", restarts=1, draws=draws,
     )
     run_growth(cfg)  # lazy imports on first use would count as held
-    monkeypatch.setattr(growth_module, "make_form", measuring)
     tracemalloc.start()
     try:
         run_growth(cfg)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(held) == 3 and max(held) < 0.25 * 8 * 280**2
+    assert peak < 1.25 * 8 * 300**2
 
 
 _DRAWN_CONFIGS = [
@@ -418,18 +443,35 @@ _DRAWN_CONFIGS = [
 
 
 def _check_builds_only_the_winners(monkeypatch, method):
-    built, real = [], growth_module.make_form
+    # no draw is rebuilt through make_form; brute builds one form a row for
+    # its witness check, on its winning draw
+    built, checked = [], []
+    real_make, real_check = growth_module.make_form, growth_module.brute_force_estimate
 
-    def counting(family, m, n, *args, **kwargs):
-        built.append(n)
-        return real(family, m, n, *args, **kwargs)
+    def making(*args, **kwargs):
+        built.append(args)
+        return real_make(*args, **kwargs)
 
-    monkeypatch.setattr(growth_module, "make_form", counting)
+    def checking(form, idx):
+        checked.append(form.coefficients)
+        return real_check(form, idx)
+
+    monkeypatch.setattr(growth_module, "make_form", making)
+    monkeypatch.setattr(growth_module, "brute_force_estimate", checking)
     for cfg in _DRAWN_CONFIGS:
         if cfg.norm_method == method:
-            built.clear()
+            checked.clear()
             run_growth(cfg)
-            assert built == list(cfg.n_values)
+            if method == "brute":
+                want = []
+                for n in cfg.n_values:
+                    norms = [brute_force_norm(_draw(cfg, n, d)).value for d in range(cfg.draws)]
+                    want.append(_draw(cfg, n, norms.index(max(norms))).coefficients)
+                assert len(checked) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(checked, want))
+            else:
+                assert checked == []
+    assert built == []
 
 
 def test_stacked_brute_builds_only_the_winners(monkeypatch):
@@ -442,22 +484,27 @@ def test_stacked_ascent_builds_only_the_winners(monkeypatch):
 
 @pytest.mark.parametrize("cfg", _DRAWN_CONFIGS, ids=lambda c: f"{c.norm_method}-draws{c.draws}")
 def test_drawn_rows_seed_in_one_batch_per_experiment(monkeypatch, cfg):
-    calls = []
+    # one stream a row, keyed (seed, n), and one random_raw call a stack:
+    # every row here fits in _STACK_ENTRIES
+    keys, sizes, real = [], [], growth_module._rng.stream
 
-    def counting(name):
-        real = getattr(growth_module._rng, name)
+    class Counting:
+        def __init__(self, bits):
+            self.bits = bits
 
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
+        def random_raw(self, size):
+            sizes.append(size)
+            return self.bits.random_raw(size)
 
-        monkeypatch.setattr(growth_module._rng, name, wrapper)
+    def counting(seed, *key):
+        keys.append((seed, *key))
+        return types.SimpleNamespace(bit_generator=Counting(real(seed, *key).bit_generator))
 
-    for name in ("derive_seeds", "pcg_states", "sign_stack"):
-        counting(name)
+    monkeypatch.setattr(growth_module._rng, "stream", counting)
     run_growth(cfg)
-    # one stack a row: every row here fits in _STACK_ENTRIES
-    assert calls == ["derive_seeds", "pcg_states"] + ["sign_stack"] * len(cfg.n_values)
+    k = cfg.k or cfg.m
+    assert keys == [(cfg.seed, n) for n in cfg.n_values]
+    assert sizes == [cfg.draws * n**k for n in cfg.n_values]
 
 
 def test_product_extension_lhs_growth():
@@ -560,6 +607,17 @@ def test_config_tol_must_be_positive_and_finite(tol):
         _cfg(tol=tol)
 
 
+@pytest.mark.parametrize(
+    "restarts, tol", [(0, 1e-10), (-2, 1e-10), (4, 0.0), (4, math.nan), (4, math.inf)]
+)
+def test_config_and_ascent_reject_ascent_settings_alike(restarts, tol):
+    with pytest.raises(ValueError) as from_config:
+        _cfg(restarts=restarts, tol=tol)
+    with pytest.raises(ValueError) as from_ascent:
+        alternating_ascent(make_form("diagonal", 2, 2, (2.0, 2.0), 0), restarts, tol=tol)
+    assert str(from_config.value) == str(from_ascent.value)
+
+
 @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
 def test_a_negative_or_non_finite_tolerance_is_rejected_by_every_verdict(tolerance):
     cfg = _cfg()
@@ -636,7 +694,7 @@ def test_paper_bound_builds_forms_only_for_closed_families(monkeypatch, family):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(growth_module, "make_form")
-    for name in ("sign_array", "sign_stack", "derive_seed", "derive_seeds", "pcg_states"):
+    for name in ("sign_array", "stream", "derive_seed"):
         counting(growth_module._rng, name)
     cfg = ExperimentConfig(
         family=family, m=2, k=1 if family == "product_extension" else None,
@@ -968,7 +1026,7 @@ def test_product_extension_brute_scans_the_base_within_the_default_budget():
         n_values=(14, 20, 24), norm_method="brute",
     )
     for row in run_growth(cfg).rows:
-        base = make_form("ksz", 2, row.n, (INF, INF), derive_seed(cfg.seed, row.n, 0, 0))
+        base = _base_draw(cfg, row.n, 0)
         assert (row.norm, row.norm_kind) == (brute_force_norm(base).value, "exact")
 
 
