@@ -14,11 +14,11 @@ Integer fibers at r = 1 or 2 whose sums stay below 2**53 are added plainly:
 there Sum2 cannot change a bit. An axis that a broadcast repeats (stride
 0) is read once: mixed_norm slices every such axis to length 1 and hands
 each level's norms of the distinct fibers to the next. A repeated fiber
-axis repeats one entry, whose modulus, scale and power are taken once;
-its n copies add up to exactly n * x**r on the plain-sum path, and Sum2
-adds them otherwise, written out as n entries for one block of rows at a
-time (ndarray.repeat). So the mixed norm of np.broadcast_to(1.0, (n,) * m)
-takes m powers, not n**m, with the bits of a contiguous copy.
+axis repeats one entry, and Sum2 of n copies of its scaled power y is
+y * n correctly rounded while n <= 2**25, so such a level takes one
+modulus, scale, power, product and root per distinct fiber, all fibers
+at once. So the mixed norm of np.broadcast_to(1.0, (n,) * m) takes m
+powers, not n**m, with the bits of a contiguous copy for finite entries.
 """
 
 from __future__ import annotations
@@ -112,14 +112,15 @@ def fiber_norms(a, r: float) -> np.ndarray:
     An axis of stride 0 repeats the same entries and is read once. A
     repeated leading axis repeats whole fibers, whose norms are computed
     once; the result is then a read-only broadcast of shape a.shape[:-1].
-    A repeated fiber axis repeats one entry, whose modulus, scale and
-    power are computed once. On the plain-sum path its n copies add up to
-    n * x**r exactly; otherwise Sum2 adds all n of them, since n copies of
-    x added up in floating point are not n * x. For Sum2 the copies are
-    written out (ndarray.repeat) one block of rows at a time, so they take
-    no more memory than a block of a contiguous tensor. Either way the
-    bits are those a contiguous copy gives. At r = 1 no root is taken.
-    r is not validated.
+    A repeated fiber axis repeats one entry. Sum2 of n copies of its
+    scaled power y is y * n correctly rounded, for n <= 2**25, and the
+    plain sum's n * x**r is that float too, so the fiber takes one
+    multiply: nothing is written out and no route is chosen. For finite
+    entries and n <= 2**25 the bits are those a contiguous copy gives. A
+    repeated inf gives inf, the true sum, where the copy's Sum2 forms
+    inf - inf, NaN, once n >= 2 (at r > 512 both give NaN); mixed_norm
+    raises NumericalError on either. At r = 1 no root is taken. r is not
+    validated.
     """
     a = np.asarray(a)
     out = _reduce(_distinct(a), a.shape[-1], r)
@@ -142,46 +143,73 @@ def _reduce(d: np.ndarray, n: int, r: float) -> np.ndarray:
     # fiber's norm depends on that fiber alone (the scale is per fiber, and
     # the plain sum and Sum2 agree wherever the plain sum is taken), so the
     # result is the norms of the distinct fibers, shape d.shape[:-1]
-    w = d.shape[-1]
-    rows = d.reshape(-1, w)
+    if d.shape[-1] == 1:
+        return _repeated(d[..., 0], n, r)
+    rows = d.reshape(-1, n)
     out = np.empty(len(rows))
     step = max(1, min(len(rows), _BLOCK // n))
-    xbuf = np.empty((step, w))
+    xbuf = np.empty((step, n))
     scratch = None  # Sum2's, allocated for the first block that needs it
     for lo in range(0, len(rows), step):
         block = rows[lo : lo + step]
         k = len(block)
         # unsafe casting converts any input dtype as astype(float64) would
         x = np.abs(block, out=xbuf[:k], casting="unsafe")
-        # a row of one entry is its own maximum and sum, read as a view,
-        # so top is read only before x is scaled and raised in place
-        top = x[:, 0] if w == 1 else x.max(axis=-1)
+        top = x.max(axis=-1)
         if r == INF:
             out[lo : lo + k] = top
             continue
         exact = _integer_powers_fit(x, top, n, r)
         if not exact:
-            if r > _POW2_SCALING_MAX_R:
-                scale = np.where(top > 0.0, top, 1.0)
-            else:
-                scale = np.ldexp(0.5, np.frexp(top)[1])
+            scale = _scale(top, r)
             x /= scale[:, None]
         if r == 2.0:  # a product is correctly rounded on every host
             np.square(x, out=x)
         elif r != 1.0:  # x ** 1 is x exactly
             x **= r
-        if exact:  # n copies of an entry add up to n times it, exactly
-            total = x[:, 0] * n if w == 1 else x.sum(axis=-1)
+        if exact:
+            total = x.sum(axis=-1)
         else:
             if scratch is None:
                 scratch = _sum2_scratch(step, n)
-            # a repeated entry's n copies, written out for this block only
-            fibers = x if w == n else x.repeat(n, axis=-1)
-            total = _sum2(fibers, *(buf[:k] for buf in scratch))
+            total = _sum2(x, *(buf[:k] for buf in scratch))
         if r != 1.0:  # the root of a sum at r = 1 is the sum
             total = total ** (1.0 / r)
         out[lo : lo + k] = total if exact else total * scale
     return out.reshape(d.shape[:-1])
+
+
+def _scale(top: np.ndarray, r: float) -> np.ndarray:
+    # the divisor of each fiber: the power of two that brings its largest
+    # modulus top into [1, 2), or top itself for r > 512
+    if r > _POW2_SCALING_MAX_R:
+        return np.where(top > 0.0, top, 1.0)
+    return np.ldexp(0.5, np.frexp(top)[1])
+
+
+def _repeated(e: np.ndarray, n: int, r: float) -> np.ndarray:
+    # norms of fibers that each repeat one entry of e n times, for all of
+    # them at once. Sum2 of n copies of a finite y >= 0 is y * n correctly
+    # rounded while n <= 2**25: every running sum and y are multiples of
+    # ulp(y), each TwoSum error is a multiple of it below 2 * n ulps, so
+    # the errors add up exactly in any order to n * y - s_n, and the last
+    # step rounds n * y once. On the plain-sum path y * n is exact, and
+    # dividing by a power of two commutes with it and with the square
+    # root, so the scaled formula below serves both paths
+    x = np.abs(e, out=np.empty(e.shape), casting="unsafe")
+    if r == INF:
+        return x
+    scale = _scale(x, r)
+    x /= scale
+    if r == 2.0:
+        np.square(x, out=x)
+    elif r != 1.0:
+        x **= r
+    x *= n
+    if r != 1.0:
+        x **= 1.0 / r
+    x *= scale
+    return x
 
 
 def _integer_powers_fit(x: np.ndarray, top: np.ndarray, n: int, r: float) -> bool:
@@ -189,14 +217,13 @@ def _integer_powers_fit(x: np.ndarray, top: np.ndarray, n: int, r: float) -> boo
     # n * max**r < 2**53 for fibers of length n: then every partial sum of
     # the scaled powers is an integer below 2**53 times a power of two, so
     # any order of addition is exact and Sum2 would return the plain sum.
-    # The scalar tests go first, so float data pays for no pass over x,
-    # and a single entry, the largest, for none at all.
+    # The scalar tests go first, so float data pays for no pass over x
     if r != 1.0 and r != 2.0:
         return False
     biggest = float(top.max())
     if not biggest.is_integer() or n * int(biggest) ** int(r) >= 2**53:
         return False
-    return x.size == 1 or bool((np.trunc(x) == x).all())
+    return bool((np.trunc(x) == x).all())
 
 
 @dataclass(frozen=True)

@@ -300,9 +300,11 @@ def test_fiber_norms_sum2_for_fractions_and_other_exponents(sum2_calls):
         assert got.tobytes() == _reference_fiber_norms(a, r).tobytes()
 
 
-# c = 1 and 3 at r = 1 and 2 take the plain sum; 0.3 and the other
-# exponents take Sum2, the supremum or the scale by the largest modulus.
-# (40, 3000) spans four blocks of fibers, (2, 40000) one fiber a block
+# the full array of c = 1 and 3 takes the plain sum at r = 1 and 2; of
+# 0.3, and at the other exponents, Sum2, the supremum or the scale by the
+# largest modulus. The broadcast takes none of them: a repeated entry's
+# n copies add up to its power times n. (40, 3000) spans four blocks of
+# fibers, (2, 40000) one fiber a block
 @pytest.mark.parametrize("shape", [(40, 3000), (2, 40000), (5, 30, 300)])
 @pytest.mark.parametrize("c", [1.0, -1.0, 3.0, 0.3])
 def test_zero_stride_input_gives_the_bits_of_a_full_array(sum2_calls, shape, c):
@@ -313,10 +315,13 @@ def test_zero_stride_input_gives_the_bits_of_a_full_array(sum2_calls, shape, c):
     for r in (0.7, 1.0, 4 / 3, 2.0, 3.0, 600.0, INF):
         sum2_calls.clear()
         got = fiber_norms(a, r)
-        plain |= r in (1.0, 2.0) and not sum2_calls
-        assert got.tobytes() == fiber_norms(full, r).tobytes(), r
         rs = (2.0, 3.0, r)[-len(shape) :]
-        assert mixed_norm(a, rs).value.hex() == mixed_norm(full, rs).value.hex(), r
+        value = mixed_norm(a, rs).value
+        assert sum2_calls == [], r  # a repeated fiber axis never reaches Sum2
+        want = fiber_norms(full, r)
+        plain |= r in (1.0, 2.0) and not sum2_calls
+        assert got.tobytes() == want.tobytes(), r
+        assert value.hex() == mixed_norm(full, rs).value.hex(), r
     assert plain == float(c).is_integer()
     assert base == c and not a.flags.writeable
 
@@ -362,8 +367,9 @@ def test_broadcast_axes_give_the_bits_of_a_contiguous_copy(shape, repeated, data
 @pytest.mark.parametrize("n", [1, 5, 3000])
 @pytest.mark.parametrize("c", [1.0, 0.3])
 def test_stride_zero_fiber_axis_is_summed_in_full(n, c):
-    # n copies of 0.3 added up are not n * 0.3: off the plain sum, Sum2
-    # adds all n copies of a repeated entry
+    # n copies of 0.3 added up in order are not n * 0.3, but Sum2 adds
+    # them to n * 0.3 correctly rounded, which a repeated entry takes in
+    # one multiply
     col = np.array([[c], [2.0 * c], [-c]])
     a = np.broadcast_to(col, (3, n))
     assert a.strides[-1] == 0
@@ -383,7 +389,7 @@ def test_stride_zero_fiber_axis_is_summed_in_full(n, c):
 def test_repeated_fiber_entries_give_the_bits_of_a_contiguous_copy(n, k, lead, data, seed):
     # a fiber that repeats one entry n times takes that entry's modulus,
     # scale and power once, where the copy's SIMD loops run over lanes of
-    # n entries; then Sum2 adds the n copies, or the plain sum is n * x**r
+    # n entries; then n copies of the power add up to it times n
     g = np.random.Generator(np.random.PCG64(seed))
     if data == "int3":
         base = g.integers(-3, 4, (k, 1)).astype(np.float64)
@@ -406,16 +412,82 @@ def test_repeated_fiber_entries_give_the_bits_of_a_contiguous_copy(n, k, lead, d
 @pytest.mark.parametrize("r", [1.0, 2.0])
 @pytest.mark.parametrize("dtype", [np.float64, np.int64])
 def test_repeated_fiber_plain_sum_below_2_to_53(sum2_calls, n, r, dtype):
-    # w is the least integer with n * w**r >= 2**53: n copies of w take
-    # Sum2, n copies of w - 1 the plain sum n * (w - 1)**r
+    # w is the least integer with n * w**r >= 2**53: a contiguous fiber of
+    # n > 1 copies of w takes Sum2, of w - 1 the plain sum n * (w - 1)**r.
+    # A repeated entry takes neither route, and has the bits of both
     least = -(-(2**53) // n)  # n * w**r >= 2**53 iff w**r >= least
     w = least if r == 1.0 else math.isqrt(least - 1) + 1
     for largest, expected in ((w - 1, []), (w, [3])):
         a = np.broadcast_to(np.array([[largest], [-1], [0]], dtype=dtype), (3, n))
         got = fiber_norms(a, r)
-        assert sum2_calls == expected, largest
-        assert got.tobytes() == fiber_norms(np.ascontiguousarray(a), r).tobytes()
+        assert sum2_calls == [], largest
+        copy = np.ascontiguousarray(a)
+        want = fiber_norms(copy, r)
+        # a fiber of one entry is its own repeated entry
+        assert sum2_calls == (expected if n > 1 else []), largest
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == _reference_fiber_norms(copy, r).tobytes()
         sum2_calls.clear()
+
+
+_MAX = np.finfo(np.float64).max
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 5000), st.just(2**20)),
+    y=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        # subnormals and the smallest normals
+        st.floats(-(2.0**-1022), 2.0**-1022, allow_subnormal=True),
+    ),
+)
+def test_sum2_of_n_copies_is_the_rounded_product(n, y):
+    # the closed form of a repeated entry: every running sum and y are
+    # multiples of ulp(y) and every TwoSum error is below 2 * n ulps, so
+    # the errors add up exactly and the last step rounds n * y once. n * |y|
+    # is kept below half the largest float, so no running sum overflows
+    y = math.copysign(min(abs(y), _MAX / 2 / n), y)
+    assert compensated_sum(np.full(n, y)) == y * n
+
+
+def test_repeated_fiber_temporaries_stay_small():
+    # 2**20 copies of one entry take one multiply, not 2**20 entries
+    # written out and three Sum2 rows (~32 MiB)
+    a = np.broadcast_to(0.3, (2**20,))
+    b = np.broadcast_to(0.3, (2**20, 2**20))
+    tracemalloc.start()
+    try:
+        for call in (lambda: fiber_norms(a, 4 / 3), lambda: mixed_norm(b, (4 / 3, 3.0))):
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - base < 64 * 2**10
+    finally:
+        tracemalloc.stop()
+    assert fiber_norms(a, 4 / 3).tobytes() == fiber_norms(np.full(2**20, 0.3), 4 / 3).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3000])
+def test_repeated_infinite_entry(n):
+    # n copies of inf add up to inf, the true sum; a contiguous copy's Sum2
+    # forms inf - inf, NaN, once n >= 2. At r > 512 both divide inf by the
+    # scale inf. Either way mixed_norm raises
+    a = np.broadcast_to(math.inf, (3, n))
+    copy = np.ascontiguousarray(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for r in _KERNEL_R:
+            got, want = fiber_norms(a, r), fiber_norms(copy, r)
+            if r == 600.0:
+                assert np.isnan(got).all() and np.isnan(want).all()
+            else:
+                assert (got == INF).all(), r
+                assert (want == INF).all() if n == 1 or r == INF else np.isnan(want).all(), r
+            for t in (a, copy):
+                with pytest.raises(NumericalError, match="not finite"):
+                    mixed_norm(t, (2.0, r))
 
 
 def test_broadcast_axes_are_reduced_once(monkeypatch):
@@ -443,7 +515,8 @@ def test_broadcast_axes_are_reduced_once(monkeypatch):
     calls.clear()
     levels.clear()
     assert mixed_norm(a, (1.0, 2.0, 1.0)).value == 4096 * 64 * 11.0  # sqrt(4096) = 64
-    assert calls == [1, 1, 1]
+    # the two outer levels repeat one entry and never test for the plain sum
+    assert calls == [1]
     # each level gets the last one's distinct norms, one entry repeated
     # 4096 times, with nothing broadcast or sliced in between
     assert levels == [((1, 1, 5), 5), ((1, 1), 4096), ((1,), 4096)]

@@ -197,6 +197,9 @@ BROADCAST = [
 ]
 # fiber lengths of the repeated-entry views at the 2**53 switch
 REPEATED_N = (3, 2048)
+# fiber lengths of the long repeated-entry views, far past bound_growth's
+# 2048; the second is odd and prime
+LONG_N = (2**20, 1_000_003)
 # shapes of the integer tensors that fiber_norms adds without Sum2
 EXACT_SHAPES = [(6, 1), (25, 3000), (2, 40000), (3, 7, 300), (64, 64)]
 
@@ -347,10 +350,15 @@ def exact_payloads() -> dict[str, str]:
 def repeated_payloads() -> dict[str, str]:
     """fiber_norms and mixed_norm bits on fibers that repeat one entry.
 
-    A fiber of n copies of an integer w is added as n * w**r at r = 1 and
-    2 while that is below 2**53, and by Sum2 over the n copies from there
-    on: the threshold views hold w just below the switch and at it. The
-    blocks views have 17 fibers of 2048, more than one block of 2**15.
+    Such a fiber's n copies add up to the entry's scaled power times n, one
+    multiply, which is what Sum2 over the n copies gives. A contiguous
+    fiber of n copies of an integer w is added as n * w**r at r = 1 and 2
+    while that is below 2**53, and by Sum2 from there on: the threshold
+    views hold w just below that switch and at it. The blocks views have
+    17 fibers of 2048, more than one block of 2**15. The long views repeat
+    normal and complex entries LONG_N times, on the fiber axis and on both
+    axes of a square, so that a comparison with a tree that adds the n
+    copies by Sum2 covers the closed form far past 2048.
     """
     import numpy as np
     from mixedsums import tensors
@@ -380,6 +388,21 @@ def repeated_payloads() -> dict[str, str]:
             parts.append(tensors.fiber_norms(a, r).tobytes().hex())
             parts.append(repr(tensors.mixed_norm(a, (3.0, r)).value))
         out[f"repeated:blocks:17x2048:{kind}"] = " ".join(parts)
+    g = np.random.Generator(np.random.PCG64(401))
+    bases = {
+        "normal": g.standard_normal((3, 1)),
+        "complex": g.standard_normal((3, 1)) + 1j * g.standard_normal((3, 1)),
+    }
+    for kind, base in bases.items():
+        for n in LONG_N:
+            a = np.broadcast_to(base, (3, n))
+            square = np.broadcast_to(base[:1], (n, n))
+            parts = []
+            for r in KERNEL_R:
+                parts.append(tensors.fiber_norms(a, r).tobytes().hex())
+                parts.append(repr(tensors.mixed_norm(a, (3.0, r)).value))
+                parts.append(repr(tensors.mixed_norm(square, (r, 4 / 3)).value))
+            out[f"repeated:long:{n}:{kind}"] = " ".join(parts)
     return out
 
 
