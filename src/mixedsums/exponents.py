@@ -21,7 +21,7 @@ they need it; predict validates p and r once and calls the same cores.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 INF = math.inf
 
@@ -499,7 +499,7 @@ class ExponentReport:
             else list(self.per_index_delta_exponents),
             "best_exponent": self.best_exponent(),
             "optimality_open": self.optimality_open,
-            "flags": asdict(self.flags),
+            "flags": dict(vars(self.flags)),
         }
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -472,7 +472,7 @@ def series_to_csv(series: GrowthSeries) -> str:
 
 
 def config_to_obj(config: ExperimentConfig) -> dict:
-    obj = {key: v for key, v in asdict(config).items() if v is not None}
+    obj = {key: v for key, v in vars(config).items() if v is not None}
     obj["p"] = [exponent_to_json(pj) for pj in config.p]
     obj["r"] = [exponent_to_json(rj) for rj in config.r]
     obj["n_values"] = list(config.n_values)

@@ -431,18 +431,16 @@ def _scan_pruned(
     attains (or -1). Since |h_c + l_c| <= |h_c| + |l_c|, pattern (hi, lo)
     is worth at most sl[lo] + sh[hi]. t is first raised to the best
     pattern that pairs any hi with one of the _SEED_LOWS lo of largest sl,
-    then to each block's maximum. If min sl + min sh >= t, nothing can be
-    skipped, and all hi go in flat order with all lo. Otherwise the hi
-    with sh[hi] + max sl >= t go largest sh first, so that t rises early;
-    a block pairs its hi with the lo whose bound reaches t with its first
-    hi, compacted in ascending order when that at least halves them.
-    Blocks take at most `cap` entries. Every pattern worth t or more is
-    scanned, so the row's first maximum is found whenever it reaches t;
-    the blocks need not be in flat order, so a tie between them goes to
-    the smaller index. Returns
-    (value, hi * 2**a + lo), or (-1.0, 0) when no pattern reaches t. `mem`
-    is the block scratch: two 1-D arrays of at least `cap` and 2**a
-    entries.
+    then to each block's maximum. The hi with sh[hi] + max sl >= t go
+    largest sh first, so that t rises early; a block pairs its hi with
+    the lo whose bound reaches t with its first hi, compacted in
+    ascending order when that at least halves them. Blocks take at most
+    `cap` entries. Every pattern worth t or more is scanned, so the row's
+    first maximum is found whenever it reaches t; the blocks need not be
+    in flat order, so a tie between them goes to the smaller index.
+    Returns (value, hi * 2**a + lo), or (-1.0, 0) when no pattern reaches
+    t. `mem` is the block scratch: two 1-D arrays of at least `cap` and
+    2**a entries.
     """
     cols, nl = low.shape
     ml, mh, least = int(sl.max()), int(sh.max()), int(sl.min())
@@ -460,12 +458,10 @@ def _scan_pruned(
         hi = high[:, None, h0 : h0 + g]
         seed = acc_mem[: len(top) * hi.shape[2]].reshape(len(top), -1)
         t = max(t, int(_pair_sums(hi, seed_lo, seed, buf).max()))
-    if least + int(sh.min()) >= t:  # nothing can be skipped: all hi, in flat order
-        todo = np.arange(len(sh))
-    else:  # the hi that can reach t, largest sh first: a hi needs the lo
-        # with sl >= t - sh[hi], so a block's first hi needs the most
-        todo = np.flatnonzero(sh >= t - ml)
-        todo = todo[np.argsort(-sh[todo], kind="stable")]
+    # the hi that can reach t, largest sh first: a hi needs the lo with
+    # sl >= t - sh[hi], so a block's first hi needs the most
+    todo = np.flatnonzero(sh >= t - ml)
+    todo = todo[np.argsort(-sh[todo], kind="stable")]
     best, best_k = -1.0, 0
     while len(todo):
         lo = low  # frees the last block's compacted table before the next

@@ -62,23 +62,18 @@ class NumericalError(ArithmeticError):
     other ArithmeticErrors, which are faults of the code."""
 
 
-def _sum2(x: np.ndarray, s: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # Sum2 of each row of the (k, n) array x, writing the running totals
-    # to s, shape (k, n), and the TwoSum terms to the C-contiguous b and t,
-    # shape (k, n - 1), so the errors sum pairwise along contiguous rows
-    np.add.accumulate(x, axis=-1, out=s)  # np.cumsum, without its wrapper
+def _sum2(x: np.ndarray) -> np.ndarray:
+    # Sum2 of each row of the (k, n) array x. The running totals and the
+    # two TwoSum terms are fresh C-contiguous arrays, the terms of shape
+    # (k, n - 1), so the errors sum pairwise along contiguous rows
+    s = np.add.accumulate(x, axis=-1)  # np.cumsum, without its wrapper
     prev, cur = s[:, :-1], s[:, 1:]
-    np.subtract(cur, prev, out=b)
-    np.subtract(cur, b, out=t)
+    b = np.subtract(cur, prev)
+    t = np.subtract(cur, b)
     np.subtract(prev, t, out=t)
     np.subtract(x[:, 1:], b, out=b)
     t += b
     return s[:, -1] + t.sum(axis=-1)
-
-
-def _sum2_scratch(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # running totals and the two TwoSum buffers for k fibers of length n
-    return np.empty((k, n)), np.empty((k, n - 1)), np.empty((k, n - 1))
 
 
 def compensated_sum(x) -> np.ndarray:
@@ -86,11 +81,17 @@ def compensated_sum(x) -> np.ndarray:
 
     Ogita-Rump-Oishi Sum2: a sequential cumulative sum gives the running
     totals, TwoSum recovers the rounding error of each step exactly, and
-    the errors are added back at the end.
+    the errors are added back at the end. Each row is first divided by
+    the power of two that brings its largest modulus into [1, 2), and the
+    sum multiplied back, so no running total overflows while the sum is
+    finite. Dividing by a power of two is exact, so the bits are those of
+    the unscaled Sum2 unless a scaled entry, an error term or the sum
+    leaves the normal range.
     """
     x = np.asarray(x, dtype=np.float64)
     rows = x.reshape(-1, x.shape[-1])
-    return _sum2(rows, *_sum2_scratch(*rows.shape)).reshape(x.shape[:-1])[()]
+    scale = _scale(np.abs(rows).max(axis=-1), 1.0)  # 0.5 for a zero row
+    return (_sum2(rows / scale[:, None]) * scale).reshape(x.shape[:-1])[()]
 
 
 def fiber_norms(a, r: float) -> np.ndarray:
@@ -106,9 +107,8 @@ def fiber_norms(a, r: float) -> np.ndarray:
     either: at r = 1 the scale is an exact power of two, and at r = 2 the
     root is a correctly rounded square root, which commutes with the even
     power of two the squares were scaled by. Large tensors go a block of
-    fibers at a time. The scratch for one block is allocated once per
-    call and reused by every block: |x| up front, the running totals and
-    TwoSum terms by the first block that takes Sum2.
+    fibers at a time, each with its own temporaries: |x| and, when it
+    takes Sum2, the running totals and TwoSum terms.
     An axis of stride 0 repeats the same entries and is read once. A
     repeated leading axis repeats whole fibers, whose norms are computed
     once; the result is then a read-only broadcast of shape a.shape[:-1].
@@ -147,14 +147,12 @@ def _reduce(d: np.ndarray, n: int, r: float) -> np.ndarray:
         return _repeated(d[..., 0], n, r)
     rows = d.reshape(-1, n)
     out = np.empty(len(rows))
-    step = max(1, min(len(rows), _BLOCK // n))
-    xbuf = np.empty((step, n))
-    scratch = None  # Sum2's, allocated for the first block that needs it
+    step = max(1, _BLOCK // n)
     for lo in range(0, len(rows), step):
         block = rows[lo : lo + step]
         k = len(block)
         # unsafe casting converts any input dtype as astype(float64) would
-        x = np.abs(block, out=xbuf[:k], casting="unsafe")
+        x = np.abs(block, out=np.empty(block.shape), casting="unsafe")
         top = x.max(axis=-1)
         if r == INF:
             out[lo : lo + k] = top
@@ -167,12 +165,7 @@ def _reduce(d: np.ndarray, n: int, r: float) -> np.ndarray:
             np.square(x, out=x)
         elif r != 1.0:  # x ** 1 is x exactly
             x **= r
-        if exact:
-            total = x.sum(axis=-1)
-        else:
-            if scratch is None:
-                scratch = _sum2_scratch(step, n)
-            total = _sum2(x, *(buf[:k] for buf in scratch))
+        total = x.sum(axis=-1) if exact else _sum2(x)
         if r != 1.0:  # the root of a sum at r = 1 is the sum
             total = total ** (1.0 / r)
         out[lo : lo + k] = total if exact else total * scale

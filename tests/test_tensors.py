@@ -263,9 +263,9 @@ def sum2_calls(monkeypatch):
     calls = []
     real = tensors._sum2
 
-    def spy(x, *scratch):
+    def spy(x):
         calls.append(len(x))
-        return real(x, *scratch)
+        return real(x)
 
     monkeypatch.setattr(tensors, "_sum2", spy)
     return calls
@@ -430,7 +430,17 @@ def test_repeated_fiber_plain_sum_below_2_to_53(sum2_calls, n, r, dtype):
         sum2_calls.clear()
 
 
-_MAX = np.finfo(np.float64).max
+_MAX = float(np.finfo(np.float64).max)
+
+
+def _largest_with_finite_product(n):
+    # the largest float y with y * n finite
+    y = _MAX / n
+    while math.isinf(y * n):
+        y = math.nextafter(y, 0.0)
+    while math.isfinite(math.nextafter(y, math.inf) * n):
+        y = math.nextafter(y, math.inf)
+    return y
 
 
 @settings(max_examples=300, deadline=None)
@@ -445,10 +455,38 @@ _MAX = np.finfo(np.float64).max
 def test_sum2_of_n_copies_is_the_rounded_product(n, y):
     # the closed form of a repeated entry: every running sum and y are
     # multiples of ulp(y) and every TwoSum error is below 2 * n ulps, so
-    # the errors add up exactly and the last step rounds n * y once. n * |y|
-    # is kept below half the largest float, so no running sum overflows
-    y = math.copysign(min(abs(y), _MAX / 2 / n), y)
+    # the errors add up exactly and the last step rounds n * y once. The
+    # row is scaled first, so this holds for any y with n * y finite
+    y = math.copysign(min(abs(y), _largest_with_finite_product(n)), y)
     assert compensated_sum(np.full(n, y)) == y * n
+
+
+@pytest.mark.parametrize("n", [*range(2, 3000, 97), 2**20, 1_000_003])
+def test_compensated_sum_is_finite_wherever_the_sum_is(n):
+    # the largest y with n * y finite and the two floats below it: unscaled,
+    # the running sums round past the largest float, to inf or NaN
+    y = _largest_with_finite_product(n)
+    for _ in range(3):
+        for v in (y, -y):
+            assert compensated_sum(np.full(n, v)) == v * n, (n, v)
+        y = math.nextafter(y, 0.0)
+
+
+def test_compensated_sum_has_the_bits_of_unscaled_sum2():
+    # dividing a row by a power of two is exact, so the scaled sum keeps
+    # the bits wherever the unscaled one is finite
+    g = np.random.Generator(np.random.PCG64(73))
+    for _ in range(50):
+        n = int(g.integers(1, 300))
+        normal = g.standard_normal(n)
+        for x in (
+            normal,
+            normal * 10.0 ** g.choice([-150.0, 0.0, 150.0], n),
+            g.integers(-(2**40), 2**40, n).astype(np.float64),
+            normal * 1e300,
+        ):
+            assert np.asarray(compensated_sum(x)).tobytes() == _sum2(x).tobytes()
+    assert compensated_sum(np.zeros((2, 5))).tolist() == [0.0, 0.0]
 
 
 def test_repeated_fiber_temporaries_stay_small():

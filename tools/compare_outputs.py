@@ -13,10 +13,10 @@ witness bytes of ``brute_force_norm`` (the ``brute_exact`` benchmark forms
 and ``brute_payloads``), the exit code, output and written files of
 ``cli.main`` runs (``cli_payloads``), and the bits of ``fiber_norms`` and
 ``mixed_norm`` (``kernel_payloads``, ``broadcast_payloads``,
-``exact_payloads`` and ``repeated_payloads``), and the reports of
-``exponents.predict`` over a grid of (m, p, r) (``predict_payloads``). It
-prints the sha256 of
-each payload on one line and exits 1 if any payload differs.
+``exact_payloads`` and ``repeated_payloads``), the reports of
+``exponents.predict`` over a grid of (m, p, r) (``predict_payloads``),
+and the bits of ``compensated_sum`` (``sum2_payloads``). It prints the
+sha256 of each payload on one line and exits 1 if any payload differs.
 """
 
 from __future__ import annotations
@@ -137,6 +137,9 @@ SPLIT_SHAPES = [(13, 13), (14, 14), (15, 15), (14, 3, 3)]
 # square int16 forms whose leaf has a high table of 4, 16 and 64 patterns,
 # so that the scan skips the patterns whose bound falls short (_scan_pruned)
 PRUNE_SIZES = (16, 18, 20)
+# sizes of the diagonal forms of brute:all-ties. Every sign pattern of
+# these and of the 16 x 16 row form ties, so the pruned scan skips none
+ALL_TIES_N = (16, 18, 20)
 # multi-draw brute experiments, whose draws are scanned as one stack; the
 # last has 300 draws of 16 x 16 at n = 16, more than one stack holds
 INF = float("inf")
@@ -200,6 +203,9 @@ REPEATED_N = (3, 2048)
 # fiber lengths of the long repeated-entry views, far past bound_growth's
 # 2048; the second is odd and prime
 LONG_N = (2**20, 1_000_003)
+# lengths of the compensated_sum rows that repeat a y near the largest
+# float / n; the last two are those of LONG_N
+NEAR_MAX_N = (2, 3, 97, 2999, 2**20, 1_000_003)
 # shapes of the integer tensors that fiber_norms adds without Sum2
 EXACT_SHAPES = [(6, 1), (25, 3000), (2, 40000), (3, 7, 300), (64, 64)]
 
@@ -406,6 +412,40 @@ def repeated_payloads() -> dict[str, str]:
     return out
 
 
+def sum2_payloads() -> dict[str, str]:
+    """compensated_sum bits on seeded rows and on near-max repeated rows.
+
+    The normal, mixed (entries times 1e-150, 1 or 1e150) and integer rows
+    have finite sums. A near-max row repeats, NEAR_MAX_N times, the
+    largest y with n * y finite or one of the two floats below it; Sum2
+    without scaling takes its running sums past the largest float.
+    """
+    import numpy as np
+    from mixedsums import compensated_sum
+
+    g = np.random.Generator(np.random.PCG64(500))
+    normal = g.standard_normal((20, 300))
+    rows = {
+        "normal": normal,
+        "mixed": normal * 10.0 ** g.choice([-150.0, 0.0, 150.0], normal.shape),
+        "int": g.integers(-(2**40), 2**40, normal.shape).astype(np.float64),
+    }
+    out = {f"sum2:{kind}": compensated_sum(x).tobytes().hex() for kind, x in rows.items()}
+    parts = []
+    for n in NEAR_MAX_N:
+        y = sys.float_info.max / n
+        while math.isinf(y * n):
+            y = math.nextafter(y, 0.0)
+        while math.isfinite(math.nextafter(y, math.inf) * n):
+            y = math.nextafter(y, math.inf)
+        for _ in range(3):
+            with np.errstate(over="ignore", invalid="ignore"):
+                parts.append(repr(float(compensated_sum(np.full(n, y)))))
+            y = math.nextafter(y, 0.0)
+    out["sum2:near-max"] = " ".join(parts)
+    return out
+
+
 def predict_payloads() -> dict[str, str]:
     """predict(m, p, r).to_dict() as JSON over the PREDICT grid, one payload per m."""
     from mixedsums import predict
@@ -432,9 +472,13 @@ def brute_payloads() -> dict[str, str]:
     and stack are scanned with bound pruning, ties planted in some. The
     float-sums forms and stack are float64 leaves without a high table;
     the stack's last draw is a leaf chunk of its own and ties the others.
+    Every sign pattern of the all-ties forms ties, so the pruned scan can
+    skip none.
     """
     import numpy as np
-    from mixedsums import INF, MultilinearForm, brute_force_norm, brute_force_scan
+    from mixedsums import (
+        INF, MultilinearForm, brute_force_norm, brute_force_scan, diagonal_form, row_form,
+    )
 
     def payload(coeffs) -> str:
         est = brute_force_norm(MultilinearForm(coefficients=coeffs, p=(INF,) * coeffs.ndim))
@@ -491,6 +535,9 @@ def brute_payloads() -> dict[str, str]:
     out["brute:float-sums:100000"] = payload(g.standard_normal(10**5))
     stack = np.stack([g.standard_normal((2, 25000))] * 3)
     out["brute:float-sums-stack:3x2x25000"] = repr(brute_force_scan(stack))
+    for n in ALL_TIES_N:
+        out[f"brute:all-ties:diagonal{n}"] = payload(diagonal_form(2, n, (INF, INF)).coefficients)
+    out["brute:all-ties:row16x16"] = payload(row_form(16, 16, (INF, INF)).coefficients)
     return out
 
 
@@ -542,6 +589,7 @@ def digests() -> dict[str, str]:
     out.update(repeated_payloads())
     out.update(brute_payloads())
     out.update(predict_payloads())
+    out.update(sum2_payloads())
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}
 
 
