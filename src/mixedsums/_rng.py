@@ -10,9 +10,9 @@ A random growth row draws all of its signs from one stream: draw d of row n
 is the words [d*N, (d+1)*N) of PCG64(SeedSequence((seed, n))), N = n^m, as
 +-1 (_signs), so stream(seed, n).bit_generator.advance(d*N) regenerates it.
 
-streams runs numpy's SeedSequence algorithm over many keys at once as
-uint32 array operations and reproduces, word for word, the states numpy
-seeds a PCG64 with.
+streams seeds an ascent call's restart streams (seed, t) in one batch: it
+runs numpy's SeedSequence algorithm as uint32 array operations and
+reproduces, word for word, the states numpy seeds a PCG64 with.
 """
 
 from __future__ import annotations
@@ -48,11 +48,12 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_key(seed, key))))
 
 
-def streams(seed: int, keys) -> list[np.random.Generator]:
-    """[stream(seed, *key) for key in keys], seeded in one batch: no
-    SeedSequence is built, which would cost more than short draws do."""
+def streams(seed: int, ts) -> list[np.random.Generator]:
+    """[stream(seed, t) for t in ts], seeded in one batch: no SeedSequence
+    is built, which would cost more than short draws do. Each t must lie
+    in [0, 2**32)."""
     seeded = _seeded_type()
-    states = _uint64(_states([(seed, *key) for key in keys], 8))
+    states = _uint64(_states(seed, ts, 8))
     return [np.random.Generator(np.random.PCG64(seeded(state))) for state in states]
 
 
@@ -63,15 +64,14 @@ def derive_seed(seed: int, *key: int) -> int:
 
 
 def sign_array(shape: tuple[int, ...], seed: int, *key: int) -> np.ndarray:
-    """Uniform +-1 array; signs come from the top bit of 64-bit draws.
+    """Uniform +-1 array; signs come from the top bit of the stream's raw
+    64-bit words.
 
-    Equal to 1.0 - 2.0 * (draws >> 63). The float64 bit pattern of +-1.0
-    is the draw's top bit as sign over the exponent bits of 1.0, built in
-    place on the draws, so only one array of the given shape ever exists.
+    Equal to 1.0 - 2.0 * (words >> 63). The float64 bit pattern of +-1.0
+    is the word's top bit as sign over the exponent bits of 1.0, built in
+    place on the words, so only one array of the given shape ever exists.
     """
-    g = stream(seed, *key)
-    bits = g.integers(0, 2**64, size=shape, dtype=np.uint64)
-    return _signs(bits)
+    return _signs(stream(seed, *key).bit_generator.random_raw(shape))
 
 
 def _signs(bits: np.ndarray) -> np.ndarray:
@@ -130,27 +130,20 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _pools(words: np.ndarray) -> np.ndarray:
-    """(K, 4) SeedSequence pools of K keys of L uint32 entropy words each.
+def _pools(entropy: np.ndarray) -> np.ndarray:
+    """(K, 4) SeedSequence pools of K keys, each given as its uint32
+    entropy words zero-padded to the pool's four: SeedSequence hashes a
+    missing word as 0, so the padding seeds the same pool.
 
     The pool words that one source word mixes into do not feed each other,
     so each source is one array step."""
-    count, length = words.shape
-    extra = max(0, length - _POOL_SIZE)
-    before, after = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
-    pool = np.zeros((count, _POOL_SIZE), dtype=np.uint32)
-    pool[:, :length] = words[:, :_POOL_SIZE]
-    pool = _hashmix(pool, before[:_POOL_SIZE], after[:_POOL_SIZE])
+    pool = _hashmix(entropy, *_hash_constants(_INIT_A, _MULT_A, _POOL_SIZE))
     # mix all bits together so late words can affect earlier ones; the
     # source word itself keeps its value, read from the previous array
     for src, (b, a) in enumerate(_cross_constants()):
         word = pool[:, src]
         pool = _mix(pool, _hashmix(word[:, None], b, a))
         pool[:, src] = word
-    # entropy past the pool is mixed into every pool word
-    for i in range(extra):
-        steps = slice(_POOL_SIZE * (_POOL_SIZE + i), _POOL_SIZE * (_POOL_SIZE + i + 1))
-        pool = _mix(pool, _hashmix(words[:, _POOL_SIZE + i, None], before[steps], after[steps]))
     return pool
 
 
@@ -160,32 +153,20 @@ def _generate(pools: np.ndarray, n_words: int) -> np.ndarray:
     return _hashmix(columns, *_hash_constants(_INIT_B, _MULT_B, n_words))
 
 
-def _words(entropy: tuple[int, ...]) -> list[int]:
-    """uint32 entropy words of a key, as SeedSequence splits them: each
-    integer masked to 64 bits, little end first, 0 as one word."""
-    out = []
-    for k in entropy:
-        k = int(k) & _MASK64
-        out.append(k & _MASK32)
-        if k >> 32:
-            out.append(k >> 32)
-    return out
+def _states(seed: int, ts, n_words: int) -> np.ndarray:
+    """(K, n_words) uint32: row i is SeedSequence((seed, ts[i])).generate_state(n_words).
 
-
-def _states(keys, n_words: int) -> np.ndarray:
-    """(K, n_words) uint32: row i is
-    SeedSequence(keys[i]).generate_state(n_words), with each key a tuple of
-    integers masked as derive_seed masks them."""
-    groups: dict[int, tuple[list[int], list[list[int]]]] = {}
-    for i, key in enumerate(keys):
-        words = _words(key)
-        rows, group = groups.setdefault(len(words), ([], []))
-        rows.append(i)
-        group.append(words)
-    state = np.empty((len(keys), n_words), dtype=np.uint32)
-    for rows, group in groups.values():
-        state[rows] = _generate(_pools(np.array(group, dtype=np.uint32)), n_words)
-    return state
+    The seed, masked as derive_seed masks it, is one 32-bit entropy word or
+    two, low first; each t is one word, so a t outside [0, 2**32) raises."""
+    ts = list(ts)
+    if not all(0 <= t <= _MASK32 for t in ts):
+        raise ValueError(f"each t must lie in [0, 2**32), got {ts}")
+    seed = int(seed) & _MASK64
+    head = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    entropy = np.zeros((len(ts), _POOL_SIZE), dtype=np.uint32)
+    entropy[:, : len(head)] = head
+    entropy[:, len(head)] = ts
+    return _generate(_pools(entropy), n_words)
 
 
 def _uint64(state: np.ndarray) -> np.ndarray:

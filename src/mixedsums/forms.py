@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .exponents import as_exponent_vector, exponent_to_json
+from .exponents import as_exponent, as_exponent_vector, exponent_to_json
 from .tensors import _integer, _read_field, _vector, tensor_from_obj, tensor_to_obj
 
 __all__ = [
@@ -119,7 +119,7 @@ class KszCertificate:
 
 def alpha(p) -> float:
     """alpha(p) = 1/2 - 1/p for p >= 2, else 0."""
-    p = float(p)
+    p = as_exponent(p, "p")
     if p < 1.0:
         raise ValueError(f"requires p >= 1, got {p}")
     if p < 2.0:

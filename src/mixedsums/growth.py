@@ -340,7 +340,7 @@ def _best_draw(config: ExperimentConfig, n: int):
     best = None
     for lo in range(0, config.draws, per_stack):
         count = min(per_stack, config.draws - lo)
-        stack = _rng._signs(bits.random_raw(count * size)).reshape((count, *shape))
+        stack = _rng._signs(bits.random_raw((count, *shape)))
         draw = _stack_best(config, stack, n, lo)
         del stack  # freed before the next stack is drawn
         if best is None or draw[0] > best[0]:

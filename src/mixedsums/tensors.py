@@ -86,9 +86,13 @@ def compensated_sum(x) -> np.ndarray:
     sum multiplied back, so no running total overflows while the sum is
     finite. Dividing by a power of two is exact, so the bits are those of
     the unscaled Sum2 unless a scaled entry, an error term or the sum
-    leaves the normal range.
+    leaves the normal range. Empty rows sum to 0.0, as np.sum gives.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0:
+        raise ValueError(f"compensated_sum needs an axis to sum along, got shape {x.shape}")
+    if x.shape[-1] == 0:
+        return np.zeros(x.shape[:-1])[()]
     rows = x.reshape(-1, x.shape[-1])
     scale = _scale(np.abs(rows).max(axis=-1), 1.0)  # 0.5 for a zero row
     return (_sum2(rows / scale[:, None]) * scale).reshape(x.shape[:-1])[()]

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedsums import (
@@ -25,12 +25,15 @@ from mixedsums import (
 )
 from mixedsums import _rng
 from mixedsums._rng import derive_seed, phase_array, sign_array, stream, streams
+from mixedsums.forms import ksz_bound_exponent
 
 # key entries at the edges of SeedSequence's word split: 0 is one word,
 # 2**32 - 1 the largest one-word entry, 2**64 - 1 the largest two-word one;
 # negatives and entries past 64 bits are masked to 64 bits first
 _EDGE_KEYS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**63 + 5, 2**64 - 1, -1, -3, 2**64, 2**70 + 3)
 _KEY_ENTRY = st.one_of(st.sampled_from(_EDGE_KEYS), st.integers(-(2**65), 2**65))
+# restart indices: one entropy word each, its edges 0 and 2**32 - 1 included
+_RESTART = st.one_of(st.sampled_from((0, 1, 2**32 - 1)), st.integers(0, 2**32 - 1))
 
 
 def test_alpha():
@@ -41,6 +44,15 @@ def test_alpha():
     assert alpha(INF) == 0.5
     with pytest.raises(ValueError):
         alpha(0.5)
+
+
+@pytest.mark.parametrize("p", [math.nan, "x", 0.0, -2.0])
+def test_alpha_rejects_what_is_no_exponent(p):
+    # a NaN p used to give a NaN alpha, and a bad string float()'s own message
+    with pytest.raises(ValueError, match=r"p must lie in \(0, inf\]"):
+        alpha(p)
+    with pytest.raises(ValueError, match=r"p must lie in \(0, inf\]"):
+        ksz_bound_exponent((p, 2.0))
 
 
 def test_stream_reproducible():
@@ -59,46 +71,49 @@ def test_derive_seed_frozen():
 
 def test_derive_seed_frozen_in_a_batch():
     # the batched SeedSequence words streams seeds with, read as derive_seed reads them
-    def batched(keys):
-        return _rng._uint64(_rng._states(keys, 2))[:, 0].tolist()
+    def batched(seed, ts):
+        return _rng._uint64(_rng._states(seed, ts, 2))[:, 0].tolist()
 
-    assert batched([(7, 2, 0, 0)]) == [18279110831140952437]
-    assert batched([(7, 2, 0, 1), (7, 2, 0, 0)])[1] == 18279110831140952437
+    for seed in (7, -3, 2**32, 2**64 - 1):
+        ts = [0, 5, 2**32 - 1]
+        assert batched(seed, ts) == [derive_seed(seed, t) for t in ts]
+    assert batched(7, [3, 2])[1] == derive_seed(7, 2)
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    # one to nine entries: past the pool of four words, and with two-word
-    # entries up to eighteen words
-    keys=st.lists(st.lists(_KEY_ENTRY, min_size=1, max_size=9).map(tuple), min_size=1, max_size=12),
-    n_words=st.sampled_from([1, 2, 5, 8]),
-)
-def test_batched_states_are_seed_sequence_words(keys, n_words):
-    got = _rng._states(keys, n_words)
-    assert got.dtype == np.uint32 and got.shape == (len(keys), n_words)
-    for key, row in zip(keys, got):
-        entropy = [k & 0xFFFFFFFFFFFFFFFF for k in key]
-        want = np.random.SeedSequence(entropy).generate_state(n_words)
+@given(seed=_KEY_ENTRY, ts=st.lists(_RESTART, max_size=12), n_words=st.sampled_from([1, 2, 5, 8]))
+@example(seed=2**64 - 1, ts=[], n_words=8)
+def test_batched_states_are_seed_sequence_words(seed, ts, n_words):
+    got = _rng._states(seed, ts, n_words)
+    assert got.dtype == np.uint32 and got.shape == (len(ts), n_words)
+    for t, row in zip(ts, got):
+        want = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, t]).generate_state(n_words)
         assert row.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    seed=_KEY_ENTRY,
-    keys=st.lists(st.lists(_KEY_ENTRY, max_size=5).map(tuple), max_size=8),
-)
-def test_streams_are_stream_per_key(seed, keys):
+@given(seed=_KEY_ENTRY, ts=st.lists(_RESTART, max_size=8))
+@example(seed=3, ts=[])
+def test_streams_are_stream_per_key(seed, ts):
     # the batch-seeded generators draw what numpy's SeedSequence seeding does
-    got = [g.standard_normal(5).tobytes() + g.random(3).tobytes() for g in streams(seed, keys)]
+    got = [g.standard_normal(5).tobytes() + g.random(3).tobytes() for g in streams(seed, ts)]
     want = [
         g.standard_normal(5).tobytes() + g.random(3).tobytes()
-        for g in (stream(seed, *key) for key in keys)
+        for g in (stream(seed, t) for t in ts)
     ]
     assert got == want
 
 
+@pytest.mark.parametrize("t", [-1, 2**32])
+def test_streams_reject_a_t_that_is_not_one_word(t):
+    # such a t would not fit the one entropy word each restart key holds
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+        streams(3, [2, t])
+
+
 def test_random_raw_is_the_full_range_integers():
-    # growth's sign stacks read random_raw where sign_array reads integers(0, 2**64)
+    # sign_array and growth's sign stacks read random_raw, which gives the
+    # words that integers(0, 2**64) draws
     for seed in (0, 3, 2**32, 2**64 - 1):
         raw = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(50)
         draws = stream(seed).integers(0, 2**64, size=50, dtype=np.uint64)

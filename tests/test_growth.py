@@ -276,9 +276,10 @@ class _Words:
     def __init__(self, words):
         self.words, self.at = words, 0
 
-    def random_raw(self, size):
+    def random_raw(self, shape):
+        size = math.prod(shape)
         self.at += size
-        return self.words[self.at - size : self.at].copy()
+        return self.words[self.at - size : self.at].reshape(shape).copy()
 
 
 def _crafted_stream(monkeypatch, draws):
@@ -484,8 +485,8 @@ def test_stacked_ascent_builds_only_the_winners(monkeypatch):
 
 @pytest.mark.parametrize("cfg", _DRAWN_CONFIGS, ids=lambda c: f"{c.norm_method}-draws{c.draws}")
 def test_drawn_rows_seed_in_one_batch_per_experiment(monkeypatch, cfg):
-    # one stream a row, keyed (seed, n), and one random_raw call a stack:
-    # every row here fits in _STACK_ENTRIES
+    # one stream a row, keyed (seed, n), and one random_raw call a stack of
+    # shape (draws, n, ..., n): every row here fits in _STACK_ENTRIES
     keys, sizes, real = [], [], growth_module._rng.stream
 
     class Counting:
@@ -504,7 +505,7 @@ def test_drawn_rows_seed_in_one_batch_per_experiment(monkeypatch, cfg):
     run_growth(cfg)
     k = cfg.k or cfg.m
     assert keys == [(cfg.seed, n) for n in cfg.n_values]
-    assert sizes == [cfg.draws * n**k for n in cfg.n_values]
+    assert sizes == [(cfg.draws, *(n,) * k) for n in cfg.n_values]
 
 
 def test_product_extension_lhs_growth():

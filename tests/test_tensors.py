@@ -489,6 +489,19 @@ def test_compensated_sum_has_the_bits_of_unscaled_sum2():
     assert compensated_sum(np.zeros((2, 5))).tolist() == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 3, 0), (0, 5)])
+def test_compensated_sum_of_empty_rows_is_zero(shape):
+    # as np.sum: a row without entries sums to 0.0, in the shape x.shape[:-1]
+    x = np.empty(shape)
+    got, want = compensated_sum(x), np.sum(x, axis=-1)
+    assert np.shape(got) == want.shape and np.asarray(got).tobytes() == want.tobytes()
+
+
+def test_compensated_sum_rejects_a_scalar():
+    with pytest.raises(ValueError, match=r"got shape \(\)"):
+        compensated_sum(3.0)
+
+
 def test_repeated_fiber_temporaries_stay_small():
     # 2**20 copies of one entry take one multiply, not 2**20 entries
     # written out and three Sum2 rows (~32 MiB)

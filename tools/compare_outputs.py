@@ -15,8 +15,10 @@ and ``brute_payloads``), the exit code, output and written files of
 ``mixed_norm`` (``kernel_payloads``, ``broadcast_payloads``,
 ``exact_payloads`` and ``repeated_payloads``), the reports of
 ``exponents.predict`` over a grid of (m, p, r) (``predict_payloads``),
-and the bits of ``compensated_sum`` (``sum2_payloads``). It prints the
-sha256 of each payload on one line and exits 1 if any payload differs.
+the bits of ``compensated_sum`` (``sum2_payloads``), and the value and
+witness bytes of ``alternating_ascent`` at restart seeds of one and two
+words (``ascent_payloads``). It prints the sha256 of each payload on one
+line and exits 1 if any payload differs.
 """
 
 from __future__ import annotations
@@ -92,8 +94,9 @@ EXPERIMENTS = [
     "--family custom-file --m 2 --p inf,inf --r 1,1 --norm-method ascent --restarts 3 --form-file {tmp}/forms.json",
     "--family custom-file --m 2 --p inf,inf --r 1,1 --norm-method brute --form-file {tmp}/ksz.json",
 ]
-# seeds whose keys (seed, n, d, 0) hold more words than SeedSequence's pool
-# of four: 2**32, -3 (masked to 2**64 - 3) and 2**63 + 5 take two words each
+# seeds that SeedSequence takes as two 32-bit words: 2**32, -3 (masked to
+# 2**64 - 3) and 2**63 + 5. A row's sign stream is keyed (seed, n), so these
+# experiments pin the 64-bit masking and the two-word seeds of row streams
 for _seed in (4294967296, -3, 9223372036854775813):
     EXPERIMENTS += [
         "--family ksz --m 2 --p inf,inf --r 1,1 --n-values 2,3,4,5,6 "
@@ -208,6 +211,9 @@ LONG_N = (2**20, 1_000_003)
 NEAR_MAX_N = (2, 3, 97, 2999, 2**20, 1_000_003)
 # shapes of the integer tensors that fiber_norms adds without Sum2
 EXACT_SHAPES = [(6, 1), (25, 3000), (2, 40000), (3, 7, 300), (64, 64)]
+# ascent seeds at the edges of the restart streams' (seed, t) keys: the
+# largest one-word seed, two-word seeds, and one masked to 64 bits
+RESTART_SEEDS = (2**32 - 1, 2**63 + 5, 2**64 - 1, 2**70 + 3)
 
 
 def cli_payloads(tmp: Path) -> dict[str, str]:
@@ -446,6 +452,24 @@ def sum2_payloads() -> dict[str, str]:
     return out
 
 
+def ascent_payloads() -> dict[str, str]:
+    """alternating_ascent value and witness bytes at each of RESTART_SEEDS.
+
+    32 restarts of one small ksz form, so 32 restart streams (seed, t) are
+    seeded in one batch. At p = (4, 4) the bytes of the ascent's end point
+    vary with its seed, so a stream seeded wrong shows.
+    """
+    from mixedsums import alternating_ascent, ksz_random_form
+
+    form, _ = ksz_random_form(2, 8, (4.0, 4.0), seed=13)
+    out = {}
+    for seed in RESTART_SEEDS:
+        est = alternating_ascent(form, 32, seed)
+        witness = b"".join(w.tobytes() for w in est.witness)
+        out[f"ascent:restart-seeds:{seed}"] = repr(est.value) + witness.hex()
+    return out
+
+
 def predict_payloads() -> dict[str, str]:
     """predict(m, p, r).to_dict() as JSON over the PREDICT grid, one payload per m."""
     from mixedsums import predict
@@ -590,6 +614,7 @@ def digests() -> dict[str, str]:
     out.update(brute_payloads())
     out.update(predict_payloads())
     out.update(sum2_payloads())
+    out.update(ascent_payloads())
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}
 
 
