@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _rng
 from .exponents import INF, exponent_to_json, predict
-from .forms import form_from_obj, form_to_obj
+from .forms import form_from_obj, form_to_obj, ksz_bound_exponent
 from .growth import (
     DEFAULT_FIT_TOLERANCE,
     check_tolerance,
@@ -36,7 +36,6 @@ from .growth import (
     estimate_norm,
     loglog_fit,
     make_form,
-    paper_bound_exponent,
     report_obj,
     run_growth,
     series_to_csv,
@@ -159,7 +158,7 @@ def cmd_generate(args) -> int:
     )
     if args.family in ("ksz", "product_extension"):
         base = "base " if args.family == "product_extension" else ""
-        note = f"{base}bound exponent {paper_bound_exponent(args.family, args.p, args.k)!r}"
+        note = f"{base}bound exponent {ksz_bound_exponent(args.p[: args.k])!r}"
     else:
         note = "closed-form norm available"
     with open(args.out, "w") as f:

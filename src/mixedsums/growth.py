@@ -13,9 +13,9 @@ reports draws_used = draws. diagonal and row build one form per n, ksz
 paper_bound rows draw none, and both report draws_used = 0, as does
 custom-file: one row per form in its file, n the form's first dimension.
 
-A product_extension experiment's rows are those of its base config
-(_base_config), ksz on its first k slots at the same seed, draws and
-method. Pinning the m - k new indices to 1 keeps the operator norm (a
+A product_extension experiment's rows are those of its base config,
+which run_growth builds: ksz on its first k slots at the same seed, draws
+and method. Pinning the m - k new indices to 1 keeps the operator norm (a
 pinned slot contributes |x_j[0]| <= 1, which e_1 attains), and the pinned
 fibers reduce to exactly 1.0 and 0.0 at every r; only the fit and the
 prediction see all m slots.
@@ -78,7 +78,6 @@ __all__ = [
     "GrowthSeries",
     "FitResult",
     "make_form",
-    "paper_bound_exponent",
     "check_tolerance",
     "estimate_norm",
     "run_growth",
@@ -104,16 +103,39 @@ _ONE = np.ones(1)
 _ONE.flags.writeable = False
 
 
+def _check_options(
+    family: str, m: int, k: int | None = None, n2: int | None = None,
+    complex_phases: bool = False, form_file: str | None = None,
+) -> None:
+    """Refuse an option that `family` does not take, and a row family off
+    m = 2 or a product_extension without k in [1, m]: the one check of
+    make_form and ExperimentConfig."""
+    if family == "row" and m != 2:
+        raise ValueError("row family requires m = 2")
+    if family == "product_extension":
+        if k is None or not 1 <= k <= m:
+            raise ValueError("product_extension requires k in [1, m]")
+    elif k is not None:
+        raise ValueError("k applies to the product_extension family only")
+    if n2 is not None and family != "row":
+        raise ValueError("n2 applies to the row family only")
+    if complex_phases and family != "ksz":
+        raise ValueError("complex_phases applies to the ksz family only")
+    if form_file is not None and family != "custom-file":
+        raise ValueError("form_file applies to the custom-file family only")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One growth experiment.
 
     k is the base arity for the product_extension family, whose rows are
-    those of _base_config (k = m is a plain sign form); form_file names a
-    JSON file with a list of forms, or one form object, for the custom-file
-    family, whose rows replace the generated ones (n_values is then
-    ignored) and whose declared (m, p) describe the file's forms for
-    prediction purposes; each form's own p drives the norm estimate.
+    those of its base config, built in run_growth (k = m is a plain sign
+    form); form_file names a JSON file with a list of forms, or one form
+    object, for the custom-file family, whose rows replace the generated
+    ones (n_values is then ignored) and whose declared (m, p) describe the
+    file's forms for prediction purposes; each form's own p drives the
+    norm estimate. Neither option is taken by another family.
     """
 
     family: str
@@ -148,13 +170,7 @@ class ExperimentConfig:
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
         _check_ascent(self.restarts, self.tol)
-        if self.family == "row" and self.m != 2:
-            raise ValueError("row family requires m = 2")
-        if self.family == "product_extension":
-            if self.k is None or not 1 <= self.k <= self.m:
-                raise ValueError("product_extension requires k in [1, m]")
-        elif self.k is not None:
-            raise ValueError("k applies to the product_extension family only")
+        _check_options(self.family, self.m, self.k, form_file=self.form_file)
         if self.family == "custom-file" and not self.form_file:
             raise ValueError("custom-file family requires form_file")
         if self.norm_method == "analytic" and self.family not in _CLOSED:
@@ -162,9 +178,9 @@ class ExperimentConfig:
         if self.norm_method == "paper_bound" and self.family == "custom-file":
             raise ValueError("paper_bound has no closed form for custom files")
         if self.norm_method == "brute" and self.family != "custom-file":
-            base = _base_config(self)  # brute enumerates its slots
-            if any(pj != INF for pj in base.p):
-                raise ValueError(f"brute norms require p_j = inf for j <= {base.m}")
+            base_p = self.p[: self.k]  # brute enumerates the base's slots
+            if any(pj != INF for pj in base_p):
+                raise ValueError(f"brute norms require p_j = inf for j <= {len(base_p)}")
 
 
 @dataclass(frozen=True)
@@ -213,17 +229,17 @@ def make_form(
 
     ksz draws an m-linear sign form from `seed` (unimodular phases with
     complex_phases); product_extension extends a k-linear ksz draw to m
-    slots of size n; row is bilinear with n2 (default n) columns.
+    slots of size n; row is bilinear with n2 (default n) columns. An
+    option that the family does not take is refused.
     """
+    _check_options(family, m, k, n2, complex_phases)
     if family == "ksz":
         return ksz_random_form(m, n, p, seed, complex_phases=complex_phases)[0]
     if family == "diagonal":
         return diagonal_form(m, n, p)
     if family == "row":
-        return row_form(n, n2 or n, p)
+        return row_form(n, n if n2 is None else n2, p)
     if family == "product_extension":
-        if k is None or not 1 <= k <= m:
-            raise ValueError("product_extension requires k in [1, m]")
         base, _ = ksz_random_form(k, n, p[:k], seed)
         return product_extension(base, m, p[k:])
     raise ValueError(f"no generated family {family!r}")
@@ -260,24 +276,6 @@ def _estimate(config: ExperimentConfig, form: MultilinearForm, n: int, d: int = 
     seed = _rng.derive_seed(config.seed, n, d, 1) if config.norm_method == "ascent" else 0
     est = estimate_norm(form, config.norm_method, config.restarts, seed, config.tol)
     return est.value, est.kind
-
-
-def _base_slots(family: str, values, k: int | None):
-    """A random family's base sign form's entries of p or r: the first k of product_extension."""
-    return values[:k] if family == "product_extension" else values
-
-
-def _base_config(config: ExperimentConfig) -> ExperimentConfig:
-    """A product_extension config's base (module docstring); any other config's is itself."""
-    if config.family != "product_extension":
-        return config
-    p, r = (_base_slots(config.family, v, config.k) for v in (config.p, config.r))
-    return replace(config, family="ksz", m=len(p), p=p, r=r, k=None)
-
-
-def paper_bound_exponent(family: str, p, k: int | None = None) -> float:
-    """The power of n in the unit-constant norm bound of a random family's base sign form."""
-    return ksz_bound_exponent(_base_slots(family, p, k))
 
 
 def _base_lhs(config: ExperimentConfig, n: int) -> float:
@@ -380,7 +378,10 @@ def run_growth(config: ExperimentConfig) -> GrowthSeries:
             raise ValueError(f"form file {config.form_file} holds no forms")
         rows = [_form_row(config, f.shape[0], f) for f in map(form_from_obj, payload)]
     else:
-        rows = _generated_rows(_base_config(config))
+        base, k = config, config.k
+        if config.family == "product_extension":  # its base's rows (module docstring)
+            base = replace(config, family="ksz", m=k, p=config.p[:k], r=config.r[:k], k=None)
+        rows = _generated_rows(base)
     return GrowthSeries(config=config, rows=tuple(rows))
 
 

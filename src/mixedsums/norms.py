@@ -83,13 +83,15 @@ def dual_maximizer(c, p) -> tuple[np.ndarray, float | np.ndarray]:
     row. ||x||_p <= 1 and value = ||c||_{p'}. x is phase-aligned with
     conj(c), so for real c its entries carry the signs of c with
     sign(0) = +1. Ties at p = 1 go to the smallest index. A zero row
-    gives the zero vector and value 0.
+    gives the zero vector and value 0, and so does an empty row.
     """
     p = as_exponent(p, "p")
     if p < 1.0:
         raise ValueError(f"requires p >= 1, got p = {p}")
     c = np.asarray(c)
     c = c.astype(np.complex128 if np.iscomplexobj(c) else np.float64)
+    if c.shape[-1] == 0:  # rows with no entry to take a maximum of
+        return (c, 0.0) if c.ndim == 1 else (c, np.zeros(c.shape[:-1]))
     a = np.abs(c)
     # NumPy's complex division by a subnormal modulus overflows, e.g.
     # (1e-310+0j)/1e-310 = inf+nanj; such entries are scaled by 2**64 on

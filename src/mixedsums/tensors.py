@@ -123,12 +123,14 @@ def fiber_norms(a, r: float) -> np.ndarray:
     entries and n <= 2**25 the bits are those a contiguous copy gives. A
     repeated inf gives inf, the true sum, where the copy's Sum2 forms
     inf - inf, NaN, once n >= 2 (at r > 512 both give NaN); mixed_norm
-    raises NumericalError on either. At r = 1 no root is taken. r is not
-    validated.
+    raises NumericalError on either. At r = 1 no root is taken. An empty
+    fiber has norm 0.0 at every r. r is not validated.
     """
     a = np.asarray(a)
-    out = _reduce(_distinct(a), a.shape[-1], r)
     lead = a.shape[:-1]
+    if a.shape[-1] == 0:  # the empty sum, and the max of no modulus
+        return np.zeros(lead)
+    out = _reduce(_distinct(a), a.shape[-1], r)
     return out if out.shape == lead else np.broadcast_to(out, lead)
 
 

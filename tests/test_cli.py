@@ -280,6 +280,32 @@ def test_experiment_rejects_k_outside_product_extension(tmp_path, capsys):
     assert not out_csv.exists() and not (tmp_path / "k.json").exists()
 
 
+def test_experiment_rejects_form_file_outside_custom_file(tmp_path, capsys):
+    out_csv = tmp_path / "f.csv"
+    code, out, err = run(
+        capsys, "experiment", "--family", "diagonal", "--m", "2", "--p", "4,4",
+        "--r", "1,1", "--n-values", "2,4,8", "--norm-method", "analytic",
+        "--form-file", str(tmp_path / "absent.json"), "--out", str(out_csv),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: form_file applies to the custom-file family only\n"
+    assert not out_csv.exists() and not (tmp_path / "f.json").exists()
+
+
+def test_generate_refuses_a_row_form_with_no_columns(tmp_path, capsys):
+    # --n2 0 asks for no columns; it does not fall back to --n
+    path = tmp_path / "form.json"
+    code, out, err = run(
+        capsys, "generate", "--family", "row", "--m", "2", "--n", "3", "--n2", "0",
+        "--p", "inf,2", "--out", str(path),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: n1 and n2 must be >= 1\n"
+    assert not path.exists()
+
+
 def test_experiment_inline(tmp_path, capsys):
     out_csv = tmp_path / "exp.csv"
     code, out, _ = run(

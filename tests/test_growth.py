@@ -657,6 +657,14 @@ def test_config_rejects_k_outside_product_extension(family):
     assert _cfg(family=family, norm_method="paper_bound").k is None
 
 
+@pytest.mark.parametrize("family", ["ksz", "diagonal", "row", "product_extension"])
+def test_config_rejects_form_file_outside_custom_file(family):
+    # no generated family reads the file, so a report would name it for nothing
+    k = 1 if family == "product_extension" else None
+    with pytest.raises(ValueError, match="^form_file applies to the custom-file family only$"):
+        _cfg(family=family, k=k, form_file="forms.json", norm_method="paper_bound")
+
+
 def test_paper_bound_method():
     series = run_growth(_cfg(norm_method="paper_bound"))
     for row in series.rows:
@@ -951,6 +959,28 @@ def test_make_form_matches_family_builders():
         make_form("product_extension", 3, 4, p3, 12)
     with pytest.raises(ValueError, match="custom-file"):
         make_form("custom-file", 2, 4, (INF, INF), 0)
+
+
+@pytest.mark.parametrize(
+    "family, m, p, options, message",
+    [
+        ("row", 3, (INF, 2.0), {}, "row family requires m = 2"),
+        ("ksz", 2, (INF, INF), {"n2": 5}, "n2 applies to the row family only"),
+        ("diagonal", 2, (2.0, 2.0), {"n2": 5}, "n2 applies to the row family only"),
+        ("diagonal", 2, (2.0, 2.0), {"k": 1}, "k applies to the product_extension family only"),
+        ("ksz", 2, (INF, INF), {"k": 2}, "k applies to the product_extension family only"),
+        ("diagonal", 2, (2.0, 2.0), {"complex_phases": True},
+         "complex_phases applies to the ksz family only"),
+        ("product_extension", 3, (INF,) * 3, {"k": 2, "complex_phases": True},
+         "complex_phases applies to the ksz family only"),
+        # n2 = 0 is given, not the default n: a row form with no columns
+        ("row", 2, (INF, 2.0), {"n2": 0}, "n1 and n2 must be >= 1"),
+    ],
+)
+def test_make_form_refuses_options_its_family_ignores(family, m, p, options, message):
+    # a form built without the option would not be the form asked for
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_form(family, m, 4, p, 0, **options)
 
 
 def test_estimate_norm_dispatches_to_each_estimator():

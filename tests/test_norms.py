@@ -107,6 +107,33 @@ def test_large_exponents_stay_finite():
     assert lp_norm(x, p) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.0 + 1e-9, 1.0 + 1e-12])
+def test_dual_maximizer_near_p_1_stays_on_the_unit_ball(p):
+    # rows with three tied maxima: the closed form ||x||_p = (value/top)^(p'/p)
+    # in place of the second fiber_norms call leaves the ball by 1.8e-7 at
+    # p = 1 + 1e-9 and by 1.4e-4 at p = 1 + 1e-12 on such rows
+    g = np.random.Generator(np.random.PCG64(35))
+    c = g.standard_normal((200, 50))
+    top = np.abs(c).max(axis=-1)
+    for row, t in zip(c, top):
+        ties = g.choice(50, 3, replace=False)
+        row[ties] = t * np.sign(row[ties])
+    x, val = dual_maximizer(c, p)
+    for ci, xi, vi in zip(c, x, val):
+        assert lp_norm(xi, p) <= 1.0 + 1e-12
+        assert float(ci @ xi) == pytest.approx(vi, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 600.0, INF])
+def test_empty_rows_have_norm_zero(p):
+    # as np.linalg.norm of an empty vector, at every p
+    assert lp_norm(np.array([]), p) == 0.0
+    x, val = dual_maximizer(np.array([]), p)
+    assert x.shape == (0,) and type(val) is float and val == 0.0
+    x, val = dual_maximizer(np.empty((2, 3, 0), complex), p)
+    assert x.shape == (2, 3, 0) and val.shape == (2, 3) and not val.any()
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, INF])
 @pytest.mark.parametrize("complex_rows", [False, True])
 def test_dual_maximizer_stack_matches_rows(p, complex_rows):

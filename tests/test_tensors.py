@@ -497,6 +497,16 @@ def test_compensated_sum_of_empty_rows_is_zero(shape):
     assert np.shape(got) == want.shape and np.asarray(got).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0, 600.0, INF])
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 3, 0), (0, 5)])
+def test_fiber_norms_of_empty_fibers_are_zero(shape, r):
+    # np.linalg.norm gives 0.0 at ord 1, 2 and inf; so does every r here
+    got = fiber_norms(np.empty(shape), r)
+    assert np.shape(got) == shape[:-1] and not np.any(got)
+    with pytest.raises(ValueError, match="has no entries"):
+        mixed_norm(np.empty(shape), (r,) * len(shape))
+
+
 def test_compensated_sum_rejects_a_scalar():
     with pytest.raises(ValueError, match=r"got shape \(\)"):
         compensated_sum(3.0)

@@ -11,7 +11,8 @@ script computes, in a fresh interpreter, the payloads of ``digests``:
 and STACKED, DRAWN and PAPER_BOUND at each seed of SEEDS), the value and
 witness bytes of ``brute_force_norm`` (the ``brute_exact`` benchmark forms
 and ``brute_payloads``), the exit code, output and written files of
-``cli.main`` runs (``cli_payloads``), and the bits of ``fiber_norms`` and
+``cli.main`` runs (``cli_payloads``, among them the two EXPERIMENTS that
+brute refuses for a finite p in an enumerated slot), and the bits of ``fiber_norms`` and
 ``mixed_norm`` (``kernel_payloads``, ``broadcast_payloads``,
 ``exact_payloads`` and ``repeated_payloads``), the reports of
 ``exponents.predict`` over a grid of (m, p, r) (``predict_payloads``),
@@ -115,6 +116,13 @@ EXPERIMENTS += [
     "--norm-method brute",
     "--family product_extension --m 3 --k 2 --p inf,inf,4 --r 1,2,2 --n-values 2,4,6,8,10 "
     "--norm-method brute --draws 3",
+]
+# brute refuses a finite p in a slot it enumerates: all of a ksz form's and
+# the first k of a product_extension's (ExperimentConfig's brute rule)
+EXPERIMENTS += [
+    "--family ksz --m 2 --p inf,4 --r 1,1 --n-values 2,3,4 --norm-method brute",
+    "--family product_extension --m 3 --k 2 --p inf,4,inf --r 1,2,2 --n-values 2,3,4 "
+    "--norm-method brute",
 ]
 # exponent grid: every m, a p common to all slots or with the last slot
 # 3/2 (the anisotropic regime), and r common to all slots or r_1 then 2s
