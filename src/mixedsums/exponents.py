@@ -219,31 +219,8 @@ def unified_exponent(m: int, p, r) -> UnifiedExponents:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    p = as_exponent_vector(p, m, "p")
-    r = as_exponent_vector(r, m, "r")
-    return _unified(m, p, r, _harmonic(p))
-
-
-def _unified(m: int, p: tuple[float, ...], r: tuple[float, ...], h: float) -> UnifiedExponents:
-    s_case1 = None
-    if all(2.0 <= pj <= 2.0 * m for pj in p):
-        m2 = _m_less(2.0, r)
-        s_case1 = _excess([*(1.0 / r[j - 1] for j in m2), h], len(m2)) if m2 else 0.0
-
-    s_case2 = None
-    if h <= 0.5:
-        mhl = _m_less(_rho_hl(m, h), r)
-        k = len(mhl)
-        if k == 0:
-            s_case2 = 0.0
-        elif k == m:
-            s_case2 = _alt(r, h)
-        else:
-            factor = (m + 1.0 - 2.0 * h) / (2.0 * m)
-            terms = [1.0 / r[j - 1] for j in mhl] + [-factor * k]
-            s_case2 = max(math.fsum(terms), 0.0)
-
-    return UnifiedExponents(s_case1=s_case1, s_case2=s_case2)
+    report = predict(m, p, r)
+    return UnifiedExponents(report.s_case1, report.s_case2)
 
 
 @dataclass(frozen=True)
@@ -518,14 +495,29 @@ def predict(m: int, p, r) -> ExponentReport:
     m2 = _m_less(2.0, r)
 
     linear = m == 1
-    uni = UnifiedExponents(None, None) if linear else _unified(m, p, r, h)
-    case1 = uni.s_case1 is not None
-    case2 = uni.s_case2 is not None
+    case1 = not linear and all(2.0 <= pj <= 2.0 * m for pj in p)
+    case2 = not linear and h <= 0.5
     # at m = 1 the all() over p[:-1] is vacuously true, so linear must rule it out
     delta = not linear and 1.0 < p[-1] <= 2.0 and all(pj > 2.0 for pj in p[:-1]) and h < 1.0
 
+    # h <= 1/2 keeps rho_HL's denominator >= m, so case 2 always has M_<^HL
     rho = None if linear else _rho_hl(m, h)
     mhl = _m_less(rho, r) if rho is not None else None
+
+    s_case1 = None
+    if case1:
+        s_case1 = _excess([*(1.0 / r[j - 1] for j in m2), h], len(m2)) if m2 else 0.0
+
+    s_case2 = None
+    if case2:
+        k = len(mhl)
+        if k == 0:
+            s_case2 = 0.0
+        elif k == m:
+            s_case2 = _alt(r, h)
+        else:
+            factor = (m + 1.0 - 2.0 * h) / (2.0 * m)
+            s_case2 = max(math.fsum([*(1.0 / r[j - 1] for j in mhl), -factor * k]), 0.0)
 
     s_case1_lower = None
     if case1 and 0 < len(m2) < m:
@@ -542,9 +534,7 @@ def predict(m: int, p, r) -> ExponentReport:
 
     subcritical = case2 and _ghl(r, h)
 
-    optimality_open = (case1 and 0 < len(m2) < m) or (
-        case2 and mhl is not None and 0 < len(mhl) < m
-    )
+    optimality_open = (case1 and 0 < len(m2) < m) or (case2 and 0 < len(mhl) < m)
 
     return ExponentReport(
         m=m,
@@ -552,8 +542,8 @@ def predict(m: int, p, r) -> ExponentReport:
         rho_hl=rho,
         m_less_2=m2,
         m_less_hl=mhl,
-        s_case1=uni.s_case1,
-        s_case2=uni.s_case2,
+        s_case1=s_case1,
+        s_case2=s_case2,
         s_alt=s_alt,
         s_linear=_linear(r[0], p[0]) if linear and p[0] >= 1.0 else None,
         s_case1_lower=s_case1_lower,

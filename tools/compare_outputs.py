@@ -16,6 +16,8 @@ brute refuses for a finite p in an enumerated slot), and the bits of ``fiber_nor
 ``mixed_norm`` (``kernel_payloads``, ``broadcast_payloads``,
 ``exact_payloads`` and ``repeated_payloads``), the reports of
 ``exponents.predict`` over a grid of (m, p, r) (``predict_payloads``),
+the two case exponents of ``unified_exponent`` over the same grid at
+m >= 2 (``unified_payloads``),
 the bits of ``compensated_sum`` (``sum2_payloads``), and the value and
 witness bytes of ``alternating_ascent`` at restart seeds of one and two
 words (``ascent_payloads``). It prints the sha256 of each payload on one
@@ -494,6 +496,23 @@ def predict_payloads() -> dict[str, str]:
     return out
 
 
+def unified_payloads() -> dict[str, str]:
+    """repr((s_case1, s_case2)) of unified_exponent over the PREDICT grid, m = 2..4."""
+    from mixedsums import unified_exponent
+
+    out = {}
+    for m in (2, 3, 4):
+        lines = []
+        for pj, last in itertools.product(PREDICT_P, (None, 1.5, 2.0)):
+            p = (pj,) * (m - 1) + (pj if last is None else last,)
+            for rj, rest in itertools.product(PREDICT_R, (None, 2.0, 3.0)):
+                r = (rj,) + (rj if rest is None else rest,) * (m - 1)
+                u = unified_exponent(m, p, r)
+                lines.append(repr((u.s_case1, u.s_case2)))
+        out[f"unified:m={m}"] = "\n".join(lines)
+    return out
+
+
 def brute_payloads() -> dict[str, str]:
     """brute_force_norm value and witness bytes of forms beyond brute_exact's.
 
@@ -621,6 +640,7 @@ def digests() -> dict[str, str]:
     out.update(repeated_payloads())
     out.update(brute_payloads())
     out.update(predict_payloads())
+    out.update(unified_payloads())
     out.update(sum2_payloads())
     out.update(ascent_payloads())
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}
