@@ -14,8 +14,10 @@ rounded float value of the relevant harmonic sum.
 
 Inputs are validated at the public boundary: a public function checks its
 arguments, then calls the private core that holds its formula (_harmonic,
-_rho_hl, _unified, ...). Cores trust their tuples and take |1/p| where
-they need it; predict validates p and r once and calls the same cores.
+_rho_hl, _alt, ...). Cores trust their tuples and take |1/p| where they
+need it; predict validates p and r once and calls the same cores. The two
+unified cases are evaluated in predict alone, and unified_exponent reads
+them from its report.
 """
 
 from __future__ import annotations
@@ -205,11 +207,15 @@ class UnifiedExponents:
 
 
 def unified_exponent(m: int, p, r) -> UnifiedExponents:
-    """Unified mixed-sum exponents.
+    """Unified mixed-sum exponents: the two case fields of predict(m, p, r).
 
     Case 1 (all p_j in [2, 2m]):
-        s = sum_{j in M_<^2} 1/r_j + |1/p| - (|M_<^2| + 1)/2, clamped at 0,
-        and s = 0 outright when M_<^2 is empty.
+        s = sum_{j in M_<^2} 1/r_j + |1/p| - (|M_<^2| + 1)/2, clamped at 0.
+        With M_<^2 empty this is max(|1/p| - 1/2, 0), not 0: the diagonal
+        at p = (2, 2) has norm 1 and mixed ell_2 sum sqrt(n), so no
+        exponent below 1/2 holds there. An r_j > 2 is treated as 2
+        (ell_r <= ell_2), so for such r case 1 is not optimal: at p = (2, 2)
+        and r = (3, 2) it gives 1/2, while 1/3 holds.
     Case 2 (|1/p| <= 1/2):
         s = sum_{j in M} 1/r_j - ((m+1-2|1/p|)/(2m)) * |M| with M = M_<^HL,
         clamped at 0.
@@ -504,9 +510,7 @@ def predict(m: int, p, r) -> ExponentReport:
     rho = None if linear else _rho_hl(m, h)
     mhl = _m_less(rho, r) if rho is not None else None
 
-    s_case1 = None
-    if case1:
-        s_case1 = _excess([*(1.0 / r[j - 1] for j in m2), h], len(m2)) if m2 else 0.0
+    s_case1 = _excess([*(1.0 / r[j - 1] for j in m2), h], len(m2)) if case1 else None
 
     s_case2 = None
     if case2:

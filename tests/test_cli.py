@@ -324,6 +324,22 @@ def test_experiment_inline(tmp_path, capsys):
     assert report["fit"]["mode"] == "upper_bound"
 
 
+@pytest.mark.parametrize("p", ["2,2", "3,3"])
+def test_experiment_diagonal_at_r_2_matches_case1(tmp_path, capsys, p):
+    # the diagonal's norm is closed form, and with no r_j < 2 its slope is
+    # case 1's max(|1/p| - 1/2, 0): 1/2 at p = (2, 2), 1/6 at p = (3, 3)
+    code, out, _ = run(
+        capsys, "experiment", "--family", "diagonal", "--m", "2",
+        "--p", p, "--r", "2,2", "--n-values", "2,4,8,16,32,64",
+        "--norm-method", "analytic", "--mode", "upper_bound",
+        "--out", str(tmp_path / "exp.csv"),
+    )
+    assert code == 0
+    assert "verdict: consistent" in out
+    fit = json.loads((tmp_path / "exp.json").read_text())["fit"]
+    assert fit["predicted_exponent"] == pytest.approx(fit["slope"], abs=1e-12)
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

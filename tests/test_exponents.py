@@ -1,5 +1,6 @@
 """Exponent formula tests: worked examples plus randomized identities."""
 
+import itertools
 import math
 
 import numpy as np
@@ -140,6 +141,64 @@ def test_unified_examples():
     u = unified_exponent(2, (4, 4), (1, 2))
     assert u.s_case1 == 0.5
     assert u.s_case2 == 0.5
+
+
+def test_unified_case1_with_m_less_2_empty_is_the_excess_of_the_harmonic_sum():
+    # no r_j < 2: s = max(|1/p| - 1/2, 0), which the diagonal attains at p = (2, 2)
+    assert unified_exponent(2, (2, 2), (2, 2)).s_case1 == 0.5
+    assert unified_exponent(2, (3, 3), (2, 3)).s_case1 == pytest.approx(1 / 6, abs=1e-15)
+    assert unified_exponent(2, (4, 4), (2, 2)).s_case1 == 0.0
+    assert unified_exponent(3, (2, 4, 6), (INF, 2, 2)).s_case1 == pytest.approx(5 / 12, abs=1e-15)
+
+
+def _constructive_bound(p, r):
+    """Largest ratio exponent among forms with a known norm and mixed sum.
+
+    The form is the diagonal on a slot subset S, the other slots pinned to
+    e_1, which keeps both its norm and its mixed sum. Its mixed sum is
+    n^{1/r_{min S}} and its norm n^{max(1 - sum_S 1/p_j, 0)}. With |S| = 1
+    it is the flat functional, of exponent 1/r_j + 1/p_j - 1. No valid
+    exponent lies below any of them.
+    """
+    m = len(p)
+    subsets = (S for k in range(1, m + 1) for S in itertools.combinations(range(m), k))
+    return max(1 / r[S[0]] - max(1 - math.fsum(1 / p[j] for j in S), 0) for S in subsets)
+
+
+def test_every_predicted_exponent_is_at_least_the_constructive_bound():
+    grid_p = (2.0, 2.5, 3.0, 4.0, 6.0, 8.0, INF)
+    grid_r = (1.0, 4 / 3, 1.5, 2.0, 3.0)
+    below = []
+    for m in (1, 2, 3):
+        for p, r in itertools.product(
+            itertools.product(grid_p, repeat=m), itertools.product(grid_r, repeat=m)
+        ):
+            rep = predict(m, p, r)
+            delta = rep.per_index_delta_exponents
+            fields = {
+                "s_case1": rep.s_case1,
+                "s_case2": rep.s_case2,
+                "s_alt": rep.s_alt,
+                "s_linear": rep.s_linear,
+                "delta": None if delta is None else math.fsum(delta),
+            }
+            bound = _constructive_bound(p, r)
+            below += [(p, r, k) for k, v in fields.items() if v is not None and v < bound - 1e-12]
+    assert below == []
+
+
+def test_archiv_s_a_agrees_with_unified_case1_where_both_apply():
+    # the term lists differ (m/r against m copies of 1/r), so the last bits may
+    compared = 0
+    for m in (2, 3):
+        for p in itertools.product((2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, INF), repeat=m):
+            for r in (0.5, 1.0, 4 / 3, 1.5, 2.0):
+                s_a = archiv_exponent(m, r, p).s_a
+                s_case1 = unified_exponent(m, p, (r,) * m).s_case1
+                if s_a is not None and s_case1 is not None:
+                    compared += 1
+                    assert s_a == pytest.approx(s_case1, abs=1e-12), (m, p, r)
+    assert compared == 680
 
 
 def test_unified_neither_regime():
