@@ -89,6 +89,8 @@ def dual_maximizer(c, p) -> tuple[np.ndarray, float | np.ndarray]:
     if p < 1.0:
         raise ValueError(f"requires p >= 1, got p = {p}")
     c = np.asarray(c)
+    if c.ndim == 0:
+        raise ValueError(f"dual_maximizer needs an axis to maximize along, got shape {c.shape}")
     c = c.astype(np.complex128 if np.iscomplexobj(c) else np.float64)
     if c.shape[-1] == 0:  # rows with no entry to take a maximum of
         return (c, 0.0) if c.ndim == 1 else (c, np.zeros(c.shape[:-1]))

@@ -127,6 +127,8 @@ def fiber_norms(a, r: float) -> np.ndarray:
     fiber has norm 0.0 at every r. r is not validated.
     """
     a = np.asarray(a)
+    if a.ndim == 0:
+        raise ValueError(f"fiber_norms needs an axis of fibers, got shape {a.shape}")
     lead = a.shape[:-1]
     if a.shape[-1] == 0:  # the empty sum, and the max of no modulus
         return np.zeros(lead)

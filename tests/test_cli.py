@@ -340,6 +340,18 @@ def test_experiment_diagonal_at_r_2_matches_case1(tmp_path, capsys, p):
     assert fit["predicted_exponent"] == pytest.approx(fit["slope"], abs=1e-12)
 
 
+def test_experiment_outside_every_regime_predicts_nothing(tmp_path, capsys):
+    # at m = 2 and p = (1, 1) no case applies, so the fit has no exponent
+    code, out, _ = run(
+        capsys, "experiment", "--family", "diagonal", "--m", "2",
+        "--p", "1,1", "--r", "1,1", "--n-values", "2,4,8",
+        "--norm-method", "analytic", "--out", str(tmp_path / "exp.csv"),
+    )
+    assert code == 0
+    assert "verdict: inconclusive" in out
+    assert "predicted=-," in out
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

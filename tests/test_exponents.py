@@ -151,6 +151,16 @@ def test_unified_case1_with_m_less_2_empty_is_the_excess_of_the_harmonic_sum():
     assert unified_exponent(3, (2, 4, 6), (INF, 2, 2)).s_case1 == pytest.approx(5 / 12, abs=1e-15)
 
 
+@pytest.mark.parametrize("p", [(INF, INF), (4.0, 8.0)])
+@pytest.mark.parametrize("eps, admissible", [(-1e-9, True), (1e-9, False)])
+def test_ghl_admissible_at_its_edges(p, eps, admissible):
+    # m = 2: 1/s_1 + 1/s_2 at (m+1)/2 - |1/p| + eps, both s_j inside the box
+    x = 2.0 / (1.5 - harmonic_sum(p) + eps)
+    assert ghl_admissible((x, x), p) is admissible
+    # s_1 at 2 + eps, with 1/s_1 + 1/s_2 well inside
+    assert ghl_admissible((2.0 + eps, 1.9), p) is admissible
+
+
 def _constructive_bound(p, r):
     """Largest ratio exponent among forms with a known norm and mixed sum.
 
@@ -616,3 +626,24 @@ def test_exponent_vector_reads_any_iterable_of_numbers():
     assert as_exponent_vector(np.array([INF, 4.0])) == (INF, 4.0)
     with pytest.raises(ValueError, match=r"^p has length 2, expected m=3$"):
         as_exponent_vector([1.0, 2.0], 3)
+
+
+@pytest.mark.parametrize(
+    "f, args, message",
+    [
+        pytest.param(classical_exponents, (0, (2.0,)), "m must be >= 1", id="classical"),
+        pytest.param(rho_hl, (0, (2.0,)), "m must be >= 1", id="rho_hl"),
+        pytest.param(predict, (0, (2.0,), (1.0,)), "m must be >= 1", id="predict"),
+        pytest.param(unified_exponent, (1, (2.0,), (1.0,)), "m must be >= 2", id="unified"),
+        pytest.param(archiv_exponent, (1, 1.0, (2.0,)), "m must be >= 2", id="archiv"),
+        pytest.param(alt_exponent, (1, (INF,), (1.0,)), "m must be >= 2", id="alt"),
+        pytest.param(
+            lemma_lift, ((3.0, 1.0), (INF, INF)), "requires r in (0,2]^m, got r = (3.0, 1.0)",
+            id="lemma_lift",
+        ),
+    ],
+)
+def test_input_checks_name_their_rule(f, args, message):
+    with pytest.raises(ValueError) as e:
+        f(*args)
+    assert str(e.value) == message

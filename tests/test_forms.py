@@ -429,3 +429,31 @@ def test_evaluate_matches_slot_by_slot_contraction(m, complex_data):
     got = evaluate(form, vs)
     assert type(got) is type(want)
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "f, args, message",
+    [
+        pytest.param(ksz_random_form, (2, 0, (INF, INF), 0), "m and n must be >= 1", id="ksz"),
+        pytest.param(diagonal_form, (2, 0, (2.0, 2.0)), "m and n must be >= 1", id="diagonal"),
+        pytest.param(
+            product_extension, (diagonal_form(2, 3, (2.0, 2.0)), 2, (2.0,)),
+            "p_tail must be empty when m equals the base arity", id="product_extension",
+        ),
+        pytest.param(
+            evaluate, (diagonal_form(2, 3, (2.0, 2.0)), [np.ones(2), np.ones(3)]),
+            "vector 0 has shape (2,), expected (3,)", id="evaluate",
+        ),
+    ],
+)
+def test_input_checks_name_their_rule(f, args, message):
+    with pytest.raises(ValueError) as e:
+        f(*args)
+    assert str(e.value) == message
+
+
+def test_a_tensor_of_shape_empty_becomes_a_one_entry_form():
+    form = form_from_obj({"shape": [], "data": [2.5], "p": [3]})
+    assert form.shape == (1,)
+    assert form.p == (3.0,)
+    assert form.coefficients.tolist() == [2.5]

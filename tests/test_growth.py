@@ -602,6 +602,16 @@ def test_compare_modes_and_tolerance():
         compare(fit, "sideways")
 
 
+@pytest.mark.parametrize("mode", ["match", "upper_bound"])
+def test_compare_counts_a_slope_at_the_tolerance_as_consistent(mode):
+    cfg = _cfg(p=(INF, INF))  # predicted best exponent is 0.5
+    rows = tuple(GrowthRow(n, 0.0, 1.0, "analytic", n**0.5, 0) for n in (2, 4, 8))
+    fit = loglog_fit(GrowthSeries(config=cfg, rows=rows))
+    assert fit.predicted.best_exponent() == 0.5
+    # binary-exact: 0.75 - 0.5 is the tolerance 0.25 itself
+    assert compare(dataclasses.replace(fit, slope=0.75), mode, tolerance=0.25) == "consistent"
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_config_tol_must_be_positive_and_finite(tol):
     with pytest.raises(ValueError, match="^tol must be positive"):
@@ -1142,3 +1152,8 @@ def test_product_extension_ascent_builds_no_extension():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_config_rejects_m_below_1():
+    with pytest.raises(ValueError, match="^m must be >= 1$"):
+        _cfg(m=0, p=(), r=())

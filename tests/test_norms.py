@@ -1169,3 +1169,21 @@ def test_analytic_norm_keeps_the_families_it_recognises():
         copy = MultilinearForm(np.array(form.coefficients), form.p, kind=form.kind)
         assert estimate_to_obj(analytic_norm(copy)) == estimate_to_obj(analytic_norm(form))
         assert analytic_norm(MultilinearForm(form.coefficients, form.p)) is None
+
+
+@pytest.mark.parametrize(
+    "f, args, message",
+    [
+        pytest.param(
+            lp_norm, (3.0, 2), "fiber_norms needs an axis of fibers, got shape ()", id="lp_norm"
+        ),
+        pytest.param(
+            dual_maximizer, (3.0, 2),
+            "dual_maximizer needs an axis to maximize along, got shape ()", id="dual_maximizer",
+        ),
+    ],
+)
+def test_input_checks_name_their_rule(f, args, message):
+    with pytest.raises(ValueError) as e:
+        f(*args)
+    assert str(e.value) == message

@@ -1,5 +1,6 @@
 """Mixed-norm and Hoelder-check tests."""
 
+import functools
 import json
 import math
 import tracemalloc
@@ -21,7 +22,7 @@ from mixedsums import (
     tensor_to_obj,
     tensors,
 )
-from mixedsums.tensors import _BLOCK, fiber_norms
+from mixedsums.tensors import _BLOCK, fiber_norms, random_splitting
 
 
 def _sum2(x):
@@ -700,6 +701,42 @@ def test_holder_fuzz_small():
         assert chk.holds
 
 
+def _rank_one_witness(g, r, n, N):
+    """Factors t_k = u_1^{r_1/q_1k} x ... x u_m^{r_m/q_mk} that attain Hoelder's bound.
+
+    Their product is u_1 x ... x u_m, of mixed norm prod_j ||u_j||_{r_j}.
+    Factor k has mixed norm prod_j ||u_j||_{r_j}^{r_j/q_jk}, and the
+    exponents r_j/q_jk sum to 1 over k. A q_jk = inf gives exponent 0.
+    """
+    q = [random_splitting(g, rj, N) for rj in r]
+    u = [0.5 + g.random(n) for _ in r]
+    factors = [
+        functools.reduce(np.multiply.outer, [uj ** (rj / qj[k]) for uj, rj, qj in zip(u, r, q)])
+        for k in range(N)
+    ]
+    return factors, q
+
+
+def test_holder_verify_reaches_equality_on_rank_one_witnesses():
+    g = np.random.Generator(np.random.PCG64(1))
+    r = (1.0, 2.0, 4.0)
+    for _ in range(300):
+        factors, q = _rank_one_witness(g, r, 4, 3)
+        chk = holder_verify(factors, r, q)
+        assert chk.holds
+        assert chk.lhs / chk.rhs >= 1.0 - 1e-12
+
+
+def test_holder_verify_refuses_a_product_planted_above_the_bound(monkeypatch):
+    real = tensors.coordinate_product
+    monkeypatch.setattr(tensors, "coordinate_product", lambda ts: real(ts) * (1.0 + 1e-6))
+    g = np.random.Generator(np.random.PCG64(1))
+    r = (1.0, 2.0, 4.0)
+    for _ in range(20):
+        factors, q = _rank_one_witness(g, r, 4, 3)
+        assert not holder_verify(factors, r, q).holds
+
+
 def test_tensor_json_round_trip_bit_exact():
     g = np.random.Generator(np.random.PCG64(18))
     a = g.standard_normal((3, 2, 4)) * np.exp(g.integers(-300, 300, size=(3, 2, 4)) * 0.1)
@@ -750,3 +787,30 @@ def test_random_splitting_keeps_draws_with_a_large_weight():
         w[w < 0.05] = 0.0
         w = w / w.sum()
         assert random_splitting(g, 2.0, N) == [INF if wk == 0.0 else 2.0 / wk for wk in w]
+
+
+@pytest.mark.parametrize(
+    "f, args, message",
+    [
+        pytest.param(holder_verify, ([], (1.0,), [(1.0,)]), "need at least one tensor", id="holder"),
+        pytest.param(tensor_from_obj, ([1],), "a tensor must be a JSON object", id="from_obj"),
+        pytest.param(
+            fiber_norms, (3.0, 2.0), "fiber_norms needs an axis of fibers, got shape ()",
+            id="fiber_norms",
+        ),
+        pytest.param(
+            compensated_sum, (3.0,), "compensated_sum needs an axis to sum along, got shape ()",
+            id="compensated_sum",
+        ),
+    ],
+)
+def test_input_checks_name_their_rule(f, args, message):
+    with pytest.raises(ValueError) as e:
+        f(*args)
+    assert str(e.value) == message
+
+
+def test_mixed_norm_of_a_scalar_is_its_modulus():
+    # mixed_norm reads a 0-d tensor as one entry, unlike fiber_norms
+    assert mixed_norm(3.0, (2.0,)).value == 3.0
+    assert mixed_norm(-3.0, (INF,)).value == 3.0
