@@ -198,7 +198,7 @@ def test_every_predicted_exponent_is_at_least_the_constructive_bound():
 
 
 def test_archiv_s_a_agrees_with_unified_case1_where_both_apply():
-    # the term lists differ (m/r against m copies of 1/r), so the last bits may
+    # the term lists differ (m/r against m copies of 1/r), so the last bits may differ
     compared = 0
     for m in (2, 3):
         for p in itertools.product((2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, INF), repeat=m):

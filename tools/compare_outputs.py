@@ -480,19 +480,22 @@ def ascent_payloads() -> dict[str, str]:
     return out
 
 
+def predict_grid(m: int):
+    """The (p, r) pairs of the PREDICT grid at arity m."""
+    for pj, last in itertools.product(PREDICT_P, (None, 1.5, 2.0)):
+        p = (pj,) * (m - 1) + (pj if last is None else last,)
+        for rj, rest in itertools.product(PREDICT_R, (None, 2.0, 3.0)):
+            yield p, (rj,) + (rj if rest is None else rest,) * (m - 1)
+
+
 def predict_payloads() -> dict[str, str]:
     """predict(m, p, r).to_dict() as JSON over the PREDICT grid, one payload per m."""
     from mixedsums import predict
 
     out = {}
     for m in (1, 2, 3, 4):
-        reports = []
-        for pj, last in itertools.product(PREDICT_P, (None, 1.5, 2.0)):
-            p = (pj,) * (m - 1) + (pj if last is None else last,)
-            for rj, rest in itertools.product(PREDICT_R, (None, 2.0, 3.0)):
-                r = (rj,) + (rj if rest is None else rest,) * (m - 1)
-                reports.append(json.dumps(predict(m, p, r).to_dict()))
-        out[f"predict:m={m}"] = "\n".join(reports)
+        reports = (predict(m, p, r).to_dict() for p, r in predict_grid(m))
+        out[f"predict:m={m}"] = "\n".join(json.dumps(rep) for rep in reports)
     return out
 
 
@@ -502,14 +505,8 @@ def unified_payloads() -> dict[str, str]:
 
     out = {}
     for m in (2, 3, 4):
-        lines = []
-        for pj, last in itertools.product(PREDICT_P, (None, 1.5, 2.0)):
-            p = (pj,) * (m - 1) + (pj if last is None else last,)
-            for rj, rest in itertools.product(PREDICT_R, (None, 2.0, 3.0)):
-                r = (rj,) + (rj if rest is None else rest,) * (m - 1)
-                u = unified_exponent(m, p, r)
-                lines.append(repr((u.s_case1, u.s_case2)))
-        out[f"unified:m={m}"] = "\n".join(lines)
+        cases = (unified_exponent(m, p, r) for p, r in predict_grid(m))
+        out[f"unified:m={m}"] = "\n".join(repr((u.s_case1, u.s_case2)) for u in cases)
     return out
 
 
