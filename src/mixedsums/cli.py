@@ -12,6 +12,11 @@ Exponent tokens are decimals, fractions like 4/3, or inf; vectors are
 comma-separated. Exit codes: 0 success, 1 domain error (regime violation,
 bad file, violated inequality, a norm not finite in float64), 2 usage
 error. Honors NO_COLOR.
+
+Output files (generate's form, experiment's CSV and report) are rewritten
+in place and their old tail cut, so a rerun into the same paths leaves
+the bytes a fresh run writes; a path that is no regular file, such as
+/dev/null, is written without the cut.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -123,6 +129,21 @@ def _load_json(path: str):
         return json.load(f)
 
 
+def _write_text(path: str, text: str) -> None:
+    """Leave `text` in `path` as open(path, "w") would, without O_TRUNC.
+
+    Truncating an existing file to zero and writing it again costs far more
+    on some file systems (ext4 starts writeback on the close) than writing
+    over its bytes and cutting the tail. Path resolution, mode and errors
+    are those of open(path, "w").
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as f:
+        f.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            f.truncate()
+
+
 def cmd_mixed_norm(args) -> int:
     tensor = tensor_from_obj(_load_json(args.input))
     result = mixed_norm(tensor, args.r)
@@ -161,9 +182,8 @@ def cmd_generate(args) -> int:
         note = f"{base}bound exponent {ksz_bound_exponent(args.p[: args.k])!r}"
     else:
         note = "closed-form norm available"
-    with open(args.out, "w") as f:
-        json.dump(form_to_obj(form), f)
-        f.write("\n")
+    # one dumps: json.dump writes token by token through the Python encoder
+    _write_text(args.out, json.dumps(form_to_obj(form)) + "\n")
     print(f"wrote {args.out}: kind={form.kind} shape={form.shape} ({note})")
     return 0
 
@@ -188,18 +208,19 @@ def cmd_experiment(args) -> int:
             )
         config = config_from_obj(vars(args))
     report_path = args.report or os.path.splitext(args.out)[0] + ".json"
-    inputs = [path for path in (args.config, config.form_file) if path]
-    for kind, path in (("CSV", args.out), ("report", report_path)):
-        for source in inputs:
-            if os.path.realpath(path) == os.path.realpath(source):
-                raise UsageError(f"the {kind} path {path} would overwrite the input {source}")
+    # each path resolved once: realpath costs an lstat per path component
+    inputs = [(path, os.path.realpath(path)) for path in (args.config, config.form_file) if path]
+    if inputs:
+        for kind, path in (("CSV", args.out), ("report", report_path)):
+            resolved = os.path.realpath(path)
+            for source, resolved_source in inputs:
+                if resolved == resolved_source:
+                    raise UsageError(f"the {kind} path {path} would overwrite the input {source}")
     check_tolerance(args.tolerance)  # before any row runs
     series = run_growth(config)
     fit = loglog_fit(series, tolerance=args.tolerance, mode=args.mode)
-    with open(args.out, "w") as f:
-        f.write(series_to_csv(series))
-    with open(report_path, "w") as f:  # one write: json.dump writes token by token
-        f.write(json.dumps(report_obj(series, fit), indent=2) + "\n")
+    _write_text(args.out, series_to_csv(series))
+    _write_text(report_path, json.dumps(report_obj(series, fit), indent=2) + "\n")
     label = "bound-relative " if fit.bound_relative else ""
     verdict = _color(fit.verdict, VERDICT_COLORS.get(fit.verdict, "0"))
     predicted = fit.predicted.best_exponent()

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import errno
 import json
 import math
 import os
@@ -534,6 +535,91 @@ def test_experiment_refuses_to_overwrite_its_config(tmp_path, capsys, monkeypatc
     assert "would overwrite the input c.json" in err
     assert config.read_bytes() == before
     assert not (tmp_path / "out.csv").exists()
+
+
+_EXPERIMENT = (
+    "experiment", "--family", "diagonal", "--m", "2", "--p", "inf,inf", "--r", "1,1",
+    "--n-values", "2,4,8", "--norm-method", "analytic", "--mode", "upper_bound",
+)
+_GENERATE = ("generate", "--family", "ksz", "--m", "2", "--n", "16", "--p", "4,4", "--seed", "3")
+
+
+def _fresh(capsys, tmp_path, argv, names):
+    """Bytes of the named files that argv writes into a new directory."""
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    code, _, err = run(capsys, *argv, "--out", str(fresh / names[0]))
+    assert code == 0, err
+    return [(fresh / name).read_bytes() for name in names]
+
+
+@pytest.mark.parametrize("junk_size", [3, 65536])
+@pytest.mark.parametrize("argv, names", [
+    (_EXPERIMENT, ("e.csv", "e.json")),
+    (_GENERATE, ("f.json",)),
+])
+def test_rerun_over_old_outputs_writes_the_fresh_bytes(tmp_path, capsys, argv, names, junk_size):
+    # outputs are rewritten in place: no stale tail past a shorter text
+    want = _fresh(capsys, tmp_path, argv, names)
+    paths = [tmp_path / name for name in names]
+    for path in paths:
+        path.write_bytes(b"junk\n" * (junk_size // 5) + b"x" * (junk_size % 5))
+    inodes = [path.stat().st_ino for path in paths]
+    code, _, err = run(capsys, *argv, "--out", str(paths[0]))
+    assert code == 0, err
+    assert [path.read_bytes() for path in paths] == want
+    assert [path.stat().st_ino for path in paths] == inodes
+
+
+def test_new_outputs_get_the_mode_open_gives(tmp_path, capsys):
+    with open(tmp_path / "reference", "w"):
+        pass
+    want = (tmp_path / "reference").stat().st_mode
+    code, _, _ = run(capsys, *_EXPERIMENT, "--out", str(tmp_path / "e.csv"))
+    assert code == 0
+    assert [(tmp_path / name).stat().st_mode for name in ("e.csv", "e.json")] == [want] * 2
+
+
+def test_a_symlinked_out_writes_through_the_link(tmp_path, capsys):
+    want = _fresh(capsys, tmp_path, _GENERATE, ("f.json",))
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("junk\n" * 1000)
+    link.symlink_to(target)
+    code, _, _ = run(capsys, *_GENERATE, "--out", str(link))
+    assert code == 0
+    assert link.is_symlink()
+    assert [target.read_bytes()] == want
+
+
+def test_csv_and_report_on_one_path_end_with_the_report(tmp_path, capsys):
+    # --out r.json puts the report where the CSV was just written
+    _, want = _fresh(capsys, tmp_path, _EXPERIMENT, ("e.csv", "e.json"))
+    path = tmp_path / "r.json"
+    path.write_text("junk\n" * 1000)
+    code, _, _ = run(capsys, *_EXPERIMENT, "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == want
+
+
+def test_report_to_a_device_is_written_without_the_cut(tmp_path, capsys):
+    code, out, err = run(capsys, *_EXPERIMENT, "--out", str(tmp_path / "e.csv"),
+                         "--report", os.devnull)
+    assert (code, err) == (0, "")
+    assert "verdict: consistent" in out
+    assert (tmp_path / "e.csv").read_text().startswith("n,lhs,")
+
+
+@pytest.mark.parametrize("argv", [_EXPERIMENT, _GENERATE], ids=["experiment", "generate"])
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_an_unwritable_out_gives_the_error_open_gives(tmp_path, capsys, argv, where):
+    path = tmp_path if where == "directory" else tmp_path / "no-such-dir" / "o.csv"
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {opened.value}\n"
+    assert opened.value.errno in (errno.EISDIR, errno.ENOENT)
 
 
 def test_experiment_bound_relative_prefix(tmp_path, capsys):

@@ -518,6 +518,43 @@ def _or_none(f, *args):
         return None
 
 
+def _paper_cases(m, p, r):
+    """(s_case1, s_case2) as the paper states them, None off their regimes.
+
+    Case 1, every 2 <= p_j <= 2m, with M = M_<^2:
+        max(sum_{j in M} 1/r_j + |1/p| - (|M| + 1)/2, 0).
+    Case 2, |1/p| <= 1/2, with M = M_<^HL = {j : r_j < 2m/(m + 1 - 2|1/p|)}:
+        0 if M is empty, max(|1/r| + |1/p| - (m + 1)/2, 0) if M is all of
+        1..m, and max(sum_{j in M} 1/r_j - ((m + 1 - 2|1/p|)/(2m)) |M|, 0)
+        otherwise.
+    Plain sums, no shared helper: a reference for predict to 1e-12.
+    """
+    if m < 2:
+        return None, None
+    h = harmonic_sum(p)
+    s1 = s2 = None
+    if all(2.0 <= pj <= 2.0 * m for pj in p):
+        less = [rj for rj in r if rj < 2.0]
+        s1 = max(sum(1.0 / rj for rj in less) + h - (len(less) + 1) / 2, 0.0)
+    if h <= 0.5:
+        rho = 2.0 * m / (m + 1 - 2.0 * h)
+        less = [rj for rj in r if rj < rho]
+        if not less:
+            s2 = 0.0
+        elif len(less) == m:
+            s2 = max(sum(1.0 / rj for rj in r) + h - (m + 1) / 2, 0.0)
+        else:
+            s2 = max(sum(1.0 / rj for rj in less) - (m + 1 - 2.0 * h) / (2.0 * m) * len(less), 0.0)
+    return s1, s2
+
+
+def _assert_cases_match_the_paper(rep, m, p, r):
+    got, want = (rep.s_case1, rep.s_case2), _paper_cases(m, p, r)
+    assert [x is None for x in got] == [x is None for x in want], (m, p, r, got, want)
+    for g, w in zip(got, want):
+        assert w is None or math.isclose(g, w, rel_tol=0.0, abs_tol=1e-12), (m, p, r, got, want)
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_predict_fields_equal_the_public_helpers(data):
@@ -531,18 +568,17 @@ def test_predict_fields_equal_the_public_helpers(data):
     m2 = m_less_set(2.0, r)
     want = {"harmonic_sum": harmonic_sum(p), "m_less_2": m2}
     if m == 1:
-        want.update(rho_hl=None, m_less_hl=None, s_case1=None, s_case2=None, s_alt=None,
+        want.update(rho_hl=None, m_less_hl=None, s_alt=None,
                     s_linear=_or_none(linear_exponent, r[0], p[0]), delta_chain=None,
                     per_index_delta_exponents=None, subcritical=False)
     else:
         rho = rho_hl(m, p)
         uni = unified_exponent(m, p, r)
+        assert (uni.s_case1, uni.s_case2) == (rep.s_case1, rep.s_case2)
         per_index = _or_none(anisotropic_exponents, p, r)
         want.update(
             rho_hl=rho,
             m_less_hl=None if rho is None else m_less_set(rho, r),
-            s_case1=uni.s_case1,
-            s_case2=uni.s_case2,
             s_alt=_or_none(alt_exponent, m, p, r),
             s_linear=None,
             delta_chain=None if per_index is None else delta_chain(p),
@@ -556,6 +592,27 @@ def test_predict_fields_equal_the_public_helpers(data):
     want["s_case1_lower"] = lower
     got = {key: getattr(rep.flags if key == "subcritical" else rep, key) for key in want}
     assert repr(got) == repr(want)
+    _assert_cases_match_the_paper(rep, m, p, r)
+
+
+def test_unified_cases_match_the_paper_on_a_grid():
+    # p common to all slots or with its last slot changed, r_1 then a
+    # common rest; the grid reaches every branch of both cases
+    branches = set()
+    for m in (2, 3, 4):
+        for pj, last, rj, rest in itertools.product(
+            (INF, 8.0, 6.0, 4.0, 3.0, 2.0, 1.5), (None, 2.0, 8.0),
+            (1.0, 4 / 3, 1.5, 2.0, 3.0, INF), (None, 1.0, 2.0, 3.0),
+        ):
+            p = (pj,) * (m - 1) + (pj if last is None else last,)
+            r = (rj,) + (rj if rest is None else rest,) * (m - 1)
+            rep = predict(m, p, r)
+            _assert_cases_match_the_paper(rep, m, p, r)
+            if rep.s_case1 is not None:
+                branches.add(("case1", min(len(rep.m_less_2), 1) + (len(rep.m_less_2) == m)))
+            if rep.s_case2 is not None:
+                branches.add(("case2", min(len(rep.m_less_hl), 1) + (len(rep.m_less_hl) == m)))
+    assert branches == {(case, k) for case in ("case1", "case2") for k in (0, 1, 2)}
 
 
 def test_the_regime_examples_cover_every_regime():
