@@ -16,7 +16,11 @@ error. Honors NO_COLOR.
 Output files (generate's form, experiment's CSV and report) are rewritten
 in place and their old tail cut, so a rerun into the same paths leaves
 the bytes a fresh run writes; a path that is no regular file, such as
-/dev/null, is written without the cut.
+/dev/null, is written without the cut. This is not crash-safe the way a
+truncate-and-rewrite is on ext4: if the machine (not the process) goes
+down before the page cache is written back, a rerun's output can be left
+at its new length holding old bytes, or a mix of old and new pages, where
+after open(path, "w") it holds the old bytes or a prefix of the new ones.
 """
 
 from __future__ import annotations
@@ -130,12 +134,14 @@ def _load_json(path: str):
 
 
 def _write_text(path: str, text: str) -> None:
-    """Leave `text` in `path` as open(path, "w") would, without O_TRUNC.
+    """Write `text` over `path` without O_TRUNC, then cut the old tail.
 
-    Truncating an existing file to zero and writing it again costs far more
-    on some file systems (ext4 starts writeback on the close) than writing
-    over its bytes and cutting the tail. Path resolution, mode and errors
-    are those of open(path, "w").
+    Once written, the file holds what open(path, "w") leaves, with the same
+    path resolution, mode and errors. On ext4 a truncate to zero makes the
+    close start writeback (auto_da_alloc), ~0.1 ms for a 2 KB file, and
+    writing over the bytes does not; a new file costs the same either way,
+    so only reruns into existing outputs gain. The price is the crash
+    consistency stated in the module docstring.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "w") as f:
@@ -208,14 +214,11 @@ def cmd_experiment(args) -> int:
             )
         config = config_from_obj(vars(args))
     report_path = args.report or os.path.splitext(args.out)[0] + ".json"
-    # each path resolved once: realpath costs an lstat per path component
-    inputs = [(path, os.path.realpath(path)) for path in (args.config, config.form_file) if path]
-    if inputs:
-        for kind, path in (("CSV", args.out), ("report", report_path)):
-            resolved = os.path.realpath(path)
-            for source, resolved_source in inputs:
-                if resolved == resolved_source:
-                    raise UsageError(f"the {kind} path {path} would overwrite the input {source}")
+    inputs = [path for path in (args.config, config.form_file) if path]
+    for kind, path in (("CSV", args.out), ("report", report_path)):
+        for source in inputs:
+            if os.path.realpath(path) == os.path.realpath(source):
+                raise UsageError(f"the {kind} path {path} would overwrite the input {source}")
     check_tolerance(args.tolerance)  # before any row runs
     series = run_growth(config)
     fit = loglog_fit(series, tolerance=args.tolerance, mode=args.mode)

@@ -12,9 +12,9 @@ and STACKED, DRAWN and PAPER_BOUND at each seed of SEEDS), the value and
 witness bytes of ``brute_force_norm`` (the ``brute_exact`` benchmark forms
 and ``brute_payloads``), the exit code, output and written files of
 ``cli.main`` runs (``cli_payloads``, among them the two EXPERIMENTS that
-brute refuses for a finite p in an enumerated slot, and the ``cli:rerun:``
-payloads of runs into outputs left holding 64 KiB of junk, each of which
-must equal its fresh run's), and the bits of ``fiber_norms`` and
+brute refuses for a finite p in an enumerated slot; every ``generate`` and
+``experiment`` run writes over outputs left holding JUNK bytes, so a stale
+tail shows against a tree that truncates), and the bits of ``fiber_norms`` and
 ``mixed_norm`` (``kernel_payloads``, ``broadcast_payloads``,
 ``exact_payloads`` and ``repeated_payloads``), the reports of
 ``exponents.predict`` over a grid of (m, p, r) (``predict_payloads``),
@@ -23,8 +23,7 @@ m >= 2 (``unified_payloads``),
 the bits of ``compensated_sum`` (``sum2_payloads``), and the value and
 witness bytes of ``alternating_ascent`` at restart seeds of one and two
 words (``ascent_payloads``). It prints the sha256 of each payload on one
-line and exits 1 if any payload differs between the trees or a rerun
-payload differs from its fresh run.
+line and exits 1 if any payload differs.
 """
 
 from __future__ import annotations
@@ -129,11 +128,9 @@ EXPERIMENTS += [
     "--family product_extension --m 3 --k 2 --p inf,4,inf --r 1,2,2 --n-values 2,3,4 "
     "--norm-method brute",
 ]
-# experiments and forms run again over RERUN_JUNK bytes left in their outputs
-RERUN_EXPERIMENTS = (0, 1)
-RERUN_FORMS = ("ksz",)
-RERUN_JUNK = 65536
-RERUN = "cli:rerun:"
+# what generate and experiment outputs hold before each run: more bytes
+# than any run writes
+JUNK = ("junk\n" * 65536)[:65536]
 # exponent grid: every m, a p common to all slots or with the last slot
 # 3/2 (the anisotropic regime), and r common to all slots or r_1 then 2s
 EXPONENT_P = ("inf", "6", "4", "2", "3/2")
@@ -249,6 +246,7 @@ def cli_payloads(tmp: Path) -> dict[str, str]:
     out = {}
     for name, flags in FORMS.items():
         path = tmp / f"{name}.json"
+        path.write_text(JUNK)
         out[f"cli:generate:{name}"] = run(["generate", *flags.split(), "--out", str(path)], path)
     for name, flags in NORMS:
         argv = ["norm", "--input", str(tmp / f"{name}.json"), *flags.split()]
@@ -257,6 +255,8 @@ def cli_payloads(tmp: Path) -> dict[str, str]:
     (tmp / "forms.json").write_text(json.dumps(listed))
     for idx, flags in enumerate(EXPERIMENTS):
         csv = tmp / f"experiment{idx}.csv"
+        for path in (csv, csv.with_suffix(".json")):
+            path.write_text(JUNK)
         argv = ["experiment", *flags.format(tmp=tmp).split(), "--out", str(csv)]
         out[f"cli:experiment{idx}"] = run(argv, csv, csv.with_suffix(".json"))
     for m in (1, 2, 3):
@@ -269,20 +269,6 @@ def cli_payloads(tmp: Path) -> dict[str, str]:
         out[f"cli:exponent:m={m}"] = "\0".join(runs)
     for idx, flags in enumerate(HOLDER):
         out[f"cli:verify-holder{idx}"] = run(["verify-holder", *flags.split()])
-    # rerun into outputs that hold more junk than a run writes: main checks
-    # that each cli:rerun:<name> equals cli:<name>
-    junk = ("junk\n" * RERUN_JUNK)[:RERUN_JUNK]
-    for idx in RERUN_EXPERIMENTS:
-        csv = tmp / f"experiment{idx}.csv"
-        for path in (csv, csv.with_suffix(".json")):
-            path.write_text(junk)
-        argv = ["experiment", *EXPERIMENTS[idx].format(tmp=tmp).split(), "--out", str(csv)]
-        out[f"{RERUN}experiment{idx}"] = run(argv, csv, csv.with_suffix(".json"))
-    for name in RERUN_FORMS:
-        path = tmp / f"{name}.json"
-        path.write_text(junk)
-        argv = ["generate", *FORMS[name].split(), "--out", str(path)]
-        out[f"{RERUN}generate:{name}"] = run(argv, path)
     return out
 
 
@@ -690,13 +676,7 @@ def main(argv: list[str]) -> int:
         differ += not same
         print(f"{'same  ' if same else 'DIFFER'} {name} {new.get(name, '-')[:16]}")
     print(f"{len(old)} payloads, {differ} differ")
-    stale = 0
-    for tree, digest in (("old", old), ("new", new)):
-        for name in digest:
-            if name.startswith(RERUN) and digest[name] != digest.get("cli:" + name[len(RERUN):]):
-                stale += 1
-                print(f"STALE  {tree} {name} differs from its fresh run")
-    return 1 if differ or stale else 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
