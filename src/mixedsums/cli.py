@@ -13,6 +13,14 @@ comma-separated. Exit codes: 0 success, 1 domain error (regime violation,
 bad file, violated inequality, a norm not finite in float64), 2 usage
 error. Honors NO_COLOR.
 
+experiment refuses, as a usage error before any row runs, an output that
+is one of its inputs (the --config file or the form file) and a CSV and
+report that are one file. Files are compared by identity, device and
+inode, so a hard link or a symlink to an input, or another spelling of
+its path, counts as the input; an input that does not exist yet is
+compared by path. The CSV and report may both name one device, such as
+/dev/null.
+
 Output files (generate's form, experiment's CSV and report) are rewritten
 in place and their old tail cut, so a rerun into the same paths leaves
 the bytes a fresh run writes; a path that is no regular file, such as
@@ -194,6 +202,43 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _file_id(path: str) -> tuple[int, int, bool] | None:
+    """(st_dev, st_ino, is a regular file) of the file path names, through
+    symlinks; None when there is none to stat."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino, stat.S_ISREG(st.st_mode)
+
+
+def _check_outputs(csv: str, report: str, inputs: list[str]) -> None:
+    """Refuse an output that is an input file, and a CSV and report that are one file.
+
+    Files are compared by identity, so a hard link, a symlink or another
+    spelling of an input counts as that input. An output that does not
+    exist is no input; an input that does not exist is compared by
+    realpath, so an output path that names it is still refused. The CSV
+    and report are one file when they are the same regular file, or the
+    same path by realpath while neither exists; two device paths, such as
+    /dev/null twice, may be the same file.
+    """
+    ids = {path: _file_id(path) for path in (csv, report, *inputs)}
+    for kind, path in (("CSV", csv), ("report", report)):
+        for source in inputs:
+            if ids[source] is None:
+                same = os.path.realpath(path) == os.path.realpath(source)
+            else:
+                same = ids[path] is not None and ids[path][:2] == ids[source][:2]
+            if same:
+                raise UsageError(f"the {kind} path {path} would overwrite the input {source}")
+    a, b = ids[csv], ids[report]
+    if (a is not None and a == b and a[2]) or (
+        a is None and b is None and os.path.realpath(csv) == os.path.realpath(report)
+    ):
+        raise UsageError(f"the CSV path {csv} and the report path {report} are one file")
+
+
 def cmd_experiment(args) -> int:
     if args.config:
         config = config_from_obj(_load_json(args.config))
@@ -214,11 +259,7 @@ def cmd_experiment(args) -> int:
             )
         config = config_from_obj(vars(args))
     report_path = args.report or os.path.splitext(args.out)[0] + ".json"
-    inputs = [path for path in (args.config, config.form_file) if path]
-    for kind, path in (("CSV", args.out), ("report", report_path)):
-        for source in inputs:
-            if os.path.realpath(path) == os.path.realpath(source):
-                raise UsageError(f"the {kind} path {path} would overwrite the input {source}")
+    _check_outputs(args.out, report_path, [p for p in (args.config, config.form_file) if p])
     check_tolerance(args.tolerance)  # before any row runs
     series = run_growth(config)
     fit = loglog_fit(series, tolerance=args.tolerance, mode=args.mode)

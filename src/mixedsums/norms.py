@@ -91,20 +91,27 @@ def dual_maximizer(c, p) -> tuple[np.ndarray, float | np.ndarray]:
     c = np.asarray(c)
     if c.ndim == 0:
         raise ValueError(f"dual_maximizer needs an axis to maximize along, got shape {c.shape}")
-    c = c.astype(np.complex128 if np.iscomplexobj(c) else np.float64)
+    cplx = np.iscomplexobj(c)
+    # a complex c is this call's own copy, scaled in place below
+    c = c.astype(np.complex128) if cplx else c.astype(np.float64, copy=False)
     if c.shape[-1] == 0:  # rows with no entry to take a maximum of
-        return (c, 0.0) if c.ndim == 1 else (c, np.zeros(c.shape[:-1]))
+        x = np.zeros(c.shape, c.dtype)
+        return (x, 0.0) if c.ndim == 1 else (x, np.zeros(c.shape[:-1]))
     a = np.abs(c)
-    # NumPy's complex division by a subnormal modulus overflows, e.g.
-    # (1e-310+0j)/1e-310 = inf+nanj; such entries are scaled by 2**64 on
-    # both sides first, which is exact. Only those entries are multiplied:
-    # a huge entry times 2**64 would overflow, and a complex one times
-    # 1 + 0j can flip the sign of a zero part
-    sub = (a > 0.0) & (a < np.finfo(np.float64).tiny)
-    den = np.where(a > 0.0, a, 1.0)
-    for v in (c, den):  # c is this call's own copy
-        np.multiply(v, 2.0**64, out=v, where=sub)
-    unit = np.where(a > 0.0, np.conj(c) / den, 1.0)
+    live_entry = a > 0.0
+    if cplx:
+        # NumPy's complex division by a subnormal modulus overflows, e.g.
+        # (1e-310+0j)/1e-310 = inf+nanj; such entries are scaled by 2**64 on
+        # both sides first, which is exact. Only those entries are multiplied:
+        # a huge entry times 2**64 would overflow, and a complex one times
+        # 1 + 0j can flip the sign of a zero part
+        sub = live_entry & (a < np.finfo(np.float64).tiny)
+        den = np.where(live_entry, a, 1.0)
+        for v in (c, den):
+            np.multiply(v, 2.0**64, out=v, where=sub)
+        unit = np.where(live_entry, np.conj(c) / den, 1.0)
+    else:  # a real c / |c| is exactly +-1 at any scale, subnormals included
+        unit = np.divide(c, a, out=np.ones(c.shape), where=live_entry)
     top = a.max(axis=-1, keepdims=True)
     live = top > 0.0
     pp = conjugate(p)
@@ -163,7 +170,8 @@ def alternating_ascent(
         start[1, 0] = 1.0
         for t, g in enumerate(gens, 2):  # each stream draws slot after slot
             start[t] = g.standard_normal(n)
-        xs.append((start / fiber_norms(start, pj)[:, None]).astype(dtype))
+        start /= fiber_norms(start, pj)[:, None]
+        xs.append(start if dtype is np.float64 else start.astype(dtype))
 
     value = np.zeros(total)  # each run's value after its last slot update
     converged = np.zeros(total, dtype=bool)
@@ -173,8 +181,10 @@ def alternating_ascent(
     # report, a NumericalError; numpy's warnings on the way would only precede it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iters):
-            rows = [x[active] for x in xs]
-            last = value[active]
+            # while every restart runs, the slot arrays are the rows
+            full = active.size == total
+            rows = list(xs) if full else [x[active] for x in xs]
+            last = value if full else value[active]
             for j, pj in enumerate(form.p):
                 # at m = 1 c is the coefficient vector, shared by every row
                 c = partial_contract(form, rows, j)
@@ -188,9 +198,12 @@ def alternating_ascent(
                         f"{active[fell].tolist()}"
                     )
                 last = val
-            for x, row in zip(xs, rows):
-                x[active] = row
-            value[active] = val
+            if full:
+                xs, value = rows, val
+            else:
+                for x, row in zip(xs, rows):
+                    x[active] = row
+                value[active] = val
             if prev is not None:
                 done = val - prev <= tol * np.maximum(prev, 1e-300)
                 converged[active[done]] = True

@@ -154,30 +154,35 @@ def _reduce(d: np.ndarray, n: int, r: float) -> np.ndarray:
     if d.shape[-1] == 1:
         return _repeated(d[..., 0], n, r)
     rows = d.reshape(-1, n)
-    out = np.empty(len(rows))
     step = max(1, _BLOCK // n)
+    if len(rows) <= step:  # one block: its norms are the result
+        return _block_norms(rows, n, r).reshape(d.shape[:-1])
+    out = np.empty(len(rows))
     for lo in range(0, len(rows), step):
-        block = rows[lo : lo + step]
-        k = len(block)
-        # unsafe casting converts any input dtype as astype(float64) would
-        x = np.abs(block, out=np.empty(block.shape), casting="unsafe")
-        top = x.max(axis=-1)
-        if r == INF:
-            out[lo : lo + k] = top
-            continue
-        exact = _integer_powers_fit(x, top, n, r)
-        if not exact:
-            scale = _scale(top, r)
-            x /= scale[:, None]
-        if r == 2.0:  # a product is correctly rounded on every host
-            np.square(x, out=x)
-        elif r != 1.0:  # x ** 1 is x exactly
-            x **= r
-        total = x.sum(axis=-1) if exact else _sum2(x)
-        if r != 1.0:  # the root of a sum at r = 1 is the sum
-            total = total ** (1.0 / r)
-        out[lo : lo + k] = total if exact else total * scale
+        out[lo : lo + step] = _block_norms(rows[lo : lo + step], n, r)
     return out.reshape(d.shape[:-1])
+
+
+def _block_norms(block: np.ndarray, n: int, r: float) -> np.ndarray:
+    # the norms of the fibers of length n that are the rows of block, as a
+    # fresh array; |x| and any Sum2 temporaries are this block's own
+    # unsafe casting converts any input dtype as astype(float64) would
+    x = np.abs(block, out=np.empty(block.shape), casting="unsafe")
+    top = x.max(axis=-1)
+    if r == INF:
+        return top
+    exact = _integer_powers_fit(x, top, n, r)
+    if not exact:
+        scale = _scale(top, r)
+        x /= scale[:, None]
+    if r == 2.0:  # a product is correctly rounded on every host
+        np.square(x, out=x)
+    elif r != 1.0:  # x ** 1 is x exactly
+        x **= r
+    total = x.sum(axis=-1) if exact else _sum2(x)
+    if r != 1.0:  # the root of a sum at r = 1 is the sum
+        total = total ** (1.0 / r)
+    return total if exact else total * scale
 
 
 def _scale(top: np.ndarray, r: float) -> np.ndarray:

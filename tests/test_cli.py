@@ -537,6 +537,69 @@ def test_experiment_refuses_to_overwrite_its_config(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out.csv").exists()
 
 
+def _diagonal_config(path):
+    path.write_text(json.dumps({
+        "family": "diagonal", "m": 2, "p": ["inf", "inf"], "r": [1, 1],
+        "n_values": [2, 4, 8], "norm_method": "analytic",
+    }))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("spelling", ["hard link", "symlink", "relative"])
+@pytest.mark.parametrize("output", ["CSV", "report"])
+def test_experiment_refuses_an_output_that_is_its_config_file(
+    tmp_path, capsys, monkeypatch, spelling, output
+):
+    # outputs are compared with the inputs by file identity, not by path
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "c.json"
+    before = _diagonal_config(config)
+    alias = tmp_path / "alias.json"
+    if spelling == "hard link":
+        os.link(config, alias)
+    elif spelling == "symlink":
+        alias.symlink_to(config)
+    else:
+        alias = os.path.join("..", tmp_path.name, "c.json")
+    outs = {"CSV": str(alias), "report": str(tmp_path / "e.json")}
+    if output == "report":
+        outs = {"CSV": str(tmp_path / "e.csv"), "report": str(alias)}
+    code, out, err = run(
+        capsys, "experiment", "--config", str(config), "--mode", "upper_bound",
+        "--out", outs["CSV"], "--report", outs["report"],
+    )
+    assert (code, out) == (2, "")
+    assert f"the {output} path {alias} would overwrite the input {config}" in err
+    assert config.read_bytes() == before
+    assert not any(os.path.exists(tmp_path / name) for name in ("e.csv", "e.json"))
+
+
+def test_experiment_writes_outputs_that_do_not_exist_yet(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    before = _diagonal_config(config)
+    code, out, err = run(
+        capsys, "experiment", "--config", str(config), "--mode", "upper_bound",
+        "--out", str(tmp_path / "e.csv"),
+    )
+    assert (code, err) == (0, "")
+    assert "verdict: consistent" in out
+    assert config.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "e.csv", "e.json"]
+
+
+def test_an_output_on_a_missing_form_file_is_still_refused(tmp_path, capsys):
+    # a missing input is compared by path, so the run stops before reading it
+    path = tmp_path / "forms.json"
+    code, out, err = run(
+        capsys, "experiment", "--family", "custom-file", "--m", "2",
+        "--p", "inf,inf", "--r", "1,1", "--form-file", str(path),
+        "--norm-method", "brute", "--out", str(tmp_path / "e.csv"), "--report", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert "would overwrite the input" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 _EXPERIMENT = (
     "experiment", "--family", "diagonal", "--m", "2", "--p", "inf,inf", "--r", "1,1",
     "--n-values", "2,4,8", "--norm-method", "analytic", "--mode", "upper_bound",
@@ -591,14 +654,44 @@ def test_a_symlinked_out_writes_through_the_link(tmp_path, capsys):
     assert [target.read_bytes()] == want
 
 
-def test_csv_and_report_on_one_path_end_with_the_report(tmp_path, capsys):
-    # --out r.json puts the report where the CSV was just written
-    _, want = _fresh(capsys, tmp_path, _EXPERIMENT, ("e.csv", "e.json"))
+def test_csv_and_report_on_one_path_are_refused(tmp_path, capsys):
+    # --out r.json would put the report where the CSV was just written
     path = tmp_path / "r.json"
     path.write_text("junk\n" * 1000)
-    code, _, _ = run(capsys, *_EXPERIMENT, "--out", str(path))
-    assert code == 0
-    assert path.read_bytes() == want
+    before = path.read_bytes()
+    code, out, err = run(capsys, *_EXPERIMENT, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and "are one file" in err
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
+
+def test_csv_and_report_on_one_new_path_are_refused(tmp_path, capsys, monkeypatch):
+    # neither file exists yet, so the two spellings are compared by path
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, *_EXPERIMENT, "--out", "r.json", "--report", str(tmp_path / "r.json")
+    )
+    assert (code, out) == (2, "")
+    assert f"the CSV path r.json and the report path {tmp_path / 'r.json'} are one file" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_and_report_hard_linked_to_one_file_are_refused(tmp_path, capsys):
+    csv, report = tmp_path / "e.csv", tmp_path / "e.json"
+    csv.write_text("junk\n")
+    os.link(csv, report)
+    code, out, err = run(capsys, *_EXPERIMENT, "--out", str(csv), "--report", str(report))
+    assert (code, out) == (2, "")
+    assert f"the CSV path {csv} and the report path {report} are one file" in err
+    assert csv.read_bytes() == b"junk\n"
+
+
+def test_csv_and_report_may_both_be_one_device(tmp_path, capsys):
+    code, out, err = run(capsys, *_EXPERIMENT, "--out", os.devnull, "--report", os.devnull)
+    assert (code, err) == (0, "")
+    assert "verdict: consistent" in out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_to_a_device_is_written_without_the_cut(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Norm estimator tests: exact duals, ascent, enumeration, closed forms."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -21,6 +22,7 @@ from mixedsums import (
     analytic_norm,
     brute_force_norm,
     compensated_sum,
+    conjugate,
     diagonal_form,
     dual_maximizer,
     estimate_to_obj,
@@ -155,6 +157,90 @@ def test_dual_maximizer_stack_matches_rows(p, complex_rows):
     assert x[2].tobytes() == np.zeros(5, dtype=x.dtype).tobytes() and val[2] == 0.0
     if p == 1.0:
         assert np.flatnonzero(x[3]).tolist() == [0]
+
+
+def _real_dual_steps(c, p):
+    # dual_maximizer's steps on real input before real rows skipped the
+    # subnormal scaling: the reference for the bits of the real path
+    c = np.asarray(c, dtype=np.float64).copy()
+    a = np.abs(c)
+    sub = (a > 0.0) & (a < np.finfo(np.float64).tiny)
+    den = np.where(a > 0.0, a, 1.0)
+    for v in (c, den):
+        np.multiply(v, 2.0**64, out=v, where=sub)
+    unit = np.where(a > 0.0, np.conj(c) / den, 1.0)
+    top = a.max(axis=-1, keepdims=True)
+    live = top > 0.0
+    pp = conjugate(p)
+    if p == INF:
+        x = np.where(live, unit, 0.0)
+    elif p == 1.0:
+        first = np.arange(a.shape[-1]) == a.argmax(axis=-1)[..., None]
+        x = np.where(first & live, unit, 0.0)
+    else:
+        x = unit * (a / np.where(live, top, 1.0)) ** (pp - 1.0)
+        x /= np.where(live, norms_module.fiber_norms(x, p)[..., None], 1.0)
+    return x, norms_module.fiber_norms(a, pp)
+
+
+def _same_bits(a, b):
+    # equal bit for bit, except that any NaN matches any NaN
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and (
+        a[~nan].view(np.uint64) == b[~nan].view(np.uint64)
+    ).all()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.0 + 1e-9, 2.0, 5.0, INF])
+def test_dual_maximizer_real_rows_keep_their_bits(p):
+    tiny = np.finfo(np.float64).tiny
+    c = np.array([
+        [0.0, -0.0, 3.0, -3.0, 3.0, 1e-310],  # signed zeros and a tie
+        [5e-324, -5e-324, 1e-310, -tiny / 2, 0.0, -0.0],  # subnormals only
+        [1e300, -1e300, 2.0, -0.5, 1e-310, 0.0],
+        [INF, 1.0, -2.0, 0.0, -0.0, 3.0],
+        [-INF, INF, 1.0, 0.0, 5e-324, -1.0],
+        [np.nan, 1.0, -2.0, 0.0, 4.0, -4.0],
+        [0.0, -0.0, 0.0, -0.0, 0.0, -0.0],  # a zero row
+        [-7.0, 7.0, -7.0, 1.0, -1.0, 0.5],  # ties at p = 1
+    ])
+    g = np.random.Generator(np.random.PCG64(34))
+    c = np.concatenate([c, g.standard_normal((3, 6)) * 10.0 ** g.integers(-320, 300, (3, 6))])
+    with np.errstate(all="ignore"):
+        x, value = dual_maximizer(c, p)
+        want_x, want_value = _real_dual_steps(c, p)
+        for r in range(len(c)):
+            xr, vr = dual_maximizer(c[r], p)
+            assert _same_bits(xr, want_x[r]) and _same_bits(vr, want_value[r]), r
+    assert x.dtype == np.float64
+    assert _same_bits(x, want_x) and _same_bits(value, want_value)
+
+
+@pytest.mark.parametrize("m, n, p, complex_phases, rows_per_sweep, digest", [
+    (2, 6, (4.0, 3.0), False, [8] * 8 + [5, 4, 3, 2, 2, 1, 1, 1, 1],
+     "b6fbfa3ccc418f328106"),
+    (2, 5, (3.0, 4.0), True, [8] * 23 + [7] * 8 + [6, 5] + [4] * 41 + [3] * 5 + [2] * 7 + [1] * 3,
+     "3a03c19b34ba810f59cb"),
+])
+def test_ascent_retiring_at_different_sweeps_keeps_its_bytes(
+    monkeypatch, m, n, p, complex_phases, rows_per_sweep, digest
+):
+    # the first sweeps update the slot arrays themselves, the later ones
+    # gather the running rows; the digest is the value and witness bytes
+    # of the gather-every-sweep ascent
+    form, _ = ksz_random_form(m, n, p, 7, complex_phases=complex_phases)
+    rows, real = [], norms_module.dual_maximizer
+
+    def spy(c, q):
+        rows.append(c.shape[0])
+        return real(c, q)
+
+    monkeypatch.setattr(norms_module, "dual_maximizer", spy)
+    est = alternating_ascent(form, restarts=6, seed=3)
+    assert rows[::m] == rows_per_sweep and est.converged
+    payload = repr(est.value).encode() + b"".join(w.tobytes() for w in est.witness)
+    assert hashlib.sha256(payload).hexdigest()[:20] == digest
 
 
 def test_ascent_diagonal_examples():

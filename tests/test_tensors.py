@@ -201,6 +201,22 @@ def test_fiber_norms_blocks_match_single_fibers():
         assert np.array_equal(whole, [fiber_norms(row, r) for row in a])
 
 
+@pytest.mark.parametrize("n", [7, 2048])
+@pytest.mark.parametrize("extra", [0, 1], ids=["one block", "two blocks"])
+@pytest.mark.parametrize("data", ["normal", "mixed", "int"])
+def test_fiber_norms_at_the_block_boundary_match_row_by_row(n, extra, data):
+    # _BLOCK // n rows are one block, returned as computed; one row more
+    # takes the block loop, whose second block holds that row alone
+    rows = _BLOCK // n + extra
+    a = _grid_tensor((rows, n), data, "C", seed=n + extra)
+    for r in (0.5, 1.0, 2.0, 3.0, 600.0, INF):
+        got = fiber_norms(a, r)
+        assert got.shape == (rows,) and got.flags.writeable and got.flags.c_contiguous
+        assert got.tobytes() == _reference_fiber_norms(a, r).tobytes(), r
+        for k in [*range(0, rows, rows // 40 or 1), rows - 1]:  # as single fibers
+            assert got[k].tobytes() == fiber_norms(a[k], r).tobytes(), (r, k)
+
+
 def _grid_tensor(shape, data, layout, seed):
     g = np.random.Generator(np.random.PCG64(seed))
     if data == "normal":

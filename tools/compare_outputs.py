@@ -652,11 +652,18 @@ def digests() -> dict[str, str]:
 
 
 def run_tree(src: Path) -> dict[str, str]:
+    """The payload digests of the tree at src, from a fresh interpreter.
+
+    When the digest run fails, its standard error, the traceback among
+    it, is printed and the script exits 1.
+    """
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, __file__, "--digest"],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, __file__, "--digest"], env=env, capture_output=True, text=True,
     )
+    if proc.returncode:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"the digest run of {src} exited with status {proc.returncode}")
     return json.loads(proc.stdout)
 
 
