@@ -181,10 +181,8 @@ def alternating_ascent(
     # report, a NumericalError; numpy's warnings on the way would only precede it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iters):
-            # while every restart runs, the slot arrays are the rows
-            full = active.size == total
-            rows = list(xs) if full else [x[active] for x in xs]
-            last = value if full else value[active]
+            rows = [x[active] for x in xs]
+            last = value[active]
             for j, pj in enumerate(form.p):
                 # at m = 1 c is the coefficient vector, shared by every row
                 c = partial_contract(form, rows, j)
@@ -198,12 +196,9 @@ def alternating_ascent(
                         f"{active[fell].tolist()}"
                     )
                 last = val
-            if full:
-                xs, value = rows, val
-            else:
-                for x, row in zip(xs, rows):
-                    x[active] = row
-                value[active] = val
+            for x, row in zip(xs, rows):
+                x[active] = row
+            value[active] = val
             if prev is not None:
                 done = val - prev <= tol * np.maximum(prev, 1e-300)
                 converged[active[done]] = True

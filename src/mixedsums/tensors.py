@@ -155,7 +155,7 @@ def _reduce(d: np.ndarray, n: int, r: float) -> np.ndarray:
         return _repeated(d[..., 0], n, r)
     rows = d.reshape(-1, n)
     step = max(1, _BLOCK // n)
-    if len(rows) <= step:  # one block: its norms are the result
+    if 0 < len(rows) <= step:  # one block: its norms are the result
         return _block_norms(rows, n, r).reshape(d.shape[:-1])
     out = np.empty(len(rows))
     for lo in range(0, len(rows), step):

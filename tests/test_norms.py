@@ -226,9 +226,8 @@ def test_dual_maximizer_real_rows_keep_their_bits(p):
 def test_ascent_retiring_at_different_sweeps_keeps_its_bytes(
     monkeypatch, m, n, p, complex_phases, rows_per_sweep, digest
 ):
-    # the first sweeps update the slot arrays themselves, the later ones
-    # gather the running rows; the digest is the value and witness bytes
-    # of the gather-every-sweep ascent
+    # restarts retire at different sweeps, so later sweeps gather fewer
+    # rows and scatter them back; the digest pins the value and witness bytes
     form, _ = ksz_random_form(m, n, p, 7, complex_phases=complex_phases)
     rows, real = [], norms_module.dual_maximizer
 

@@ -16,6 +16,7 @@ from mixedsums import (
     NumericalError,
     compensated_sum,
     coordinate_product,
+    dual_maximizer,
     holder_verify,
     mixed_norm,
     tensor_from_obj,
@@ -522,6 +523,19 @@ def test_fiber_norms_of_empty_fibers_are_zero(shape, r):
     assert np.shape(got) == shape[:-1] and not np.any(got)
     with pytest.raises(ValueError, match="has no entries"):
         mixed_norm(np.empty(shape), (r,) * len(shape))
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0, 600.0, INF])
+@pytest.mark.parametrize("shape", [(3, 5), (2, 3, 5)])
+def test_fiber_norms_of_no_fibers_sliced_from_a_tensor_are_empty(shape, r):
+    # np.empty((0, 5)) has strides (0, 0) and reads as one repeated entry;
+    # a slice of no fibers keeps its strides and reaches the block reduction
+    a = np.ones(shape)[..., :0, :]
+    got = fiber_norms(a, r)
+    assert got.shape == a.shape[:-1] and got.dtype == np.float64
+    for c in (a, a.astype(complex)):
+        x, val = dual_maximizer(c, r if r >= 1.0 else 1.0)
+        assert x.shape == a.shape and val.shape == a.shape[:-1]
 
 
 def test_compensated_sum_rejects_a_scalar():
