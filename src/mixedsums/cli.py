@@ -9,9 +9,13 @@ Subcommands:
   verify-holder  fuzz the mixed Hoelder inequality
 
 Exponent tokens are decimals, fractions like 4/3, or inf; vectors are
-comma-separated. Exit codes: 0 success, 1 domain error (regime violation,
-bad file, violated inequality, a norm not finite in float64), 2 usage
-error. Honors NO_COLOR.
+comma-separated. Exit codes: 0 success; 1 domain error (regime violation,
+bad file, violated inequality, a norm not finite in float64), every rule
+on families, options, arities and exponents among them, in the library's
+words; 2 what only the CLI refuses: argparse errors, missing experiment
+flags, --config with inline config flags (--family through --form-file),
+verify-holder's flag rules, and an output that would overwrite an input.
+Honors NO_COLOR.
 
 experiment refuses, as a usage error before any row runs, an output that
 is one of its inputs (the --config file or the form file) and a CSV and
@@ -40,6 +44,7 @@ import math
 import os
 import stat
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +54,9 @@ from .exponents import INF, exponent_to_json, predict
 from .forms import form_from_obj, form_to_obj, ksz_bound_exponent
 from .growth import (
     DEFAULT_FIT_TOLERANCE,
+    FAMILIES,
+    NORM_METHODS,
+    ExperimentConfig,
     check_tolerance,
     config_from_obj,
     estimate_norm,
@@ -117,8 +125,6 @@ VERDICT_COLORS = {"consistent": "32", "inconsistent": "31", "inconclusive": "33"
 
 
 def cmd_exponent(args) -> int:
-    if len(args.p) != args.m or len(args.r) != args.m:
-        raise UsageError(f"--p and --r must each have {args.m} entries")
     report = predict(args.m, args.p, args.r)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
@@ -175,18 +181,6 @@ def cmd_norm(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if len(args.p) != args.m:
-        raise UsageError(f"--p must have {args.m} entries")
-    if args.family == "row" and args.m != 2:
-        raise UsageError("row family requires --m 2")
-    if args.family == "product_extension" and not 1 <= (args.k or 0) <= args.m:
-        raise UsageError("product_extension requires --k in [1, m]")
-    if args.complex and args.family != "ksz":
-        raise UsageError("--complex applies to the ksz family only")
-    if args.n2 is not None and args.family != "row":
-        raise UsageError("--n2 applies to the row family only")
-    if args.k is not None and args.family != "product_extension":
-        raise UsageError("--k applies to the product_extension family only")
     form = make_form(
         args.family, args.m, args.n, args.p, args.seed, args.k,
         n2=args.n2, complex_phases=args.complex,
@@ -241,22 +235,15 @@ def _check_outputs(csv: str, report: str, inputs: list[str]) -> None:
 
 def cmd_experiment(args) -> int:
     if args.config:
+        inline = [f.name for f in fields(ExperimentConfig) if getattr(args, f.name) is not None]
+        if inline:
+            flags = ", ".join("--" + name.replace("_", "-") for name in inline)
+            raise UsageError(f"--config takes no inline config flags, got {flags}")
         config = config_from_obj(_load_json(args.config))
     else:
-        missing = [
-            flag
-            for flag, val in (
-                ("--family", args.family),
-                ("--m", args.m),
-                ("--p", args.p),
-                ("--r", args.r),
-            )
-            if val is None
-        ]
+        missing = [f"--{key}" for key in ("family", "m", "p", "r") if getattr(args, key) is None]
         if missing:
-            raise UsageError(
-                "without --config, " + ", ".join(missing) + " are required"
-            )
+            raise UsageError("without --config, " + ", ".join(missing) + " are required")
         config = config_from_obj(vars(args))
     report_path = args.report or os.path.splitext(args.out)[0] + ".json"
     _check_outputs(args.out, report_path, [p for p in (args.config, config.form_file) if p])
@@ -362,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norm", help="operator-norm estimate of a form file")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=("ascent", "brute", "analytic"), default="ascent")
+    p.add_argument(
+        "--method", choices=[m for m in NORM_METHODS if m != "paper_bound"], default="ascent"
+    )
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -373,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a form JSON file")
     p.add_argument(
-        "--family",
-        choices=("ksz", "diagonal", "row", "product_extension"),
-        required=True,
+        "--family", choices=[f for f in FAMILIES if f != "custom-file"], required=True
     )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -388,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("experiment", help="growth experiment -> CSV + JSON report")
-    p.add_argument("--config", help="JSON config file (overrides inline flags)")
+    p.add_argument("--config", help="JSON config file, in place of --family .. --form-file")
     p.add_argument("--family")
     p.add_argument("--m", type=int)
     p.add_argument("--p", type=parse_vector)

@@ -240,6 +240,7 @@ def make_form(
     if family == "row":
         return row_form(n, n if n2 is None else n2, p)
     if family == "product_extension":
+        p = as_exponent_vector(p, m, "p")  # before the slices hide a wrong arity
         base, _ = ksz_random_form(k, n, p[:k], seed)
         return product_extension(base, m, p[k:])
     raise ValueError(f"no generated family {family!r}")

@@ -985,6 +985,10 @@ def test_make_form_matches_family_builders():
          "complex_phases applies to the ksz family only"),
         # n2 = 0 is given, not the default n: a row form with no columns
         ("row", 2, (INF, 2.0), {"n2": 0}, "n1 and n2 must be >= 1"),
+        # a product_extension's p is checked whole, before it is cut in two
+        ("product_extension", 3, (INF,), {"k": 2}, "p has length 1, expected m=3"),
+        ("product_extension", 3, (INF, INF), {"k": 2}, "p has length 2, expected m=3"),
+        ("product_extension", 3, (INF,) * 4, {"k": 2}, "p has length 4, expected m=3"),
     ],
 )
 def test_make_form_refuses_options_its_family_ignores(family, m, p, options, message):

@@ -40,3 +40,13 @@ def test_item_times_prints_each_item_and_the_sum(tmp_path):
     assert lines[-1].endswith("sum of the minima")
     assert abs(times[-1] - sum(times[:-1])) < 0.01
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_cost_times_both_pass_kinds_and_cleans_up(tmp_path):
+    proc = _tool("write_cost.py", "--passes", "2", "--dir", str(tmp_path), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"2 passes of each kind, src {ROOT / 'src'}, outputs under {tmp_path}"
+    kinds = {line.split()[0]: line.split()[3] for line in lines[1:]}
+    assert kinds == {"rerun": "100.0%", "fresh": "0.0%"}
+    assert list(tmp_path.iterdir()) == []

@@ -14,7 +14,9 @@ and ``brute_payloads``), the exit code, output and written files of
 ``cli.main`` runs (``cli_payloads``, among them the two EXPERIMENTS that
 brute refuses for a finite p in an enumerated slot; every ``generate`` and
 ``experiment`` run writes over outputs left holding JUNK bytes, so a stale
-tail shows against a tree that truncates), and the bits of ``fiber_norms`` and
+tail shows against a tree that truncates; the RULES runs violate each family,
+option and arity rule through both commands, and one experiment gives
+inline config flags next to ``--config``), and the bits of ``fiber_norms`` and
 ``mixed_norm`` (``kernel_payloads``, ``broadcast_payloads``,
 ``exact_payloads`` and ``repeated_payloads``), the reports of
 ``exponents.predict`` over a grid of (m, p, r) (``predict_payloads``),
@@ -53,8 +55,6 @@ FORMS = {
     "row": "--family row --m 2 --n 4 --p inf,3",
     "row_n2": "--family row --m 2 --n 3 --n2 7 --p 2,4/3",
     "product_extension": "--family product_extension --m 3 --k 2 --n 4 --p inf,inf,inf --seed 8",
-    "row_m3": "--family row --m 3 --n 4 --p 2,2,2",
-    "product_extension_no_k": "--family product_extension --m 3 --n 4 --p 2,2,2",
     "ksz_p1": "--family ksz --m 2 --n 7 --p 1,3 --seed 9",
     "ksz_m3_finite": "--family ksz --m 3 --n 5 --p 4,2,3 --seed 10",
     "ksz_m1": "--family ksz --m 1 --n 9 --p 3 --seed 11",
@@ -128,6 +128,36 @@ EXPERIMENTS += [
     "--family product_extension --m 3 --k 2 --p inf,4,inf --r 1,2,2 --n-values 2,3,4 "
     "--norm-method brute",
 ]
+# each family, option and arity rule of make_form and ExperimentConfig, as
+# (generate flags, experiment flags or None where experiment takes no such
+# option): both commands report a rule in the library's words, so a CLI
+# that keeps a copy of its own shows here
+RULES = {
+    "row_m3": (
+        "--family row --m 3 --n 4 --p 2,2,2",
+        "--family row --m 3 --p 2,2,2 --r 1,1,1 --n-values 2,4,8",
+    ),
+    "product_extension_no_k": (
+        "--family product_extension --m 3 --n 4 --p 2,2,2",
+        "--family product_extension --m 3 --p 2,2,2 --r 1,1,1 --n-values 2,4,8",
+    ),
+    "k_off_product_extension": (
+        "--family ksz --m 2 --n 4 --p inf,inf --k 1",
+        "--family ksz --m 2 --p inf,inf --r 1,1 --n-values 2,3,4 --k 1",
+    ),
+    "n2_off_row": ("--family ksz --m 2 --n 4 --p 2,2 --n2 5", None),
+    "complex_off_ksz": ("--family diagonal --m 2 --n 4 --p 2,2 --complex", None),
+    "p_arity_ksz": (
+        "--family ksz --m 3 --n 4 --p inf,inf",
+        "--family ksz --m 3 --p inf,inf --r 1,1,1 --n-values 2,3,4",
+    ),
+    "p_arity_product_extension": (
+        "--family product_extension --m 3 --k 2 --n 4 --p inf,inf",
+        "--family product_extension --m 3 --k 2 --p inf,inf --r 1,1,1 --n-values 2,3,4",
+    ),
+}
+# inline config flags next to --config, which experiment refuses
+CONFIG_WITH_FLAGS = "--family ksz --seed 9 --draws 7"
 # what generate and experiment outputs hold before each run: more bytes
 # than any run writes
 JUNK = ("junk\n" * 65536)[:65536]
@@ -243,22 +273,26 @@ def cli_payloads(tmp: Path) -> dict[str, str]:
         texts += [f.read_text() if f.exists() else "-" for f in files]
         return "\0".join(texts).replace(str(tmp), "<tmp>")
 
-    out = {}
-    for name, flags in FORMS.items():
+    def generate(name: str, flags: str) -> str:
         path = tmp / f"{name}.json"
         path.write_text(JUNK)
-        out[f"cli:generate:{name}"] = run(["generate", *flags.split(), "--out", str(path)], path)
+        return run(["generate", *flags.split(), "--out", str(path)], path)
+
+    out = {f"cli:generate:{name}": generate(name, flags) for name, flags in FORMS.items()}
     for name, flags in NORMS:
         argv = ["norm", "--input", str(tmp / f"{name}.json"), *flags.split()]
         out[f"cli:norm:{name}:{flags}"] = run(argv)
     listed = [json.loads((tmp / f"{name}.json").read_text()) for name in FORM_LIST]
     (tmp / "forms.json").write_text(json.dumps(listed))
-    for idx, flags in enumerate(EXPERIMENTS):
-        csv = tmp / f"experiment{idx}.csv"
+
+    def experiment(name: str, flags: list[str]) -> str:
+        csv = tmp / f"{name}.csv"
         for path in (csv, csv.with_suffix(".json")):
             path.write_text(JUNK)
-        argv = ["experiment", *flags.format(tmp=tmp).split(), "--out", str(csv)]
-        out[f"cli:experiment{idx}"] = run(argv, csv, csv.with_suffix(".json"))
+        return run(["experiment", *flags, "--out", str(csv)], csv, csv.with_suffix(".json"))
+
+    for idx, flags in enumerate(EXPERIMENTS):
+        out[f"cli:experiment{idx}"] = experiment(f"experiment{idx}", flags.format(tmp=tmp).split())
     for m in (1, 2, 3):
         runs = []
         for pj, rj in itertools.product(EXPONENT_P, EXPONENT_R):
@@ -269,6 +303,17 @@ def cli_payloads(tmp: Path) -> dict[str, str]:
         out[f"cli:exponent:m={m}"] = "\0".join(runs)
     for idx, flags in enumerate(HOLDER):
         out[f"cli:verify-holder{idx}"] = run(["verify-holder", *flags.split()])
+    for name, (gen_flags, exp_flags) in RULES.items():
+        out[f"cli:generate:{name}"] = generate(name, gen_flags)
+        if exp_flags is not None:
+            out[f"cli:experiment:{name}"] = experiment(name, exp_flags.split())
+    config = tmp / "config.json"
+    config.write_text(json.dumps({
+        "family": "diagonal", "m": 2, "p": ["inf", "inf"], "r": [1, 1],
+        "n_values": [2, 4, 8], "norm_method": "analytic",
+    }))
+    argv = ["--config", str(config), *CONFIG_WITH_FLAGS.split()]
+    out["cli:experiment:config_with_inline_flags"] = experiment("config_with_inline_flags", argv)
     return out
 
 
