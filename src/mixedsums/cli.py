@@ -11,10 +11,12 @@ Subcommands:
 Exponent tokens are decimals, fractions like 4/3, or inf; vectors are
 comma-separated. Exit codes: 0 success; 1 domain error (regime violation,
 bad file, violated inequality, a norm not finite in float64), every rule
-on families, options, arities and exponents among them, in the library's
-words; 2 what only the CLI refuses: argparse errors, missing experiment
-flags, --config with inline config flags (--family through --form-file),
-verify-holder's flag rules, and an output that would overwrite an input.
+on families, options, arities and exponent vectors among them, in the
+library's words; 2 what only the CLI refuses: argparse errors (an
+exponent token that is no exponent, such as --p 0 or nan, among them),
+missing experiment flags, --config with inline config flags (--family
+through --form-file), verify-holder's flag rules, and an output that
+would overwrite an input.
 Honors NO_COLOR.
 
 experiment refuses, as a usage error before any row runs, an output that
@@ -234,17 +236,18 @@ def _check_outputs(csv: str, report: str, inputs: list[str]) -> None:
 
 
 def cmd_experiment(args) -> int:
+    inline = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+    inline = {key: v for key, v in inline.items() if v is not None}
     if args.config:
-        inline = [f.name for f in fields(ExperimentConfig) if getattr(args, f.name) is not None]
         if inline:
             flags = ", ".join("--" + name.replace("_", "-") for name in inline)
             raise UsageError(f"--config takes no inline config flags, got {flags}")
         config = config_from_obj(_load_json(args.config))
     else:
-        missing = [f"--{key}" for key in ("family", "m", "p", "r") if getattr(args, key) is None]
+        missing = [f"--{key}" for key in ("family", "m", "p", "r") if key not in inline]
         if missing:
             raise UsageError("without --config, " + ", ".join(missing) + " are required")
-        config = config_from_obj(vars(args))
+        config = config_from_obj(inline)
     report_path = args.report or os.path.splitext(args.out)[0] + ".json"
     _check_outputs(args.out, report_path, [p for p in (args.config, config.form_file) if p])
     check_tolerance(args.tolerance)  # before any row runs

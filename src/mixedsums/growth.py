@@ -125,6 +125,22 @@ def _check_options(
         raise ValueError("form_file applies to the custom-file family only")
 
 
+# the reader of each field but family, for ExperimentConfig and config files
+_FIELD_CASTS = {
+    "m": _integer,
+    "p": _vector(float),
+    "r": _vector(float),
+    "n_values": _vector(_integer),
+    "norm_method": str,
+    "restarts": _integer,
+    "seed": _integer,
+    "tol": float,
+    "draws": _integer,
+    "k": _integer,
+    "form_file": str,
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One growth experiment.
@@ -136,6 +152,10 @@ class ExperimentConfig:
     ones (n_values is then ignored) and whose declared (m, p) describe the
     file's forms for prediction purposes; each form's own p drives the
     norm estimate. Neither option is taken by another family.
+
+    Every field but family is read through _FIELD_CASTS, as config_from_obj
+    reads a file's, so an integer field refuses a fraction, a string or a
+    bool with a ValueError naming the field.
     """
 
     family: str
@@ -152,6 +172,9 @@ class ExperimentConfig:
     form_file: str | None = None
 
     def __post_init__(self):
+        for key, cast in _FIELD_CASTS.items():
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, _read_field(vars(self), key, cast, "config"))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.norm_method not in NORM_METHODS:
@@ -160,7 +183,6 @@ class ExperimentConfig:
             raise ValueError("m must be >= 1")
         object.__setattr__(self, "p", as_exponent_vector(self.p, self.m, "p"))
         object.__setattr__(self, "r", as_exponent_vector(self.r, self.m, "r"))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         if self.family != "custom-file":
             ns = self.n_values
             if len(ns) < 3:
@@ -481,34 +503,19 @@ def config_to_obj(config: ExperimentConfig) -> dict:
     return obj
 
 
-_FIELD_CASTS = {
-    "m": _integer,
-    "p": _vector(float),
-    "r": _vector(float),
-    "n_values": _vector(_integer),
-    "norm_method": str,
-    "restarts": _integer,
-    "seed": _integer,
-    "tol": float,
-    "draws": _integer,
-    "k": _integer,
-    "form_file": str,
-}
-
-
 def config_from_obj(obj) -> ExperimentConfig:
-    """ExperimentConfig from a JSON object; absent or null fields take the defaults."""
+    """ExperimentConfig from a JSON object; absent or null fields take the
+    defaults, and a key that names no field is refused."""
     try:
         missing = [key for key in ("family", "m", "p", "r") if obj.get(key) is None]
     except AttributeError:
         raise ValueError("a config must be a JSON object") from None
     if missing:
         raise ValueError(f"config object is missing required fields {missing}")
-    kwargs = {"family": obj["family"]}
-    for key, cast in _FIELD_CASTS.items():
-        if obj.get(key) is not None:
-            kwargs[key] = _read_field(obj, key, cast, "config")
-    return ExperimentConfig(**kwargs)
+    unknown = [key for key in obj if key != "family" and key not in _FIELD_CASTS]
+    if unknown:
+        raise ValueError(f"config object has unknown fields {unknown}")
+    return ExperimentConfig(**{key: v for key, v in obj.items() if v is not None})
 
 
 def report_obj(series: GrowthSeries, fit: FitResult) -> dict:

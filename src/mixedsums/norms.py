@@ -161,7 +161,7 @@ def alternating_ascent(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     total = restarts + 2
-    gens = _rng.streams(seed, range(2, total))
+    gens = [_rng.stream(seed, t) for t in range(2, total)]
     dtype = np.complex128 if np.iscomplexobj(form.coefficients) else np.float64
     xs = []
     for n, pj in zip(form.shape, form.p):

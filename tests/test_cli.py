@@ -1017,6 +1017,23 @@ def test_experiment_config_misread_fields_are_errors(tmp_path, capsys, field, va
     assert err.startswith(f"error: config field '{field}'")
 
 
+@pytest.mark.parametrize(
+    "key, value", [("draws_typo", 7), ("n2", 5), ("complex_phases", True)]
+)
+def test_experiment_config_refuses_unknown_keys(tmp_path, capsys, key, value):
+    # a misspelt field, or an option ExperimentConfig does not take, is no
+    # part of the experiment; it used to be dropped and the run exit 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": "diagonal", "m": 2, "p": [4, 4], "r": [1, 1],
+                                "n_values": [2, 4, 8], "norm_method": "analytic", key: value}))
+    code, out, err = run(
+        capsys, "experiment", "--config", str(path), "--out", str(tmp_path / "o.csv")
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: config object has unknown fields [{key!r}]\n"
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_experiment_inline_defaults_are_the_config_defaults(tmp_path, capsys):
     from mixedsums import ExperimentConfig, config_to_obj
 

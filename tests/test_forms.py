@@ -2,17 +2,17 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from mixedsums import (
     INF,
     MultilinearForm,
     alpha,
+    alternating_ascent,
     diagonal_form,
     evaluate,
     form_from_obj,
@@ -23,17 +23,8 @@ from mixedsums import (
     product_extension,
     row_form,
 )
-from mixedsums import _rng
-from mixedsums._rng import derive_seed, phase_array, sign_array, stream, streams
+from mixedsums._rng import derive_seed, phase_array, sign_array, stream
 from mixedsums.forms import ksz_bound_exponent
-
-# key entries at the edges of SeedSequence's word split: 0 is one word,
-# 2**32 - 1 the largest one-word entry, 2**64 - 1 the largest two-word one;
-# negatives and entries past 64 bits are masked to 64 bits first
-_EDGE_KEYS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**63 + 5, 2**64 - 1, -1, -3, 2**64, 2**70 + 3)
-_KEY_ENTRY = st.one_of(st.sampled_from(_EDGE_KEYS), st.integers(-(2**65), 2**65))
-# restart indices: one entropy word each, its edges 0 and 2**32 - 1 included
-_RESTART = st.one_of(st.sampled_from((0, 1, 2**32 - 1)), st.integers(0, 2**32 - 1))
 
 
 def test_alpha():
@@ -69,46 +60,25 @@ def test_derive_seed_frozen():
     assert derive_seed(7, 2, 0, 1) != derive_seed(7, 2, 0, 0)
 
 
-def test_derive_seed_frozen_in_a_batch():
-    # the batched SeedSequence words streams seeds with, read as derive_seed reads them
-    def batched(seed, ts):
-        return _rng._uint64(_rng._states(seed, ts, 2))[:, 0].tolist()
-
-    for seed in (7, -3, 2**32, 2**64 - 1):
-        ts = [0, 5, 2**32 - 1]
-        assert batched(seed, ts) == [derive_seed(seed, t) for t in ts]
-    assert batched(7, [3, 2])[1] == derive_seed(7, 2)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=_KEY_ENTRY, ts=st.lists(_RESTART, max_size=12), n_words=st.sampled_from([1, 2, 5, 8]))
-@example(seed=2**64 - 1, ts=[], n_words=8)
-def test_batched_states_are_seed_sequence_words(seed, ts, n_words):
-    got = _rng._states(seed, ts, n_words)
-    assert got.dtype == np.uint32 and got.shape == (len(ts), n_words)
-    for t, row in zip(ts, got):
-        want = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, t]).generate_state(n_words)
-        assert row.tobytes() == want.tobytes()
+@pytest.mark.parametrize("bad", [2.9, 1.7, 2.0, "5", None])
+def test_seeds_and_keys_must_be_integers(bad):
+    # int() used to take them: seed 2.9 drew seed 2's form, 1.7 gave
+    # seed 1's ascent estimate and "5" was parsed
+    form, _ = ksz_random_form(2, 4, (INF, INF), seed=0)
+    calls = (
+        lambda: ksz_random_form(2, 4, (INF, INF), seed=bad),
+        lambda: alternating_ascent(form, 4, seed=bad),
+        lambda: derive_seed(bad, 1),
+        lambda: derive_seed(3, 0, bad),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            call()
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=_KEY_ENTRY, ts=st.lists(_RESTART, max_size=8))
-@example(seed=3, ts=[])
-def test_streams_are_stream_per_key(seed, ts):
-    # the batch-seeded generators draw what numpy's SeedSequence seeding does
-    got = [g.standard_normal(5).tobytes() + g.random(3).tobytes() for g in streams(seed, ts)]
-    want = [
-        g.standard_normal(5).tobytes() + g.random(3).tobytes()
-        for g in (stream(seed, t) for t in ts)
-    ]
-    assert got == want
-
-
-@pytest.mark.parametrize("t", [-1, 2**32])
-def test_streams_reject_a_t_that_is_not_one_word(t):
-    # such a t would not fit the one entropy word each restart key holds
-    with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
-        streams(3, [2, t])
+def test_numpy_integers_are_seeds():
+    assert derive_seed(np.int64(-3), np.uint32(2), 0) == derive_seed(-3, 2, 0)
+    assert np.array_equal(stream(np.uint64(2**64 - 1)).random(4), stream(-1).random(4))
 
 
 def test_random_raw_is_the_full_range_integers():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import time
 import types
 import tracemalloc
@@ -289,6 +290,14 @@ def _crafted_stream(monkeypatch, draws):
     def stream(seed, *key):
         return types.SimpleNamespace(bit_generator=_Words(words))
 
+    _spy_row_streams(monkeypatch, stream)
+
+
+def _spy_row_streams(monkeypatch, stream):
+    """Hand growth's row streams (seed, n) to `stream`. Only growth sees
+    the spy: ascent seeds its restarts (seed, t) through the real
+    _rng.stream, as norms imports it."""
+    monkeypatch.setattr(growth_module, "_rng", types.SimpleNamespace(**vars(_rng)))
     monkeypatch.setattr(growth_module._rng, "stream", stream)
 
 
@@ -501,7 +510,7 @@ def test_drawn_rows_seed_in_one_batch_per_experiment(monkeypatch, cfg):
         keys.append((seed, *key))
         return types.SimpleNamespace(bit_generator=Counting(real(seed, *key).bit_generator))
 
-    monkeypatch.setattr(growth_module._rng, "stream", counting)
+    _spy_row_streams(monkeypatch, counting)
     run_growth(cfg)
     k = cfg.k or cfg.m
     assert keys == [(cfg.seed, n) for n in cfg.n_values]
@@ -1033,6 +1042,7 @@ def test_estimate_norm_dispatches_to_each_estimator():
         ("n_values", "2345"),
         ("n_values", 8),
         ("n_values", [2, 3.5, 4]),
+        ("n_values", (2, 3.5, 4)),
         ("m", 2.9),
         ("m", "2"),
         ("restarts", 3.7),
@@ -1042,14 +1052,25 @@ def test_estimate_norm_dispatches_to_each_estimator():
     ],
 )
 def test_config_from_obj_rejects_misread_fields(field, value):
+    # the constructor reads every field as a config file's: it used to
+    # truncate 3.5 to 3, read "2345" digit by digit, take True as 1 draw
+    # and keep the string "0" as a seed
     obj = {
         "family": "product_extension", "m": 2, "k": 1, "p": [4, 4], "r": [1, 1],
         "n_values": [2, 3, 4], "norm_method": "ascent",
     }
+    for read in (config_from_obj, lambda obj: ExperimentConfig(**obj)):
+        read(obj)
+        with pytest.raises(ValueError, match=f"config field '{field}'"):
+            read({**obj, field: value})
+
+
+@pytest.mark.parametrize("extra", [{"draws_typo": 7}, {"n2": 5, "complex_phases": True}])
+def test_config_from_obj_refuses_unknown_keys(extra):
+    obj = {"family": "ksz", "m": 2, "p": ["inf", "inf"], "r": [1, 1], "n_values": [2, 3, 4]}
     config_from_obj(obj)
-    obj[field] = value
-    with pytest.raises(ValueError, match=f"field '{field}'"):
-        config_from_obj(obj)
+    with pytest.raises(ValueError, match=re.escape(f"unknown fields {list(extra)}")):
+        config_from_obj({**obj, **extra})
 
 
 def test_config_from_obj_accepts_tuples_and_integral_floats():

@@ -518,8 +518,8 @@ def sum2_payloads() -> dict[str, str]:
 def ascent_payloads() -> dict[str, str]:
     """alternating_ascent value and witness bytes at each of RESTART_SEEDS.
 
-    32 restarts of one small ksz form, so 32 restart streams (seed, t) are
-    seeded in one batch. At p = (4, 4) the bytes of the ascent's end point
+    32 restarts of one small ksz form, so 32 restart streams (seed, t),
+    t = 2..33, each seeded by its own SeedSequence. At p = (4, 4) the bytes of the ascent's end point
     vary with its seed, so a stream seeded wrong shows.
     """
     from mixedsums import alternating_ascent, ksz_random_form
